@@ -7,8 +7,8 @@ coefficients D that distribute spontaneous decays over sidebands.
 
 import numpy as np
 
-from recoilspec import (EmissionPattern, emission_weight, solid_angle_norm,
-                        xi, xi_lamb_dicke, xi_mode_table)
+from recoilspec import (EmissionPattern, solid_angle_norm, xi, xi_lamb_dicke,
+                        xi_mode_table)
 from recoilspec.presets import mg24_ca40
 
 # ---- coupling strength vs sideband order -----------------------------------
@@ -36,8 +36,8 @@ for n in range(3):
 print("\nangular emission patterns (steradian^-1):")
 for kind in ("isotropic", "pi", "sigma", "mg_mixed"):
     pattern = EmissionPattern(kind)
-    w0 = emission_weight(pattern, np.pi / 2, 0.0)
-    wy = emission_weight(pattern, np.pi / 2, np.pi / 2)
+    w0 = pattern.weight(np.pi / 2, 0.0)
+    wy = pattern.weight(np.pi / 2, np.pi / 2)
     print(f"  {kind:9s}: along x {w0:.4f}, along y {wy:.4f},"
           f" integral {solid_angle_norm(pattern):.6f}")
 

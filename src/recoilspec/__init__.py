@@ -14,7 +14,7 @@ from .radiation import (EmissionPattern, LaserField, QuadratureError,
                         TransitionLine, base_rate, composite_target_lineshape,
                         effective_saturation_intensity,
                         effective_spectral_density, emission_coefficients,
-                        emission_weight, lineshape_value, saturation_intensity,
+                        lineshape_value, saturation_intensity,
                         solid_angle_norm, write_d_table_csv)
 from .rate_engine import (LeakWarning, PopulationState, RateMatrix,
                           SpectroscopyScenario, build_rate_matrix, evolve,

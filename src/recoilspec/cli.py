@@ -106,7 +106,6 @@ DEFAULT_CONFIG = {
     },
     "integrator": "lsoda",
     "workers": 0,                 # 0 = all logical cores
-    "seed": 0,                    # reserved for stochastic extensions
 }
 
 _SCAN_SPAN_DEFAULT = {"mg24_ca40": 300e6, "mgh24_ca40": 600e6, None: 300e6}

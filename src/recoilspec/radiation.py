@@ -11,14 +11,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import voigt_profile
 
 from .constants import C, HBAR
 from .coupling import xi_mode_table
 from .ion_mechanics import TwoIonSystem
-
-# width ratio below which the narrow lineshape is treated as a delta
-_NARROW_RATIO = 1e-4
 
 
 class QuadratureError(RuntimeError):
@@ -112,58 +109,17 @@ def lineshape_value(kind: str, omega: float, center: float, width: float):
     return float(val) if np.isscalar(omega) else val
 
 
-def _overlap_integral(gamma_t: float, sigma_L: float, detuning: float) -> float:
-    """Integral of Lorentzian(Gamma_t) x Gaussian(sigma_L) line densities.
-
-    The laser center sits at `detuning` from the transition.  Adaptive
-    quadrature over +-8 combined widths around the two centers, with
-    panel breakpoints laid out at octave multiples of each feature's own
-    width so a spike much narrower than the window cannot slip between
-    quadrature nodes.
-    """
-    span = 8.0 * (gamma_t + np.sqrt(8.0 * np.log(2.0)) * sigma_L)
-    lo = min(0.0, detuning) - span
-    hi = max(0.0, detuning) + span
-
-    def integrand(u):
-        lor = (gamma_t / (2.0 * np.pi)) / (u**2 + gamma_t**2 / 4.0)
-        gau = np.exp(-(u - detuning)**2 / (2.0 * sigma_L**2)) / (np.sqrt(2.0 * np.pi) * sigma_L)
-        return lor * gau
-
-    interior = set()
-    for center, width in ((0.0, gamma_t), (detuning, sigma_L)):
-        interior.add(center)
-        step = width / 2.0
-        while step < hi - lo:
-            interior.update((center - step, center + step))
-            step *= 2.0
-    points = sorted(p for p in interior if lo < p < hi)
-    val, _ = quad(integrand, lo, hi, points=points, epsabs=0.0,
-                  epsrel=1e-11, limit=max(400, 4 * len(points)))
-    return val
-
-
 def effective_spectral_density(laser: LaserField, line: TransitionLine,
                                detuning: float = 0.0) -> float:
     """Spectral energy density (J s / m^3) the transition sees.
 
     (3 I_L / c) times the overlap of the transition Lorentzian with the
     laser line, for a laser centered `detuning` rad/s from resonance.
-    Narrow/broad limits replace the overlap by the broad shape evaluated
-    at the narrow line's center; the general case is a numerical
-    Lorentzian x Gaussian convolution.
+    That overlap is the Voigt profile; a delta laser (sigma_L = 0) gives
+    the bare Lorentzian.
     """
-    gamma_t = line.gamma_t
-    sigma = laser.sigma
-    if laser.shape == "delta" or sigma == 0.0:
-        overlap = lineshape_value("lorentzian", detuning, 0.0, gamma_t)
-    elif gamma_t < _NARROW_RATIO * laser.fwhm:
-        overlap = lineshape_value("gaussian", detuning, 0.0, sigma)
-    elif laser.fwhm < _NARROW_RATIO * gamma_t:
-        overlap = lineshape_value("lorentzian", detuning, 0.0, gamma_t)
-    else:
-        overlap = _overlap_integral(gamma_t, sigma, detuning)
-    return 3.0 * laser.intensity / C * overlap
+    overlap = voigt_profile(detuning, laser.sigma, line.gamma_t / 2.0)
+    return float(3.0 * laser.intensity / C * overlap)
 
 
 def saturation_intensity(line: TransitionLine, regime: str = "transition",
@@ -271,11 +227,6 @@ class EmissionPattern:
         return fn(theta, phi)
 
 
-def emission_weight(pattern: EmissionPattern, theta, phi):
-    """W(theta, phi) in 1/steradian."""
-    return pattern.weight(theta, phi)
-
-
 def solid_angle_norm(pattern: EmissionPattern, n_theta: int = 64,
                      n_phi: int = 128) -> float:
     """Integral of W over the sphere (should be 1)."""
@@ -357,15 +308,6 @@ def write_d_table_csv(d_table: np.ndarray, fh) -> None:
 # composite target lineshape (Doppler + Zeeman broadening)
 # ---------------------------------------------------------------------------
 
-def _voigt_density(delta, gamma_fwhm: float, sigma: float):
-    """Lorentzian(Gamma) convolved with Gaussian(sigma), by quadrature."""
-    if sigma == 0.0:
-        return lineshape_value("lorentzian", delta, 0.0, gamma_fwhm)
-    if gamma_fwhm == 0.0:
-        return lineshape_value("gaussian", delta, 0.0, sigma)
-    return _overlap_integral(gamma_fwhm, sigma, float(delta))
-
-
 def composite_target_lineshape(gamma_t: float, doppler_fwhm: float = 0.0,
                                zeeman_splitting: float = 0.0):
     """Effective target line profile and its FWHM (all rad/s).
@@ -383,8 +325,8 @@ def composite_target_lineshape(gamma_t: float, doppler_fwhm: float = 0.0,
     half = zeeman_splitting / 2.0
 
     def profile(delta):
-        return 0.5 * (_voigt_density(delta - half, gamma_t, sigma_d)
-                      + _voigt_density(delta + half, gamma_t, sigma_d))
+        return 0.5 * (voigt_profile(delta - half, sigma_d, gamma_t / 2.0)
+                      + voigt_profile(delta + half, sigma_d, gamma_t / 2.0))
 
     peak = profile(0.0)
     for x in (half,):

@@ -182,18 +182,20 @@ def _transition_kernel(scenario: SpectroscopyScenario, weights: np.ndarray,
 
     weights[n_ip, n_op, s_ip_max+u_ip, s_op_max+u_op] is the relative rate
     for the motional jump n -> n+u while the internal state goes
-    src_block -> dest_block.  Jumps leaving the grid route to the leak
-    row; the diagonal balances every column to zero.
+    src_block -> dest_block; the sideband range is read from its shape.
+    Jumps leaving the grid route to the leak row; the diagonal balances
+    every column to zero.
     """
     n_ip = scenario.n_ip_max + 1
     n_op = scenario.n_op_max + 1
     n_mot = n_ip * n_op
     leak = scenario.leak_index
+    s_ip_max, s_op_max = (weights.shape[2] - 1) // 2, (weights.shape[3] - 1) // 2
 
     nip = np.arange(n_ip)[:, None, None, None]
     nop = np.arange(n_op)[None, :, None, None]
-    uip = np.arange(-scenario.s_ip_max, scenario.s_ip_max + 1)[None, None, :, None]
-    uop = np.arange(-scenario.s_op_max, scenario.s_op_max + 1)[None, None, None, :]
+    uip = np.arange(-s_ip_max, s_ip_max + 1)[None, None, :, None]
+    uop = np.arange(-s_op_max, s_op_max + 1)[None, None, None, :]
     mip = nip + uip
     mop = nop + uop
     # weights are exactly zero below the grid; mask anyway to keep indices legal
@@ -219,26 +221,11 @@ def _transition_kernel(scenario: SpectroscopyScenario, weights: np.ndarray,
 
 def _heating_kernel(scenario: SpectroscopyScenario) -> sp.csc_matrix:
     """Uniform upward ladder at heat_ip / heat_op for both internal states."""
-    n_ip = scenario.n_ip_max + 1
-    n_op = scenario.n_op_max + 1
-    n_mot = n_ip * n_op
-    leak = scenario.leak_index
-    rows, cols, data = [], [], []
-    for block in (0, 1):
-        for i in range(n_ip):
-            for j in range(n_op):
-                src = block * n_mot + i * n_op + j
-                for rate, di, dj in ((scenario.heat_ip, 1, 0), (scenario.heat_op, 0, 1)):
-                    if rate == 0.0:
-                        continue
-                    ii, jj = i + di, j + dj
-                    dest = (block * n_mot + ii * n_op + jj
-                            if ii < n_ip and jj < n_op else leak)
-                    rows += [dest, src]
-                    cols += [src, src]
-                    data += [rate, -rate]
-    n = scenario.n_states
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+    weights = np.zeros(scenario.grid_shape + (3, 3))
+    weights[:, :, 2, 1] = scenario.heat_ip     # n_ip -> n_ip + 1
+    weights[:, :, 1, 2] = scenario.heat_op     # n_op -> n_op + 1
+    return (_transition_kernel(scenario, weights, src_block=0, dest_block=0)
+            + _transition_kernel(scenario, weights, src_block=1, dest_block=1))
 
 
 def _scenario_kernels(scenario: SpectroscopyScenario):
@@ -345,7 +332,6 @@ def evolve_series(matrix: RateMatrix, initial: PopulationState, times,
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
     initial.validate()
-    # solve_ivp cannot start and end at 0; prepend/strip if needed
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
         y = _integrate(matrix, initial.to_vector(), times, method, rtol, atol)

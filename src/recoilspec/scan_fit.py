@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from . import readout as ro
 from .radiation import base_rate
@@ -111,6 +112,17 @@ def _lorentzian_dip(x, params):
     return baseline - depth * (w / 2.0) ** 2 / ((x - center) ** 2 + (w / 2.0) ** 2)
 
 
+def _lorentzian_dip_jac(x, params):
+    """Analytic Jacobian of _lorentzian_dip, columns in parameter order."""
+    _, depth, center, w = params
+    u = x - center
+    h = w / 2.0
+    denom = u ** 2 + h ** 2
+    return np.column_stack([np.ones_like(x), -h ** 2 / denom,
+                            -2.0 * depth * h ** 2 * u / denom ** 2,
+                            -depth * h * u ** 2 / denom ** 2])
+
+
 def _initial_guess(x, y):
     baseline = float(y.max())
     depth = baseline - float(y.min())
@@ -124,12 +136,12 @@ def _initial_guess(x, y):
     return np.array([baseline, depth, center, max(w, abs(x[1] - x[0]))])
 
 
-def fit_lorentzian(records_or_x, y=None, p0=None, max_iter: int = 200) -> FitResult:
+def fit_lorentzian(records_or_x, y=None, p0=None) -> FitResult:
     """Fit a free-baseline Lorentzian dip by Levenberg-Marquardt.
 
     Accepts a list of SpectrumRecord or explicit (x, y) arrays.  The
-    Jacobian is finite-difference; damping starts at 1e-3, grows x10 on a
-    rejected step and shrinks /10 on an accepted one.  p0 overrides the
+    solver is scipy's MINPACK least_squares with the analytic Jacobian;
+    iterations reports its residual evaluations.  p0 overrides the
     data-driven initial guess (baseline, depth, center, fwhm).
     """
     x, yv = _records_to_xy(records_or_x, y)
@@ -137,60 +149,21 @@ def fit_lorentzian(records_or_x, y=None, p0=None, max_iter: int = 200) -> FitRes
         raise FitError("need at least 8 points spanning the dip")
     if np.ptp(yv) == 0.0:
         raise FitError("flat data cannot constrain a Lorentzian dip")
-    params = _initial_guess(x, yv) if p0 is None else np.asarray(p0, dtype=float).copy()
-    scale = np.maximum(np.abs(params), [1e-3, 1e-3, abs(x).max() * 1e-6, abs(x).max() * 1e-6])
-
-    def cost(p):
-        r = _lorentzian_dip(x, p) - yv
-        return r, float(r @ r)
-
-    resid, chi2 = cost(params)
-    lam = 1e-3
-    n_iter = 0
-    converged = False
-    jac = np.empty((x.size, 4))
-    for n_iter in range(1, max_iter + 1):
-        for k in range(4):
-            h = 1e-7 * scale[k]
-            probe = params.copy()
-            probe[k] += h
-            jac[:, k] = (_lorentzian_dip(x, probe) - (resid + yv)) / h
-        jtj = jac.T @ jac
-        g = jac.T @ resid
-        accepted = False
-        for _ in range(40):
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = params + step
-            r_new, chi2_new = cost(trial)
-            if chi2_new < chi2:
-                params, resid, chi2 = trial, r_new, chi2_new
-                lam = max(lam / 10.0, 1e-14)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            converged = True
-            break
-        if np.all(np.abs(step) <= 1e-12 * np.maximum(np.abs(params), scale)):
-            converged = True
-            break
-    if not converged:
-        raise FitError(f"no convergence after {max_iter} iterations")
-    baseline, depth, center, w = params
-    w = abs(w)
+    params = _initial_guess(x, yv) if p0 is None else np.asarray(p0, dtype=float)
+    sol = least_squares(lambda p: _lorentzian_dip(x, p) - yv, params,
+                        jac=lambda p: _lorentzian_dip_jac(x, p), method="lm")
+    if sol.status <= 0:
+        raise FitError(f"no convergence: {sol.message}")
+    baseline, depth, center, w = sol.x
+    chi2 = float(sol.fun @ sol.fun)
     dof = max(x.size - 4, 1)
     try:
-        cov = np.linalg.inv(jac.T @ jac) * (chi2 / dof)
-        cov_diag = np.diag(cov).copy()
+        cov_diag = np.diag(np.linalg.inv(sol.jac.T @ sol.jac)) * (chi2 / dof)
     except np.linalg.LinAlgError:  # pragma: no cover - degenerate geometry
         cov_diag = np.full(4, np.nan)
-    return FitResult(center=float(center), fwhm=float(w), depth=float(depth),
+    return FitResult(center=float(center), fwhm=float(abs(w)), depth=float(depth),
                      baseline=float(baseline), residual_norm=float(np.sqrt(chi2)),
-                     covariance=cov_diag, iterations=n_iter, converged=True)
+                     covariance=cov_diag, iterations=sol.nfev, converged=True)
 
 
 def numeric_fwhm_depth(records_or_x, y=None) -> tuple[float, float]:

@@ -9,13 +9,13 @@ from recoilspec.constants import C
 from recoilspec.ion_mechanics import TwoIonSystem
 from recoilspec.presets import CA40, MG24, OMEGA_Z_DEFAULT
 from recoilspec.radiation import (EmissionPattern, LaserField, QuadratureError,
-                                  TransitionLine, _overlap_integral, base_rate,
+                                  TransitionLine, base_rate,
                                   composite_target_lineshape,
                                   effective_saturation_intensity,
                                   effective_spectral_density,
-                                  emission_coefficients, emission_weight,
-                                  lineshape_value, saturation_intensity,
-                                  solid_angle_norm, write_d_table_csv)
+                                  emission_coefficients, lineshape_value,
+                                  saturation_intensity, solid_angle_norm,
+                                  write_d_table_csv)
 
 from oracles import overlap_trapezoid
 
@@ -93,20 +93,15 @@ def test_narrow_transition_limit_is_laser_peak():
 
 
 def test_general_convolution_matches_grid_oracle(mg_line):
-    fwhm = 10 * mg_line.gamma_t
-    laser = LaserField(intensity=1.0, fwhm=fwhm, shape="gaussian")
-    for delta in (0.0, 3 * mg_line.gamma_t):
-        got = effective_spectral_density(laser, mg_line, delta)
-        want = 3.0 / C * overlap_trapezoid(mg_line.gamma_t, laser.sigma, delta)
-        assert got == pytest.approx(want, rel=1e-6)
-
-
-def test_general_convolution_matches_voigt_profile(mg_line):
-    sigma = 2.0 * mg_line.gamma_t
-    for delta in (0.0, mg_line.gamma_t, 5 * mg_line.gamma_t):
-        got = _overlap_integral(mg_line.gamma_t, sigma, delta)
-        want = voigt_profile(delta, sigma, mg_line.gamma_t / 2)
-        assert got == pytest.approx(want, rel=1e-9)
+    gamma = mg_line.gamma_t
+    cases = [(10 * gamma, (0.0, 3 * gamma), 1e-6),
+             (2.0 * np.sqrt(8 * np.log(2)) * gamma, (0.0, gamma, 5 * gamma), 1e-9)]
+    for fwhm, deltas, rel in cases:
+        laser = LaserField(intensity=1.0, fwhm=fwhm, shape="gaussian")
+        for delta in deltas:
+            got = effective_spectral_density(laser, mg_line, delta)
+            want = 3.0 / C * overlap_trapezoid(gamma, laser.sigma, delta)
+            assert got == pytest.approx(want, rel=rel)
 
 
 def test_overlap_symmetric_in_detuning(mg_line):
@@ -119,10 +114,24 @@ def test_overlap_symmetric_in_detuning(mg_line):
 def test_general_path_agrees_with_limit_forms(mg_line):
     # evaluating the full convolution in a strongly lopsided regime must
     # land on the corresponding single-lineshape limit
-    narrow_laser_sigma = 1e-5 * mg_line.gamma_t
-    got = _overlap_integral(mg_line.gamma_t, narrow_laser_sigma, 0.3 * mg_line.gamma_t)
+    narrow_laser_fwhm = 1e-5 * np.sqrt(8 * np.log(2)) * mg_line.gamma_t
+    laser = LaserField(intensity=1.0, fwhm=narrow_laser_fwhm, shape="gaussian")
+    got = effective_spectral_density(laser, mg_line, 0.3 * mg_line.gamma_t) * C / 3.0
     want = lineshape_value("lorentzian", 0.3 * mg_line.gamma_t, 0.0, mg_line.gamma_t)
     assert got == pytest.approx(want, rel=1e-4)
+
+
+@pytest.mark.parametrize("delta_over_sigma", [0.0, 3.0])
+def test_density_continuous_across_width_ratio(mgh_line, delta_over_sigma):
+    # no regime threshold: a 1e-9 step in the laser width around
+    # Gamma_t = 1e-4 Gamma_L moves the density smoothly
+    densities = []
+    for step in (-1e-9, 1e-9):
+        laser = LaserField(intensity=1.0, fwhm=1e4 * mgh_line.gamma_t * (1 + step),
+                           shape="gaussian")
+        densities.append(effective_spectral_density(
+            laser, mgh_line, delta_over_sigma * laser.sigma))
+    assert abs(densities[1] / densities[0] - 1.0) < 1e-6
 
 
 def test_zero_width_configurations_rejected():
@@ -203,14 +212,14 @@ def test_base_rate_definition_consistency(mg_line):
 
 def test_isotropic_weight():
     pat = EmissionPattern("isotropic")
-    assert emission_weight(pat, 0.3, 1.2) == pytest.approx(1 / (4 * np.pi))
+    assert pat.weight(0.3, 1.2) == pytest.approx(1 / (4 * np.pi))
 
 
 def test_pi_pattern_broadside():
     pat = EmissionPattern("pi")
     # directions with sin(theta) sin(phi) = 0 see the full dipole lobe
-    assert emission_weight(pat, np.pi / 2, 0.0) == pytest.approx(3 / (8 * np.pi))
-    assert emission_weight(pat, 0.0, 1.0) == pytest.approx(3 / (8 * np.pi))
+    assert pat.weight(np.pi / 2, 0.0) == pytest.approx(3 / (8 * np.pi))
+    assert pat.weight(0.0, 1.0) == pytest.approx(3 / (8 * np.pi))
 
 
 @pytest.mark.parametrize("kind", ["isotropic", "pi", "sigma", "mg_mixed"])

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +8,13 @@ from recoilspec.coupling import xi_mode_table
 from recoilspec.presets import mg24_ca40
 from recoilspec.radiation import TransitionLine, base_rate
 from recoilspec.rate_engine import (LeakWarning, PopulationState,
-                                    build_rate_matrix, evolve, evolve_series,
-                                    scaled_time)
+                                    _heating_kernel, build_rate_matrix, evolve,
+                                    evolve_series, scaled_time)
 
-from oracles import xi_double_sum_mode
+from oracles import heating_kernel_loop, xi_double_sum_mode
 
 
 def small_mg(n_max=7, **kw):
-    from dataclasses import replace
     return replace(mg24_ca40(**kw), n_ip_max=n_max, n_op_max=n_max)
 
 
@@ -163,6 +163,17 @@ def test_heating_ladder_first_order():
     out2 = evolve(build_rate_matrix(sc2, 0.0, include_spontaneous=False),
                   PopulationState.ground(sc2), t)
     assert out2.p[0, 1, 0] == pytest.approx(14.0 * t, rel=1e-2)
+
+
+@pytest.mark.parametrize("heat_ip,heat_op", [(14.0, 1.7), (14.0, 0.0),
+                                             (0.0, 1.7), (0.0, 0.0)])
+def test_heating_kernel_matches_loop_oracle(heat_ip, heat_op):
+    # unequal grid bounds expose any mix-up of the two modes
+    sc = replace(mg24_ca40(), n_ip_max=4, n_op_max=6, heat_ip=heat_ip,
+                 heat_op=heat_op)
+    got = _heating_kernel(sc).toarray()
+    want = heating_kernel_loop(sc).toarray()
+    assert np.array_equal(got, want)
 
 
 def test_probability_conserved_along_trajectory(mg_scenario):

@@ -5,7 +5,8 @@ import pytest
 
 from recoilspec.presets import mg24_ca40
 from recoilspec.rate_engine import LeakWarning
-from recoilspec.scan_fit import (FitError, SpectrumRecord, fit_lorentzian,
+from recoilspec.scan_fit import (FitError, SpectrumRecord, _lorentzian_dip,
+                                 _lorentzian_dip_jac, fit_lorentzian,
                                  numeric_fwhm_depth, readout_spectrum,
                                  width_depth_curves)
 
@@ -63,6 +64,19 @@ def test_fit_idempotent():
     assert second.depth == pytest.approx(first.depth, abs=1e-10)
     assert second.center == pytest.approx(first.center, abs=1e-10 * W_TRUE)
     assert second.fwhm == pytest.approx(first.fwhm, rel=1e-10)
+
+
+def test_dip_jacobian_matches_central_differences():
+    params = np.array([0.93, 0.21, 2 * np.pi * 23e6, 0.7 * W_TRUE])
+    want = np.empty((GRID.size, 4))
+    for k in range(4):
+        h = 1e-6 * abs(params[k])
+        up, down = params.copy(), params.copy()
+        up[k] += h
+        down[k] -= h
+        want[:, k] = (_lorentzian_dip(GRID, up) - _lorentzian_dip(GRID, down)) / (2 * h)
+    got = _lorentzian_dip_jac(GRID, params)
+    assert np.allclose(got, want, rtol=1e-6, atol=1e-6 * np.abs(want).max(axis=0))
 
 
 def test_fit_rejects_degenerate_input():
