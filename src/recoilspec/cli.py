@@ -32,7 +32,7 @@ from .constants import ion_mass_kg
 from .ion_mechanics import BeamGeometry, IonSpecies, TwoIonSystem, lamb_dicke
 from .radiation import (EmissionPattern, LaserField, QuadratureError,
                         TransitionLine, effective_saturation_intensity,
-                        saturation_intensity, write_d_table_csv)
+                        write_d_table_csv)
 from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
                           build_rate_matrix, evolve_series, scaled_time)
 from .readout import pi_pulse
@@ -75,7 +75,6 @@ DEFAULT_CONFIG = {
         "gamma_t_hz": None,
         "absorption_scale": 1.0,
         "stimulated_scale": 1.0,
-        "laser_shape": None,
         "pattern": None,
     },
     "readout": {
@@ -181,7 +180,7 @@ def _validate(cfg: dict) -> None:
              "grid bounds must be >= 1")
     if cfg["preset"] is None:
         for key in ("target_mass_u", "readout_mass_u", "transition_wavelength_m",
-                    "gamma_t_hz", "laser_shape", "pattern"):
+                    "gamma_t_hz", "pattern"):
             _require(sc[key] is not None,
                      f"scenario.{key} is required when preset is null")
     _require(cfg["scan"]["points"] >= 8, "scan.points must be >= 8")
@@ -215,19 +214,13 @@ def build_scenario(cfg: dict) -> SpectroscopyScenario:
             sc["transition_wavelength_m"], gamma_t=2 * np.pi * sc["gamma_t_hz"],
             absorption_scale=sc["absorption_scale"],
             stimulated_scale=sc["stimulated_scale"])
-        fwhm = 2 * np.pi * (sc["laser_fwhm_hz"] or 0.0)
-        sat = sc["intensity_sat_units"]
-        if sat is not None:
-            if sc["laser_shape"] == "gaussian":
-                sigma = fwhm / np.sqrt(8 * np.log(2))
-                intensity = sat * effective_saturation_intensity(line, "laser", sigma)
-            else:
-                intensity = sat * effective_saturation_intensity(line)
-        else:
-            intensity = sc["intensity_w_m2"] or 0.0
+        laser = LaserField(intensity=sc["intensity_w_m2"] or 0.0,
+                           fwhm=2 * np.pi * (sc["laser_fwhm_hz"] or 0.0))
+        if sc["intensity_sat_units"] is not None:
+            laser = replace(laser, intensity=sc["intensity_sat_units"]
+                            * effective_saturation_intensity(line, laser.sigma))
         scenario = SpectroscopyScenario(
-            system=system, line=line,
-            laser=LaserField(intensity=intensity, fwhm=fwhm, shape=sc["laser_shape"]),
+            system=system, line=line, laser=laser,
             beam=BeamGeometry(sc["transition_wavelength_m"], sc["axial_projection"]),
             pattern=EmissionPattern(sc["pattern"]))
     # post-construction overrides shared by both paths
@@ -343,13 +336,8 @@ def _cmd_modes(cfg, scenario, prefix, args):
     eta_t = lamb_dicke(sys_, scenario.beam, "target")
     eta_r = lamb_dicke(sys_, BeamGeometry(cfg["readout"]["wavelength_m"], 1.0),
                        "readout")
-    if scenario.laser.shape == "gaussian":
-        isat = effective_saturation_intensity(scenario.line, "laser",
-                                              scenario.laser.sigma)
-        regime = "laser"
-    else:
-        isat = effective_saturation_intensity(scenario.line)
-        regime = "transition"
+    isat = effective_saturation_intensity(scenario.line, scenario.laser.sigma)
+    regime = "laser" if scenario.laser.fwhm else "transition"
     report = {
         "mass_ratio": sys_.mass_ratio,
         "omega_ip_hz": sys_.omega_ip / (2 * np.pi),
@@ -460,11 +448,8 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
     wc = cfg["widthcurve"]
     entries = []
     if wc["intensities_sat_units"]:
+        isat = effective_saturation_intensity(scenario.line, scenario.laser.sigma)
         for s in wc["intensities_sat_units"]:
-            isat = (effective_saturation_intensity(scenario.line, "laser",
-                                                   scenario.laser.sigma)
-                    if scenario.laser.shape == "gaussian"
-                    else effective_saturation_intensity(scenario.line))
             entries.append((f"I={s:g}Isat", scenario.with_laser(intensity=s * isat)))
     elif wc["laser_fwhms_hz"]:
         sc = cfg["scenario"]

@@ -47,7 +47,7 @@ def mg24_ca40(intensity_sat_units: float = 6.54e-6,
     intensity = intensity_sat_units * effective_saturation_intensity(line)
     return SpectroscopyScenario(
         system=system, line=line,
-        laser=LaserField(intensity=intensity, shape="delta"),
+        laser=LaserField(intensity=intensity),
         beam=BeamGeometry(wavelength=279.6e-9, axial_projection=axial_projection),
         pattern=EmissionPattern("mg_mixed"),
         s_ip_max=5, s_op_max=6,
@@ -71,11 +71,10 @@ def mgh24_ca40(laser_fwhm: float = 2.0 * np.pi * 50e6,
                                           absorption_scale=1.0 / 9.0,
                                           stimulated_scale=1.0 / 3.0)
     sigma = laser_fwhm / np.sqrt(8.0 * np.log(2.0))
-    intensity = intensity_sat_units * effective_saturation_intensity(
-        line, regime="laser", sigma_L=sigma)
+    intensity = intensity_sat_units * effective_saturation_intensity(line, sigma)
     return SpectroscopyScenario(
         system=system, line=line,
-        laser=LaserField(intensity=intensity, fwhm=laser_fwhm, shape="gaussian"),
+        laser=LaserField(intensity=intensity, fwhm=laser_fwhm),
         beam=BeamGeometry(wavelength=6.17e-6, axial_projection=axial_projection),
         pattern=EmissionPattern("isotropic"),
         s_ip_max=3, s_op_max=3,

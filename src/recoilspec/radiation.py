@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import voigt_profile
 
 from .constants import C, HBAR
@@ -60,26 +61,17 @@ class TransitionLine:
 class LaserField:
     """Spectroscopy light field.
 
-    fwhm is the spectral FWHM Gamma_L = sqrt(8 ln 2) * sigma_L in rad/s;
-    zero selects the delta-line (monochromatic) limit.  omega_L is the
-    absolute line center; it may stay None when only detunings matter.
+    fwhm is the spectral FWHM Gamma_L = sqrt(8 ln 2) * sigma_L in rad/s
+    of a Gaussian line; zero selects the delta-line (monochromatic) limit.
     """
     intensity: float            # W/m^2
     fwhm: float = 0.0           # rad/s
-    shape: str = "delta"        # "gaussian" | "delta"
-    omega_L: Optional[float] = None
 
     def __post_init__(self):
         if self.intensity < 0:
             raise ValueError("intensity must be >= 0")
         if self.fwhm < 0:
             raise ValueError("laser fwhm must be >= 0")
-        if self.shape not in ("gaussian", "delta"):
-            raise ValueError(f"unknown laser shape {self.shape!r}")
-        if self.shape == "gaussian" and self.fwhm == 0.0:
-            raise ValueError("gaussian laser needs fwhm > 0")
-        if self.shape == "delta" and self.fwhm != 0.0:
-            raise ValueError("delta laser must have fwhm = 0")
 
     @property
     def sigma(self) -> float:
@@ -122,26 +114,23 @@ def effective_spectral_density(laser: LaserField, line: TransitionLine,
     return float(3.0 * laser.intensity / C * overlap)
 
 
-def saturation_intensity(line: TransitionLine, regime: str = "transition",
-                         sigma_L: float = 0.0) -> float:
+def saturation_intensity(line: TransitionLine, sigma_L: float = 0.0) -> float:
     """Two-level saturation intensity in W/m^2 (no level-structure scales).
 
-    regime "transition" (narrow laser): hbar w_t^3 Gamma_t / (6 pi c^2).
-    regime "laser" (broad Gaussian laser of width sigma_L):
+    The laser width picks the regime.  sigma_L = 0 (delta laser, the
+    transition-broadened regime): hbar w_t^3 Gamma_t / (6 pi c^2).
+    sigma_L > 0 (broad Gaussian laser, the laser-broadened regime):
     sqrt(2) hbar w_t^3 sigma_L / (3 pi^(3/2) c^2).
     """
+    if sigma_L < 0:
+        raise ValueError(f"sigma_L must be >= 0, got {sigma_L}")
     w3 = line.omega_t**3
-    if regime == "transition":
+    if sigma_L == 0:
         return HBAR * w3 * line.gamma_t / (6.0 * np.pi * C**2)
-    if regime == "laser":
-        if sigma_L <= 0:
-            raise ValueError("laser-regime saturation intensity needs sigma_L > 0")
-        return np.sqrt(2.0) * HBAR * w3 * sigma_L / (3.0 * np.pi**1.5 * C**2)
-    raise ValueError(f"regime must be 'transition' or 'laser', got {regime!r}")
+    return np.sqrt(2.0) * HBAR * w3 * sigma_L / (3.0 * np.pi**1.5 * C**2)
 
 
 def effective_saturation_intensity(line: TransitionLine,
-                                   regime: str = "transition",
                                    sigma_L: float = 0.0) -> float:
     """Saturation intensity including the level-structure absorption scale.
 
@@ -149,7 +138,7 @@ def effective_saturation_intensity(line: TransitionLine,
     the intensity at which the actual resonant absorption rate (with its
     Clebsch-Gordan scaling) equals Gamma_t.
     """
-    return saturation_intensity(line, regime, sigma_L) / line.absorption_scale
+    return saturation_intensity(line, sigma_L) / line.absorption_scale
 
 
 def base_rate(laser: LaserField, line: TransitionLine, detuning: float,
@@ -315,7 +304,7 @@ def composite_target_lineshape(gamma_t: float, doppler_fwhm: float = 0.0,
     Equal-weight average of two Doppler-broadened Lorentzians centered
     at +-zeeman_splitting/2.  Returns (profile, fwhm) where profile maps
     detuning from the unshifted center to spectral density.  The FWHM is
-    found by bisection on the numeric profile.
+    twice the outer half-maximum crossing of the numeric profile.
     """
     if gamma_t <= 0:
         raise ValueError("gamma_t must be positive")
@@ -328,23 +317,17 @@ def composite_target_lineshape(gamma_t: float, doppler_fwhm: float = 0.0,
         return 0.5 * (voigt_profile(delta - half, sigma_d, gamma_t / 2.0)
                       + voigt_profile(delta + half, sigma_d, gamma_t / 2.0))
 
-    peak = profile(0.0)
-    for x in (half,):
-        if x > 0:
-            peak = max(peak, profile(x))
-    target = peak / 2.0
-    # bracket the outer half-maximum crossing, then bisect
-    width_guess = gamma_t + doppler_fwhm + zeeman_splitting
-    hi = width_guess
-    while profile(hi) > target:
-        hi *= 2.0
-        if hi > 1e4 * width_guess:  # pragma: no cover - defensive
-            raise RuntimeError("could not bracket the half-maximum crossing")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if profile(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return profile, float(lo + hi)
+    # the peak lies in [0, half]: at 0 for a small splitting, near half
+    # for a large one and strictly between them when the splitting is
+    # comparable to the component width
+    x_peak = 0.0
+    if half > 0:
+        res = minimize_scalar(lambda x: -profile(x), bounds=(0.0, half),
+                              method="bounded", options={"xatol": 1e-8 * half})
+        x_peak = max((0.0, half, res.x), key=profile)
+    target = profile(x_peak) / 2.0
+    # beyond x_peak + Gamma_t + Gamma_D + splitting both components are
+    # past their own FWHM, so the profile is below half its peak there
+    outer = x_peak + gamma_t + doppler_fwhm + zeeman_splitting
+    crossing = brentq(lambda x: profile(x) - target, x_peak, outer)
+    return profile, float(2.0 * crossing)

@@ -7,6 +7,7 @@ Both are computed analytically from the per-state Rabi frequencies.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,14 +71,21 @@ def pi_pulse(system: TwoIonSystem, sideband: tuple[int, int] = (0, -1),
     return replace(pulse, duration=pi_time(pulse))
 
 
+@lru_cache
 def _rabi_map(pulse: ReadoutPulse, grid_shape: tuple[int, int]) -> np.ndarray:
-    """Per-motional-state Rabi frequency Omega(n_ip, n_op) for the pulse."""
+    """Per-motional-state Rabi frequency Omega(n_ip, n_op) for the pulse.
+
+    A scan reads out every detuning with the same pulse, so maps are
+    cached; they are returned read-only because the cache shares them.
+    """
     s_ip, s_op = pulse.sideband
     t_ip = xi_mode_table(pulse.eta_ip, grid_shape[0] - 1, abs(s_ip) if s_ip else 1)
     t_op = xi_mode_table(pulse.eta_op, grid_shape[1] - 1, abs(s_op) if s_op else 1)
     col_ip = t_ip[:, t_ip.shape[1] // 2 + s_ip]
     col_op = t_op[:, t_op.shape[1] // 2 + s_op]
-    return pulse.omega_0 * np.abs(np.outer(col_ip, col_op))
+    omega = pulse.omega_0 * np.abs(np.outer(col_ip, col_op))
+    omega.setflags(write=False)
+    return omega
 
 
 def _shelve_map(pulse: ReadoutPulse, grid_shape: tuple[int, int]) -> np.ndarray:

@@ -11,6 +11,7 @@ full engine and reproduces the gross spectral features.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .rate_engine import SpectroscopyScenario
 from .radiation import base_rate
@@ -66,30 +67,16 @@ def reduced_rates(scenario: SpectroscopyScenario, detuning: float) -> ReducedRat
 def evolve_reduced(rates: ReducedRates, duration: float,
                    initial: tuple[float, float, float] = (1.0, 0.0, 0.0)
                    ) -> ThreeLevelState:
-    """Closed-form propagation of the three-level populations.
+    """Exact propagation of the three-level populations.
 
-    The g/e pair evolves under a 2x2 generator solved by explicit
-    eigendecomposition; the auxiliary level takes up the rest.
+    The g/e pair evolves under its 2x2 generator through a matrix
+    exponential; the auxiliary level takes up the rest.
     """
     a, b = rates.g_to_e, rates.e_to_g
     la, lb = rates.g_to_aux, rates.e_to_aux
     m = np.array([[-(a + la), b], [a, -(b + lb)]])
     p0 = np.asarray(initial[:2], dtype=float)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = tr * tr - 4.0 * det
-    scale = max(tr * tr, 4.0 * abs(det))
-    if disc <= 1e-24 * scale:
-        # (near-)degenerate eigenvalues: exp(mt) = e^(lt) (I + (m - l I) t)
-        lam = tr / 2.0
-        prop = np.exp(lam * duration) * (np.eye(2) + (m - lam * np.eye(2)) * duration)
-    else:
-        root = np.sqrt(disc)
-        l1, l2 = (tr + root) / 2.0, (tr - root) / 2.0
-        # spectral decomposition: exp(mt) = (e^{l1 t}(m - l2 I) - e^{l2 t}(m - l1 I)) / (l1 - l2)
-        prop = (np.exp(l1 * duration) * (m - l2 * np.eye(2))
-                - np.exp(l2 * duration) * (m - l1 * np.eye(2))) / (l1 - l2)
-    p = prop @ p0
+    p = expm(m * duration) @ p0
     p = np.clip(p, 0.0, None)
     aux = initial[2] + (p0.sum() - p.sum())
     return ThreeLevelState(p_g0=float(p[0]), p_e0=float(p[1]), p_aux=float(aux))

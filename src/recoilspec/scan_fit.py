@@ -45,14 +45,12 @@ class FitResult:
     residual_norm: float
     covariance: np.ndarray          # diagonal, order (baseline, depth, center, fwhm)
     iterations: int
-    converged: bool
 
 
 def _solve_one(args):
     (scenario, detuning, tau_spec, pulse, second_pulse, leak_survival,
-     method, include_spontaneous) = args
-    matrix = build_rate_matrix(scenario, detuning,
-                               include_spontaneous=include_spontaneous)
+     method) = args
+    matrix = build_rate_matrix(scenario, detuning)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
         state = evolve(matrix, PopulationState.ground(scenario), tau_spec,
@@ -72,7 +70,6 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
                      pulse: Optional[ro.ReadoutPulse] = None,
                      second_pulse: Optional[ro.ReadoutPulse] = None,
                      leak_survival: float = 0.5, method: str = "lsoda",
-                     include_spontaneous: bool = True,
                      workers: int = 1) -> list[SpectrumRecord]:
     """Fluorescence signal and motional populations across a detuning grid.
 
@@ -86,7 +83,7 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
     scenario.laser_coupling()  # build shared tables once, not per worker
     scenario.d_table()
     jobs = [(scenario, d, tau_spec, pulse, second_pulse, leak_survival,
-             method, include_spontaneous) for d in detunings]
+             method) for d in detunings]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_solve_one, jobs, chunksize=4))
@@ -163,7 +160,7 @@ def fit_lorentzian(records_or_x, y=None, p0=None) -> FitResult:
         cov_diag = np.full(4, np.nan)
     return FitResult(center=float(center), fwhm=float(abs(w)), depth=float(depth),
                      baseline=float(baseline), residual_norm=float(np.sqrt(chi2)),
-                     covariance=cov_diag, iterations=sol.nfev, converged=True)
+                     covariance=cov_diag, iterations=sol.nfev)
 
 
 def numeric_fwhm_depth(records_or_x, y=None) -> tuple[float, float]:

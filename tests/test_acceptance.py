@@ -82,7 +82,7 @@ def test_criterion_2_lamb_dicke(mg_scenario, mgh_scenario):
 
 def test_criterion_3_saturation_intensities(mg_scenario, mgh_scenario):
     i_mg = effective_saturation_intensity(mg_scenario.line)
-    i_mgh = effective_saturation_intensity(mgh_scenario.line, "laser",
+    i_mgh = effective_saturation_intensity(mgh_scenario.line,
                                            mgh_scenario.laser.sigma)
     err = max(abs(i_mg / 0.749e4 - 1.0), abs(i_mgh / 3.40 - 1.0))
     report("3 (saturation intensities)", err < 0.01,

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from recoilspec import presets
 from recoilspec.cli import (EXIT_CONFIG, EXIT_LEAK, EXIT_OK, ConfigError,
                             build_scenario, load_config, main)
 
@@ -170,7 +171,6 @@ def test_custom_scenario_without_preset():
         "scenario.readout_mass_u=39.962590863",
         "scenario.transition_wavelength_m=279.6e-9",
         "scenario.gamma_t_hz=41.8e6",
-        "scenario.laser_shape=delta",
         "scenario.pattern=mg_mixed",
         "scenario.intensity_sat_units=6.54e-6",
         "scenario.absorption_scale=0.6666666666666666",
@@ -178,6 +178,20 @@ def test_custom_scenario_without_preset():
     ])
     scenario = build_scenario(cfg)
     assert scenario.system.omega_ip / (2 * np.pi) == pytest.approx(162.9e3, rel=1e-3)
+    assert scenario.laser.intensity == presets.mg24_ca40().laser.intensity
+    # a laser width alone selects the Gaussian laser and its saturation regime
+    cfg = load_config(None, [
+        "preset=null",
+        "scenario.target_mass_u=25.0", "scenario.readout_mass_u=40.0",
+        "scenario.transition_wavelength_m=6.17e-6", "scenario.gamma_t_hz=2.5",
+        "scenario.laser_fwhm_hz=50e6", "scenario.pattern=isotropic",
+        "scenario.intensity_sat_units=2.08e4",
+        "scenario.absorption_scale=0.1111111111111111",
+        "scenario.stimulated_scale=0.3333333333333333",
+    ])
+    assert build_scenario(cfg).laser == presets.mgh24_ca40().laser
+    with pytest.raises(ConfigError, match="laser_shape"):
+        load_config(None, ["scenario.laser_shape=delta"])
     missing = ["preset=null", "scenario.target_mass_u=24.0"]
     with pytest.raises(ConfigError, match="readout_mass_u"):
         load_config(None, missing)

@@ -17,7 +17,7 @@ from recoilspec.radiation import (EmissionPattern, LaserField, QuadratureError,
                                   saturation_intensity, solid_angle_norm,
                                   write_d_table_csv)
 
-from oracles import overlap_trapezoid
+from oracles import overlap_trapezoid, split_lorentzian_fwhm
 
 GAMMA_MG = 2 * np.pi * 41.8e6
 GAMMA_MGH = 2 * np.pi * 2.50
@@ -79,7 +79,7 @@ def test_lineshape_rejects_bad_input():
 # --------------------------------------------------------------------------
 
 def test_delta_laser_on_resonance(mg_line):
-    laser = LaserField(intensity=1.0, shape="delta")
+    laser = LaserField(intensity=1.0)
     want = (3.0 / C) * 2.0 / (np.pi * mg_line.gamma_t)
     assert effective_spectral_density(laser, mg_line) == pytest.approx(want, rel=1e-12)
 
@@ -87,7 +87,7 @@ def test_delta_laser_on_resonance(mg_line):
 def test_narrow_transition_limit_is_laser_peak():
     # transition much narrower than the laser: density is the Gaussian peak
     line = TransitionLine.from_wavelength(6.17e-6, GAMMA_MGH)
-    laser = LaserField(intensity=2.5, fwhm=2 * np.pi * 50e6, shape="gaussian")
+    laser = LaserField(intensity=2.5, fwhm=2 * np.pi * 50e6)
     want = 3.0 * 2.5 / C / (np.sqrt(2 * np.pi) * laser.sigma)
     assert effective_spectral_density(laser, line) == pytest.approx(want, rel=1e-6)
 
@@ -97,7 +97,7 @@ def test_general_convolution_matches_grid_oracle(mg_line):
     cases = [(10 * gamma, (0.0, 3 * gamma), 1e-6),
              (2.0 * np.sqrt(8 * np.log(2)) * gamma, (0.0, gamma, 5 * gamma), 1e-9)]
     for fwhm, deltas, rel in cases:
-        laser = LaserField(intensity=1.0, fwhm=fwhm, shape="gaussian")
+        laser = LaserField(intensity=1.0, fwhm=fwhm)
         for delta in deltas:
             got = effective_spectral_density(laser, mg_line, delta)
             want = 3.0 / C * overlap_trapezoid(gamma, laser.sigma, delta)
@@ -105,7 +105,7 @@ def test_general_convolution_matches_grid_oracle(mg_line):
 
 
 def test_overlap_symmetric_in_detuning(mg_line):
-    laser = LaserField(intensity=1.0, fwhm=2 * mg_line.gamma_t, shape="gaussian")
+    laser = LaserField(intensity=1.0, fwhm=2 * mg_line.gamma_t)
     plus = effective_spectral_density(laser, mg_line, 1.7 * mg_line.gamma_t)
     minus = effective_spectral_density(laser, mg_line, -1.7 * mg_line.gamma_t)
     assert plus == pytest.approx(minus, rel=1e-9)
@@ -115,7 +115,7 @@ def test_general_path_agrees_with_limit_forms(mg_line):
     # evaluating the full convolution in a strongly lopsided regime must
     # land on the corresponding single-lineshape limit
     narrow_laser_fwhm = 1e-5 * np.sqrt(8 * np.log(2)) * mg_line.gamma_t
-    laser = LaserField(intensity=1.0, fwhm=narrow_laser_fwhm, shape="gaussian")
+    laser = LaserField(intensity=1.0, fwhm=narrow_laser_fwhm)
     got = effective_spectral_density(laser, mg_line, 0.3 * mg_line.gamma_t) * C / 3.0
     want = lineshape_value("lorentzian", 0.3 * mg_line.gamma_t, 0.0, mg_line.gamma_t)
     assert got == pytest.approx(want, rel=1e-4)
@@ -127,8 +127,7 @@ def test_density_continuous_across_width_ratio(mgh_line, delta_over_sigma):
     # Gamma_t = 1e-4 Gamma_L moves the density smoothly
     densities = []
     for step in (-1e-9, 1e-9):
-        laser = LaserField(intensity=1.0, fwhm=1e4 * mgh_line.gamma_t * (1 + step),
-                           shape="gaussian")
+        laser = LaserField(intensity=1.0, fwhm=1e4 * mgh_line.gamma_t * (1 + step))
         densities.append(effective_spectral_density(
             laser, mgh_line, delta_over_sigma * laser.sigma))
     assert abs(densities[1] / densities[0] - 1.0) < 1e-6
@@ -136,9 +135,7 @@ def test_density_continuous_across_width_ratio(mgh_line, delta_over_sigma):
 
 def test_zero_width_configurations_rejected():
     with pytest.raises(ValueError):
-        LaserField(intensity=1.0, fwhm=0.0, shape="gaussian")
-    with pytest.raises(ValueError):
-        LaserField(intensity=1.0, fwhm=1.0, shape="delta")
+        LaserField(intensity=1.0, fwhm=-1.0)
     with pytest.raises(ValueError):
         TransitionLine(omega_t=1e15, gamma_t=0.0)
 
@@ -157,23 +154,21 @@ def test_mg_saturation_intensity(mg_line):
 
 def test_mgh_saturation_intensity(mgh_line):
     sigma = 2 * np.pi * 50e6 / np.sqrt(8 * np.log(2))
-    eff = effective_saturation_intensity(mgh_line, "laser", sigma)
+    eff = effective_saturation_intensity(mgh_line, sigma)
     assert eff == pytest.approx(3.40, rel=0.01)
     # linear in the laser width
-    assert saturation_intensity(mgh_line, "laser", 2 * sigma) == pytest.approx(
-        2 * saturation_intensity(mgh_line, "laser", sigma), rel=1e-14)
+    assert saturation_intensity(mgh_line, 2 * sigma) == pytest.approx(
+        2 * saturation_intensity(mgh_line, sigma), rel=1e-14)
 
 
 def test_saturation_intensity_argument_errors(mg_line):
     with pytest.raises(ValueError):
-        saturation_intensity(mg_line, "laser", 0.0)
-    with pytest.raises(ValueError):
-        saturation_intensity(mg_line, "blackbody")
+        saturation_intensity(mg_line, -1.0)
 
 
 def test_mg_resonant_base_rate(mg_line):
     intensity = 6.54e-6 * effective_saturation_intensity(mg_line)
-    laser = LaserField(intensity=intensity, shape="delta")
+    laser = LaserField(intensity=intensity)
     rate = base_rate(laser, mg_line, 0.0, "absorption")
     assert rate == pytest.approx(mg_line.gamma_t * 6.54e-6, rel=1e-9)
     assert rate == pytest.approx(1.72e3, rel=0.01)
@@ -183,7 +178,7 @@ def test_mg_resonant_base_rate(mg_line):
 def test_mgh_resonant_base_rate(mgh_line):
     sigma = 2 * np.pi * 50e6 / np.sqrt(8 * np.log(2))
     laser = LaserField(intensity=2.08e4 * effective_saturation_intensity(
-        mgh_line, "laser", sigma), fwhm=2 * np.pi * 50e6, shape="gaussian")
+        mgh_line, sigma), fwhm=2 * np.pi * 50e6)
     rate = base_rate(laser, mgh_line, 0.0, "absorption")
     assert rate * 10e-3 == pytest.approx(3280, rel=0.02)
     # stimulated channel carries scale 1/3 instead of 1/9
@@ -192,13 +187,13 @@ def test_mgh_resonant_base_rate(mgh_line):
 
 
 def test_zero_intensity_gives_zero_rate(mg_line):
-    laser = LaserField(intensity=0.0, shape="delta")
+    laser = LaserField(intensity=0.0)
     assert base_rate(laser, mg_line, 0.0, "absorption") == 0.0
 
 
 def test_base_rate_definition_consistency(mg_line):
     # R(resonance) * I_sat / I_L = Gamma_t * channel_scale
-    laser = LaserField(intensity=3.3, shape="delta")
+    laser = LaserField(intensity=3.3)
     for channel, scale in (("absorption", mg_line.absorption_scale),
                            ("stimulated", mg_line.stimulated_scale)):
         rate = base_rate(laser, mg_line, 0.0, channel)
@@ -324,6 +319,14 @@ def test_composite_profile_matches_voigt_oracle():
         want = 0.5 * (voigt_profile(delta - zeeman / 2, sigma, GAMMA_MG / 2)
                       + voigt_profile(delta + zeeman / 2, sigma, GAMMA_MG / 2))
         assert profile(delta) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("splitting", [1.0, 2.0])
+def test_composite_split_width_matches_grid_oracle(splitting):
+    # splittings comparable to Gamma_t put the peak strictly between the
+    # line center and the component centers
+    _, fwhm = composite_target_lineshape(1.0, 0.0, splitting)
+    assert fwhm == pytest.approx(split_lorentzian_fwhm(1.0, splitting), rel=1e-6)
 
 
 def test_composite_rejects_bad_widths():

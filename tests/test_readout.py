@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from recoilspec import readout
+from recoilspec.coupling import xi_mode_table
 from recoilspec.rate_engine import PopulationState
 from recoilspec.readout import (ReadoutPulse, fluorescence_probability,
                                 pi_pulse, pi_time, readout_lamb_dicke,
@@ -118,6 +120,22 @@ def test_leaked_population_fluoresces_at_half(op_pulse):
     state = make_state({}, leaked=1.0)
     assert fluorescence_probability(state, op_pulse) == pytest.approx(0.5)
     assert fluorescence_probability(state, op_pulse, leak_survival=1.0) == 1.0
+
+
+def test_rabi_map_built_once_per_pulse(op_pulse, monkeypatch):
+    builds = []
+
+    def counting_table(*args):
+        builds.append(args)
+        return xi_mode_table(*args)
+
+    monkeypatch.setattr(readout, "xi_mode_table", counting_table)
+    readout._rabi_map.cache_clear()
+    state = make_state({(0, 0): 0.5, (0, 1): 0.5})
+    first = fluorescence_probability(state, op_pulse)
+    assert fluorescence_probability(state, op_pulse) == first
+    assert len(builds) == 2  # one table per mode
+    assert not readout._rabi_map(op_pulse, GRID).flags.writeable
 
 
 def test_two_pulse_ground_state(op_pulse, ip_pulse):

@@ -60,10 +60,15 @@ def test_vanishing_recoil_reduces_to_two_levels():
 # propagation
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(4))
-def test_closed_form_matches_matrix_exponential(seed):
-    rng = np.random.default_rng(seed)
-    r = ReducedRates(*np.exp(rng.uniform(-2, 8, size=4)))
+# four random rate sets, then a generator with a repeated eigenvalue
+_RATE_CASES = [pytest.param(ReducedRates(*np.exp(
+    np.random.default_rng(seed).uniform(-2, 8, size=4))), id=str(seed))
+    for seed in range(4)]
+_RATE_CASES.append(pytest.param(ReducedRates(0.0, 0.0, 5.0, 5.0), id="degenerate"))
+
+
+@pytest.mark.parametrize("r", _RATE_CASES)
+def test_closed_form_matches_matrix_exponential(r):
     for t in (1e-6, 1e-3, 0.3):
         state = evolve_reduced(r, t)
         want = scipy.linalg.expm(rates_matrix(r) * t) @ np.array([1.0, 0.0, 0.0])

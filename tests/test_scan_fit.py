@@ -30,7 +30,6 @@ def test_exact_lorentzian_recovered():
     assert res.depth == pytest.approx(0.4, rel=1e-6)
     assert abs(res.center) <= 1e-6 * W_TRUE
     assert res.fwhm == pytest.approx(W_TRUE, rel=1e-6)
-    assert res.converged
 
 
 def test_offcenter_dip_recovered():
