@@ -1,15 +1,19 @@
 """Detuning scans, Lorentzian fits, and width/depth extraction.
 
-A scan builds one rate matrix per detuning, evolves the initial state for
-the pulse duration, and converts the final population into the readout
-fluorescence signal.  Signal dips are characterized either by a
+A scan builds one rate matrix per distinct |detuning|, evolves the
+initial state once through every requested pulse time, and converts each
+sampled population into the readout fluorescence signal.  The generator
+depends on the detuning only through the laser lineshape, which is even,
+so a detuning and its mirror image share one propagation; detunings whose
+magnitudes agree to a few ulps count as mirrors, since a linspace grid is
+not symmetric to the last bit.  Signal dips are characterized either by a
 free-baseline Lorentzian least-squares fit or, where the dip shape is
 not Lorentzian, by direct numerical width/depth measurement.
 """
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +22,7 @@ from scipy.optimize import least_squares
 from . import readout as ro
 from .radiation import base_rate
 from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
-                          build_rate_matrix, evolve)
+                          build_rate_matrix, evolve_series)
 
 
 class FitError(RuntimeError):
@@ -47,23 +51,75 @@ class FitResult:
     iterations: int
 
 
-def _solve_one(args):
-    (scenario, detuning, tau_spec, pulse, second_pulse, leak_survival,
+def _mirror_groups(detunings: np.ndarray) -> list[list[int]]:
+    """Indices of the detunings grouped by |detuning| equal to a few ulps."""
+    mag = np.abs(detunings)
+    tol = 4.0 * np.spacing(mag.max(initial=0.0))
+    groups = []
+    for i in np.argsort(mag, kind="stable"):
+        if groups and mag[i] - mag[groups[-1][0]] <= tol:
+            groups[-1].append(int(i))
+        else:
+            groups.append([int(i)])
+    return groups
+
+
+def _propagate_group(args):
+    """Records at one detuning for each of an increasing list of pulse times."""
+    (scenario, detuning, times, pulse, second_pulse, leak_survival,
      method) = args
     matrix = build_rate_matrix(scenario, detuning)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
-        state = evolve(matrix, PopulationState.ground(scenario), tau_spec,
-                       method=method)
-    if second_pulse is not None:
-        signal = ro.two_pulse_fluorescence(state, pulse, second_pulse,
-                                           leak_survival)
+        states = evolve_series(matrix, PopulationState.ground(scenario), times,
+                               method=method)
+    records = []
+    for state in states:
+        if second_pulse is not None:
+            signal = ro.two_pulse_fluorescence(state, pulse, second_pulse,
+                                               leak_survival)
+        else:
+            signal = ro.fluorescence_probability(state, pulse, leak_survival)
+        records.append(SpectrumRecord(
+            detuning=float(detuning), fluorescence=signal,
+            marginal=state.motional_marginal(), leaked=state.leaked,
+            leak_flag=state.leaked > scenario.leak_warn_fraction))
+    return records
+
+
+def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulse,
+          second_pulse, leak_survival, method,
+          workers) -> list[list[SpectrumRecord]]:
+    """Records for every pulse time (outer) and detuning (inner), in input order.
+
+    Each mirror group of detunings is propagated once, at one of its
+    members, through the sorted distinct pulse times; every member gets
+    its own signed detuning on the shared populations.
+    """
+    if pulse is None:
+        pulse = ro.pi_pulse(scenario.system, (0, -1))
+    detunings = np.asarray(detunings, dtype=float)
+    times, time_index = np.unique(np.asarray(tau_specs, dtype=float),
+                                  return_inverse=True)
+    if times.size == 0:
+        return []
+    groups = _mirror_groups(detunings)
+    scenario.laser_coupling()  # build shared tables once, not per worker
+    scenario.d_table()
+    jobs = [(scenario, detunings[g[0]], times, pulse, second_pulse,
+             leak_survival, method) for g in groups]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_propagate_group, jobs, chunksize=4))
     else:
-        signal = ro.fluorescence_probability(state, pulse, leak_survival)
-    return SpectrumRecord(
-        detuning=float(detuning), fluorescence=signal,
-        marginal=state.motional_marginal(), leaked=state.leaked,
-        leak_flag=state.leaked > scenario.leak_warn_fraction)
+        solved = [_propagate_group(j) for j in jobs]
+    per_time = [[None] * detunings.size for _ in times]
+    for group, series in zip(groups, solved):
+        for k, record in enumerate(series):
+            for i in group:
+                per_time[k][i] = replace(record, detuning=float(detunings[i]),
+                                         marginal=record.marginal.copy())
+    return [per_time[k] for k in time_index]
 
 
 def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
@@ -74,21 +130,13 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
     """Fluorescence signal and motional populations across a detuning grid.
 
     pulse defaults to a pi-pulse on the out-of-phase red sideband; pass
-    second_pulse for the consecutive two-mode readout.  Detunings are
-    independent, so workers > 1 distributes them over processes.
+    second_pulse for the consecutive two-mode readout.  Each distinct
+    |detuning| is solved once and shared with its mirror image; the
+    distinct magnitudes are independent, so workers > 1 distributes them
+    over processes.
     """
-    if pulse is None:
-        pulse = ro.pi_pulse(scenario.system, (0, -1))
-    detunings = np.asarray(detunings, dtype=float)
-    scenario.laser_coupling()  # build shared tables once, not per worker
-    scenario.d_table()
-    jobs = [(scenario, d, tau_spec, pulse, second_pulse, leak_survival,
-             method) for d in detunings]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_solve_one, jobs, chunksize=4))
-    else:
-        records = [_solve_one(j) for j in jobs]
+    records = _scan(scenario, detunings, [tau_spec], pulse, second_pulse,
+                    leak_survival, method, workers)[0]
     if any(r.leak_flag for r in records):
         worst = max(r.leaked for r in records)
         warnings.warn(f"leaked population reaches {worst:.2%} on the scan",
@@ -219,22 +267,21 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
 
     Each (label, scenario) pair is scanned at every requested scaled
     time; pulse durations are converted through the scenario's resonant
-    absorption rate.  Points whose scans breach the leak threshold are
-    flagged rather than dropped.
+    absorption rate.  One propagation per distinct |detuning| serves all
+    pulse times of a scenario.  Rows follow the scenarios, then the
+    scaled times, in input order.  Points whose scans breach the leak
+    threshold are flagged rather than dropped.
     """
     if fit not in ("lorentzian", "numeric"):
         raise ValueError("fit must be 'lorentzian' or 'numeric'")
+    tau_scaled = np.asarray(tau_scaled_values, dtype=float)
     rows = []
     for label, scenario in scenarios:
         r_res = base_rate(scenario.laser, scenario.line, 0.0, "absorption")
-        for ts in np.asarray(tau_scaled_values, dtype=float):
-            tau_spec = ts / r_res
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LeakWarning)
-                records = readout_spectrum(scenario, detunings, tau_spec,
-                                           pulse=pulse, second_pulse=second_pulse,
-                                           leak_survival=leak_survival,
-                                           method=method, workers=workers)
+        tau_specs = tau_scaled / r_res
+        scans = _scan(scenario, detunings, tau_specs, pulse, second_pulse,
+                      leak_survival, method, workers)
+        for ts, tau_spec, records in zip(tau_scaled, tau_specs, scans):
             if fit == "lorentzian":
                 res = fit_lorentzian(records)
                 fwhm, depth = res.fwhm, res.depth

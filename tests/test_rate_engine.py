@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recoilspec.coupling import xi_mode_table
-from recoilspec.presets import mg24_ca40
+from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import TransitionLine, base_rate
 from recoilspec.rate_engine import (LeakWarning, PopulationState,
                                     _heating_kernel, build_rate_matrix, evolve,
@@ -47,6 +49,26 @@ def test_leak_row_collects_out_of_grid_flow():
     leak = sc.leak_index
     assert gen[leak].sum() > 0.0          # something routes off-grid
     assert np.all(gen[:, leak] == 0.0)    # and the leak row is absorbing
+
+
+# small grids of both presets, each with a delta and a 50 MHz Gaussian laser
+_MIRROR_SCENARIOS = {
+    f"{name}-{laser}": replace(make(), n_ip_max=5, n_op_max=4).with_laser(
+        fwhm=2 * np.pi * 50e6 if laser == "gaussian" else 0.0)
+    for name, make in (("mg", mg24_ca40), ("mgh", mgh24_ca40))
+    for laser in ("delta", "gaussian")}
+
+
+@pytest.mark.parametrize("name", sorted(_MIRROR_SCENARIOS))
+@settings(max_examples=25, deadline=None)
+@given(detuning=st.floats(0.0, 2 * np.pi * 500e6))
+def test_generator_even_in_detuning(name, detuning):
+    # scan_fit solves a detuning and its mirror image once; that is exact
+    # only while the generator is even in the detuning, bit for bit
+    sc = _MIRROR_SCENARIOS[name]
+    plus = build_rate_matrix(sc, detuning).generator.toarray()
+    minus = build_rate_matrix(sc, -detuning).generator.toarray()
+    assert np.array_equal(plus, minus)
 
 
 # --------------------------------------------------------------------------

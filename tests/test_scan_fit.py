@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from recoilspec import rate_engine
 from recoilspec.presets import mg24_ca40
+from recoilspec.radiation import base_rate
 from recoilspec.rate_engine import LeakWarning
 from recoilspec.scan_fit import (FitError, SpectrumRecord, _lorentzian_dip,
-                                 _lorentzian_dip_jac, fit_lorentzian,
+                                 _lorentzian_dip_jac, _scan, fit_lorentzian,
                                  numeric_fwhm_depth, readout_spectrum,
                                  width_depth_curves)
 
@@ -147,13 +149,101 @@ def test_spectrum_symmetry_without_heating(small_scan_scenario):
 
 
 def test_worker_pool_matches_serial(small_scan_scenario):
-    grid = np.linspace(-2e8, 2e8, 6)
+    # odd grid through zero: the pool gets a singleton mirror group and pairs
+    grid = np.linspace(-2e8, 2e8, 7)
+    assert grid[3] == 0.0
     serial = readout_spectrum(small_scan_scenario, grid, tau_spec=2e-4)
     pooled = readout_spectrum(small_scan_scenario, grid, tau_spec=2e-4,
                               workers=2)
     for a, b in zip(serial, pooled):
         assert b.fluorescence == pytest.approx(a.fluorescence, abs=1e-12)
         assert b.marginal == pytest.approx(a.marginal, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the scan core: one propagation per |detuning| serves every pulse time
+# --------------------------------------------------------------------------
+
+SCAN_GRID = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 21)
+SCAN_TAUS = [2e-4, 6.5e-4, 1.3e-3]
+
+
+@pytest.fixture
+def propagations(monkeypatch):
+    """Counts calls of the engine's propagator from here to the test's end."""
+    calls = []
+    integrate = rate_engine._integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(rate_engine, "_integrate", counting)
+    return calls
+
+
+def scan(scenario, detunings, tau_specs):
+    return _scan(scenario, detunings, tau_specs, pulse=None, second_pulse=None,
+                 leak_survival=0.5, method="lsoda", workers=1)
+
+
+def test_symmetric_grid_one_propagation_per_magnitude(small_scan_scenario,
+                                                     propagations):
+    per_tau = scan(small_scan_scenario, SCAN_GRID, SCAN_TAUS)
+    assert len(propagations) == 11
+    for times in propagations:
+        assert list(times) == SCAN_TAUS
+    assert len(per_tau) == len(SCAN_TAUS)
+    for records in per_tau:
+        assert [r.detuning for r in records] == list(SCAN_GRID)
+        for left, right in zip(records, records[::-1]):
+            assert left.fluorescence == right.fluorescence
+            assert np.array_equal(left.marginal, right.marginal)
+            assert left.leaked == right.leaked
+
+
+def test_asymmetric_grid_solves_every_magnitude(small_scan_scenario,
+                                                propagations):
+    grid = [-3e8, -1e8, 2e8]
+    records = readout_spectrum(small_scan_scenario, grid, tau_spec=6.5e-4)
+    assert len(propagations) == 3
+    assert [r.detuning for r in records] == grid
+
+
+def test_all_pulse_times_match_separate_scans(small_scan_scenario):
+    together = scan(small_scan_scenario, SCAN_GRID, SCAN_TAUS)
+    for tau, records in zip(SCAN_TAUS, together):
+        alone = readout_spectrum(small_scan_scenario, SCAN_GRID, tau)
+        for a, b in zip(alone, records):
+            assert b.detuning == a.detuning
+            assert b.fluorescence == pytest.approx(a.fluorescence, abs=1e-8)
+            assert b.marginal == pytest.approx(a.marginal, abs=1e-8)
+            assert b.leaked == pytest.approx(a.leaked, abs=1e-8)
+
+
+def test_width_curve_matches_per_tau_spectra(small_scan_scenario):
+    sc = small_scan_scenario
+    taus = [1.0, 2.23, 4.0]
+    rows = width_depth_curves([("mg", sc)], taus, SCAN_GRID, fit="numeric")
+    r_res = base_rate(sc.laser, sc.line, 0.0, "absorption")
+    for ts, row in zip(taus, rows):
+        assert row.tau_scaled == ts
+        assert row.tau_spec == ts / r_res
+        fwhm, depth = numeric_fwhm_depth(
+            readout_spectrum(sc, SCAN_GRID, ts / r_res))
+        assert row.fwhm == pytest.approx(fwhm, rel=1e-6)
+        assert row.depth == pytest.approx(depth, abs=1e-8)
+
+
+def test_width_curve_keeps_input_order_of_pulse_times(small_scan_scenario,
+                                                      propagations):
+    entries = [("mg", small_scan_scenario)]
+    mixed = width_depth_curves(entries, [4.0, 1.0, 4.0], SCAN_GRID,
+                               fit="numeric")
+    assert len(propagations) == 11
+    ordered = width_depth_curves(entries, [1.0, 4.0], SCAN_GRID, fit="numeric")
+    assert [r.tau_scaled for r in mixed] == [4.0, 1.0, 4.0]
+    assert mixed == [ordered[1], ordered[0], ordered[1]]
 
 
 def test_width_curves_collapse_across_intensities(mg_scenario):
