@@ -103,7 +103,7 @@ DEFAULT_CONFIG = {
     "reduced": {
         "contrast": 0.5,
     },
-    "integrator": "lsoda",
+    "integrator": "krylov",
     "workers": 0,                 # 0 = all logical cores
 }
 
@@ -184,8 +184,8 @@ def _validate(cfg: dict) -> None:
             _require(sc[key] is not None,
                      f"scenario.{key} is required when preset is null")
     _require(cfg["scan"]["points"] >= 8, "scan.points must be >= 8")
-    _require(cfg["integrator"] in ("lsoda", "bdf", "expm"),
-             "integrator must be lsoda, bdf or expm")
+    _require(cfg["integrator"] in ("krylov", "lsoda", "bdf", "expm"),
+             "integrator must be krylov, lsoda, bdf or expm")
     _require(cfg["workers"] >= 0, "workers must be >= 0")
     ro = cfg["readout"]
     _require(ro["omega_0_hz"] > 0 and ro["wavelength_m"] > 0,

@@ -117,17 +117,17 @@ def effective_spectral_density(laser: LaserField, line: TransitionLine,
 def saturation_intensity(line: TransitionLine, sigma_L: float = 0.0) -> float:
     """Two-level saturation intensity in W/m^2 (no level-structure scales).
 
-    The laser width picks the regime.  sigma_L = 0 (delta laser, the
-    transition-broadened regime): hbar w_t^3 Gamma_t / (6 pi c^2).
-    sigma_L > 0 (broad Gaussian laser, the laser-broadened regime):
+    hbar w_t^3 / (3 pi^2 c^2 V(0)), with V(0) the resonant Voigt overlap of
+    the transition Lorentzian and a Gaussian laser of rms width sigma_L, so
+    that the resonant base rate is Gamma_t I_L / I_sat at every laser
+    width.  A delta laser (sigma_L = 0) gives hbar w_t^3 Gamma_t /
+    (6 pi c^2); a laser much broader than the line approaches
     sqrt(2) hbar w_t^3 sigma_L / (3 pi^(3/2) c^2).
     """
     if sigma_L < 0:
         raise ValueError(f"sigma_L must be >= 0, got {sigma_L}")
-    w3 = line.omega_t**3
-    if sigma_L == 0:
-        return HBAR * w3 * line.gamma_t / (6.0 * np.pi * C**2)
-    return np.sqrt(2.0) * HBAR * w3 * sigma_L / (3.0 * np.pi**1.5 * C**2)
+    peak = voigt_profile(0.0, sigma_L, line.gamma_t / 2.0)
+    return float(HBAR * line.omega_t**3 / (3.0 * np.pi**2 * C**2 * peak))
 
 
 def effective_saturation_intensity(line: TransitionLine,

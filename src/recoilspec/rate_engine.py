@@ -8,6 +8,7 @@ per mode.  The grid is truncated; any transition leaving it feeds an
 absorbing leak accumulator so probability stays exactly conserved.
 """
 
+import logging
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -16,11 +17,23 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.linalg import splu
 
 from .coupling import xi_mode_table
 from .ion_mechanics import BeamGeometry, TwoIonSystem, lamb_dicke
 from .radiation import (EmissionPattern, LaserField, TransitionLine,
                         base_rate, emission_coefficients)
+
+
+_log = logging.getLogger(__name__)
+
+# shift-and-invert Krylov propagator: the shift is this fraction of the
+# largest requested time; the basis grows from M_START in steps of M_STEP
+# until two successive sizes agree to the call's tolerance, up to M_MAX
+KRYLOV_SHIFT = 0.05
+KRYLOV_M_START = 16
+KRYLOV_M_STEP = 8
+KRYLOV_M_MAX = 80
 
 
 class LeakWarning(UserWarning):
@@ -266,6 +279,76 @@ def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
 # time evolution
 # ---------------------------------------------------------------------------
 
+def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
+                   shift: float, times: np.ndarray) -> np.ndarray:
+    """beta V_m expm(t G_m) e_1 at every t, with G_m = (I - H_m^-1) / shift.
+
+    An intermediate H_m can be nearly singular, so G_m may overflow expm;
+    the result is then non-finite, never a warning.
+    """
+    m = hess.shape[0]
+    with np.errstate(all="ignore"):
+        try:
+            g_m = (np.eye(m) - np.linalg.inv(hess)) / shift
+        except np.linalg.LinAlgError:
+            return np.full((basis.shape[0], times.size), np.nan)
+        coeffs = np.column_stack([expm(g_m * float(t))[:, 0] for t in times])
+        return beta * (basis @ coeffs)
+
+
+def _krylov(gen: sp.csc_matrix, p0: np.ndarray, times: np.ndarray,
+            rtol: float, atol: float) -> Optional[np.ndarray]:
+    """Shift-and-invert Krylov propagation to every time from one basis.
+
+    One LU of (I - shift G) with shift = KRYLOV_SHIFT * t_max; Arnoldi on
+    its inverse (classical Gram-Schmidt, reorthogonalised) gives V_m and
+    H_m, and G is approximated by V_m G_m V_m^T (van den Eshof & Hochbruck,
+    SIAM J. Sci. Comput. 27 (2006) 1438).  The basis grows until the
+    answers of two successive sizes are finite and agree to
+    atol + rtol max|p| at every time, or the space becomes invariant.
+    Returns None when that never happens within KRYLOV_M_MAX, or when the
+    total probability drifts by more than atol + rtol |sum p0|.
+    """
+    n = p0.size
+    m_max = min(KRYLOV_M_MAX, n)
+    shift = KRYLOV_SHIFT * float(times[-1])
+    # the grid order keeps the couplings banded, which fills in less than
+    # the default column ordering
+    lu = splu(sp.identity(n, format="csc") - shift * gen, permc_spec="NATURAL")
+    beta = float(np.linalg.norm(p0))
+    basis = np.zeros((n, m_max + 1))
+    hess = np.zeros((m_max + 1, m_max))
+    basis[:, 0] = p0 / beta
+    previous = None
+    for j in range(m_max):
+        m = j + 1
+        w = lu.solve(basis[:, j])
+        w_norm = np.linalg.norm(w)
+        for _ in range(2):
+            h = basis[:, :m].T @ w
+            w -= basis[:, :m] @ h
+            hess[:m, j] += h
+        hess[m, j] = np.linalg.norm(w)
+        invariant = hess[m, j] <= 1e-12 * w_norm
+        if invariant or (m >= KRYLOV_M_START
+                         and (m - KRYLOV_M_START) % KRYLOV_M_STEP == 0):
+            p = _krylov_series(basis[:, :m], hess[:m, :m], beta, shift, times)
+            if not np.all(np.isfinite(p)):
+                p = None
+            elif invariant or (previous is not None and np.abs(p - previous).max()
+                               <= atol + rtol * np.abs(p).max()):
+                break
+            if invariant:
+                return None
+            previous = p
+        basis[:, m] = w / hess[m, j]
+    else:
+        return None
+    drift = np.abs(p.sum(axis=0) - p0.sum()).max()
+    _log.debug("krylov: m = %d, drift %.1e", m, drift)
+    return p if drift <= atol + rtol * abs(p0.sum()) else None
+
+
 def _integrate(matrix: RateMatrix, p0: np.ndarray, times: np.ndarray,
                method: str, rtol: float, atol: float) -> np.ndarray:
     """Propagate p0 to each requested time; returns (n_states, len(times))."""
@@ -279,6 +362,13 @@ def _integrate(matrix: RateMatrix, p0: np.ndarray, times: np.ndarray,
             out[:, k] = expm(dense * float(t)) @ p0
         return out
     gen = matrix.generator
+    if method == "krylov":
+        out = _krylov(gen, p0, times, rtol, atol)
+        if out is not None:
+            return out
+        _log.debug("krylov estimate not converged at detuning %g; using LSODA",
+                   matrix.detuning)
+        method = "lsoda"
     if method == "lsoda":
         sol = solve_ivp(lambda t, p: gen @ p, (0.0, t_end), p0, method="LSODA",
                         jac=lambda t, p: matrix.dense(), rtol=rtol, atol=atol,
@@ -307,11 +397,13 @@ def _check_and_wrap(matrix: RateMatrix, vec: np.ndarray) -> PopulationState:
 
 
 def evolve(matrix: RateMatrix, initial: PopulationState, duration: float,
-           method: str = "lsoda", rtol: float = 1e-9,
+           method: str = "krylov", rtol: float = 1e-9,
            atol: float = 1e-12) -> PopulationState:
     """Evolve a population for `duration` seconds under a fixed generator.
 
-    method "lsoda" (default) and "bdf" are adaptive stiff integrators;
+    method "krylov" (default) is the shift-and-invert Krylov propagator,
+    which falls back to LSODA when its error estimate does not reach
+    atol + rtol max|p|; "lsoda" and "bdf" are adaptive stiff integrators;
     "expm" evaluates the dense matrix exponential (exact up to roundoff,
     intended for cross-checks and small grids).  A LeakWarning is raised
     when the leaked probability exceeds the configured threshold.
@@ -325,9 +417,13 @@ def evolve(matrix: RateMatrix, initial: PopulationState, duration: float,
 
 
 def evolve_series(matrix: RateMatrix, initial: PopulationState, times,
-                  method: str = "lsoda", rtol: float = 1e-9,
+                  method: str = "krylov", rtol: float = 1e-9,
                   atol: float = 1e-12) -> list[PopulationState]:
-    """Evolve and sample the population at each time in an increasing list."""
+    """Evolve and sample the population at each time in an increasing list.
+
+    One propagation serves every time; with the default "krylov" method
+    one factorization and one basis do.  Methods are those of evolve.
+    """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")

@@ -125,7 +125,7 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulse,
 def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
                      pulse: Optional[ro.ReadoutPulse] = None,
                      second_pulse: Optional[ro.ReadoutPulse] = None,
-                     leak_survival: float = 0.5, method: str = "lsoda",
+                     leak_survival: float = 0.5, method: str = "krylov",
                      workers: int = 1) -> list[SpectrumRecord]:
     """Fluorescence signal and motional populations across a detuning grid.
 
@@ -133,7 +133,8 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
     second_pulse for the consecutive two-mode readout.  Each distinct
     |detuning| is solved once and shared with its mirror image; the
     distinct magnitudes are independent, so workers > 1 distributes them
-    over processes.
+    over processes.  method is the propagator of rate_engine.evolve
+    ("krylov" by default).
     """
     records = _scan(scenario, detunings, [tau_spec], pulse, second_pulse,
                     leak_survival, method, workers)[0]
@@ -261,16 +262,17 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
                        fit: str = "lorentzian",
                        pulse: Optional[ro.ReadoutPulse] = None,
                        second_pulse: Optional[ro.ReadoutPulse] = None,
-                       leak_survival: float = 0.5, method: str = "lsoda",
+                       leak_survival: float = 0.5, method: str = "krylov",
                        workers: int = 1) -> list[WidthDepthPoint]:
     """Signal FWHM and depth versus scaled time for several scenarios.
 
     Each (label, scenario) pair is scanned at every requested scaled
     time; pulse durations are converted through the scenario's resonant
     absorption rate.  One propagation per distinct |detuning| serves all
-    pulse times of a scenario.  Rows follow the scenarios, then the
-    scaled times, in input order.  Points whose scans breach the leak
-    threshold are flagged rather than dropped.
+    pulse times of a scenario; method is the propagator of
+    rate_engine.evolve ("krylov" by default).  Rows follow the scenarios,
+    then the scaled times, in input order.  Points whose scans breach the
+    leak threshold are flagged rather than dropped.
     """
     if fit not in ("lorentzian", "numeric"):
         raise ValueError("fit must be 'lorentzian' or 'numeric'")

@@ -318,7 +318,8 @@ def test_criterion_8_oracles(mg_scenario):
     d_err = max(abs(1.0 - d_table[i, j].sum())
                 for i in range(6) for j in range(6))
     ok &= d_err < 1e-5
-    # adaptive integrators vs dense matrix exponential on an 8x8 grid
+    # adaptive integrators and the Krylov propagator vs dense matrix
+    # exponential on an 8x8 grid
     from dataclasses import replace
     small = replace(mg_scenario, n_ip_max=7, n_op_max=7)
     matrix = build_rate_matrix(small, 2 * np.pi * 10e6)
@@ -327,7 +328,7 @@ def test_criterion_8_oracles(mg_scenario):
         warnings.simplefilter("ignore", LeakWarning)
         exact = evolve(matrix, ground, 1.3e-3, method="expm").to_vector()
         int_err = 0.0
-        for method in ("lsoda", "bdf"):
+        for method in ("lsoda", "bdf", "krylov"):
             got = evolve(matrix, ground, 1.3e-3, method=method).to_vector()
             int_err = max(int_err, np.abs(got - exact).max())
     ok &= int_err < 1e-8

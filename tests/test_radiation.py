@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import voigt_profile
 
-from recoilspec.constants import C
+from recoilspec.constants import C, HBAR
 from recoilspec.ion_mechanics import TwoIonSystem
 from recoilspec.presets import CA40, MG24, OMEGA_Z_DEFAULT
 from recoilspec.radiation import (EmissionPattern, LaserField, QuadratureError,
@@ -156,9 +156,40 @@ def test_mgh_saturation_intensity(mgh_line):
     sigma = 2 * np.pi * 50e6 / np.sqrt(8 * np.log(2))
     eff = effective_saturation_intensity(mgh_line, sigma)
     assert eff == pytest.approx(3.40, rel=0.01)
-    # linear in the laser width
-    assert saturation_intensity(mgh_line, 2 * sigma) == pytest.approx(
-        2 * saturation_intensity(mgh_line, sigma), rel=1e-14)
+    # affine in the laser width: equal steps in sigma_L give equal steps
+    i1, i2, i3 = (saturation_intensity(mgh_line, k * sigma) for k in (1, 2, 3))
+    assert i3 - i2 == pytest.approx(i2 - i1, rel=1e-12)
+    # and proportional to it up to the Lorentzian part of the line,
+    # sqrt(2 / pi) (Gamma_t / 2) / (2 sigma_L) = 2.3e-8 here
+    assert i2 == pytest.approx(2 * i1, rel=1e-7)
+
+
+def _isat_closed_forms(line, sigma_l):
+    """The two limits of the saturation intensity, hbar w^3 over c^2 times
+    Gamma_t / (6 pi) for a delta laser, sqrt(2) sigma_L / (3 pi^1.5) for a
+    laser much broader than the line."""
+    w3 = HBAR * line.omega_t ** 3 / C ** 2
+    return (w3 * line.gamma_t / (6 * np.pi),
+            np.sqrt(2) * w3 * sigma_l / (3 * np.pi ** 1.5))
+
+
+@pytest.mark.parametrize("which", ["mg", "mgh"])
+def test_saturation_intensity_continuous_in_laser_width(which, mg_line,
+                                                        mgh_line):
+    line = mg_line if which == "mg" else mgh_line
+    delta_form, _ = _isat_closed_forms(line, 0.0)
+    assert saturation_intensity(line) == pytest.approx(delta_form, rel=1e-14)
+    # Gamma_L -> 0+ joins the delta-laser value, quadratically in sigma_L
+    for ratio in (1e-3, 1e-6, 1e-9):
+        got = saturation_intensity(line, ratio * line.gamma_t)
+        assert got == pytest.approx(delta_form, rel=5.0 * ratio ** 2 + 1e-14)
+    # a laser much broader than the line gives the Gaussian closed form,
+    # to the relative size of the Lorentzian part
+    for ratio in (1e4, 1e6, 1e8):
+        sigma_l = ratio * line.gamma_t
+        _, broad_form = _isat_closed_forms(line, sigma_l)
+        assert saturation_intensity(line, sigma_l) == pytest.approx(
+            broad_form, rel=1.0 / ratio)
 
 
 def test_saturation_intensity_argument_errors(mg_line):

@@ -1,3 +1,4 @@
+import logging
 import warnings
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recoilspec import rate_engine
 from recoilspec.coupling import xi_mode_table
 from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import TransitionLine, base_rate
@@ -236,7 +238,7 @@ def test_detuning_symmetry(mg_scenario):
     assert sp.p == pytest.approx(sm.p, abs=1e-12)
 
 
-@pytest.mark.parametrize("method", ["lsoda", "bdf"])
+@pytest.mark.parametrize("method", ["lsoda", "bdf", "krylov"])
 def test_adaptive_integrators_match_matrix_exponential(method):
     sc = small_mg()  # 8 x 8 grid
     matrix = build_rate_matrix(sc, 2 * np.pi * 10e6)
@@ -247,6 +249,52 @@ def test_adaptive_integrators_match_matrix_exponential(method):
         adaptive = evolve(matrix, state, tau, method=method)
         exact = evolve(matrix, state, tau, method="expm")
     assert adaptive.to_vector() == pytest.approx(exact.to_vector(), abs=1e-8)
+
+
+# small grids of both presets; pulse times up to 20 scaled units for Mg+
+# (tau_spec 12 ms) and 20000 for MgH+ (61 ms), the ranges the model is used in
+_KRYLOV_CASES = {"mg": (replace(mg24_ca40(), n_ip_max=5, n_op_max=4), 20.0),
+                 "mgh": (replace(mgh24_ca40(), n_ip_max=4, n_op_max=6), 2e4)}
+
+
+@pytest.mark.parametrize("name", sorted(_KRYLOV_CASES))
+@settings(max_examples=15, deadline=None)
+@given(detuning=st.floats(0.0, 2 * np.pi * 200e6),
+       t_max=st.floats(0.02, 1.0),
+       fractions=st.lists(st.floats(1e-5, 1.0), min_size=1, max_size=6),
+       from_zero=st.booleans())
+def test_krylov_matches_matrix_exponential(name, detuning, t_max, fractions,
+                                           from_zero):
+    sc, scaled_max = _KRYLOV_CASES[name]
+    tau_max = t_max * scaled_max / scaled_time(1.0, sc)
+    # strictly increasing, spanning at least two decades, ending at tau_max
+    fractions = np.unique(np.concatenate([fractions, [1e-2, 1.0]]))
+    times = tau_max * (np.concatenate([[0.0], fractions]) if from_zero
+                       else fractions)
+    matrix = build_rate_matrix(sc, detuning)
+    p0 = PopulationState.ground(sc).to_vector()
+    got = rate_engine._krylov(matrix.generator, p0, times, 1e-9, 1e-12)
+    assert got is not None, "error estimate did not converge"
+    exact = rate_engine._integrate(matrix, p0, times, "expm", 1e-9, 1e-12)
+    assert np.abs(got - exact).max() <= 1e-9
+    assert np.abs(got.sum(axis=0) - 1.0).max() <= 1e-9
+
+
+def test_krylov_falls_back_to_lsoda(monkeypatch, caplog):
+    # with the cap at the first basis size no two sizes can be compared,
+    # so the estimate never converges and LSODA must take over
+    sc = small_mg()
+    matrix = build_rate_matrix(sc, 2 * np.pi * 10e6)
+    state = PopulationState.ground(sc)
+    times = [1.3e-4, 1.3e-3]
+    monkeypatch.setattr(rate_engine, "KRYLOV_M_MAX", rate_engine.KRYLOV_M_START)
+    with caplog.at_level(logging.DEBUG, logger="recoilspec"):
+        got = evolve_series(matrix, state, times, method="krylov")
+    want = evolve_series(matrix, state, times, method="lsoda")
+    for g, w in zip(got, want):
+        assert np.abs(g.to_vector() - w.to_vector()).max() <= 1e-12
+    assert any("LSODA" in r.getMessage() for r in caplog.records
+               if r.levelno == logging.DEBUG)
 
 
 def test_leak_warning_raised():
