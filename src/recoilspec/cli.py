@@ -103,7 +103,6 @@ DEFAULT_CONFIG = {
     "reduced": {
         "contrast": 0.5,
     },
-    "integrator": "krylov",
     "workers": 0,                 # 0 = all logical cores
 }
 
@@ -184,8 +183,6 @@ def _validate(cfg: dict) -> None:
             _require(sc[key] is not None,
                      f"scenario.{key} is required when preset is null")
     _require(cfg["scan"]["points"] >= 8, "scan.points must be >= 8")
-    _require(cfg["integrator"] in ("krylov", "lsoda", "bdf", "expm"),
-             "integrator must be krylov, lsoda, bdf or expm")
     _require(cfg["workers"] >= 0, "workers must be >= 0")
     ro = cfg["readout"]
     _require(ro["omega_0_hz"] > 0 and ro["wavelength_m"] > 0,
@@ -372,8 +369,7 @@ def _cmd_dynamics(cfg, scenario, prefix, args):
     leak_seen = False
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LeakWarning)
-        states = evolve_series(matrix, PopulationState.ground(scenario), times,
-                               method=cfg["integrator"])
+        states = evolve_series(matrix, PopulationState.ground(scenario), times)
         leak_seen = any(issubclass(w.category, LeakWarning) for w in caught)
     rate = scaled_time(1.0, scenario)
     rows = []
@@ -405,7 +401,7 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
             records = readout_spectrum(
                 scenario, detunings, tau_spec, pulse=pulse, second_pulse=second,
                 leak_survival=cfg["readout"]["leak_survival"],
-                method=cfg["integrator"], workers=_workers(cfg))
+                workers=_workers(cfg))
     csv_path = prefix + ".csv"
     _write_csv(csv_path, _SPECTRUM_HEADER, _spectrum_rows(records, model))
     fit_mode = cfg["scan"]["fit"] or _SCAN_FIT_DEFAULT[cfg["preset"]]
@@ -463,7 +459,7 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
     rows = width_depth_curves(entries, wc["tau_scaled"], _detuning_grid(cfg),
                               fit=fit_mode, pulse=pulse, second_pulse=second,
                               leak_survival=cfg["readout"]["leak_survival"],
-                              method=cfg["integrator"], workers=_workers(cfg))
+                              workers=_workers(cfg))
     csv_path = prefix + ".csv"
     _write_csv(csv_path,
                ["label", "tau_scaled", "tau_spec_s", "fwhm_hz", "depth",

@@ -35,6 +35,10 @@ KRYLOV_M_START = 16
 KRYLOV_M_STEP = 8
 KRYLOV_M_MAX = 80
 
+# most negative population entry a propagation may return; smaller ones
+# are integration error, not roundoff
+NEGATIVE_TOLERANCE = 1e-10
+
 
 class LeakWarning(UserWarning):
     """Population outside the truncated motional basis crossed the threshold."""
@@ -306,8 +310,9 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray, times: np.ndarray,
     SIAM J. Sci. Comput. 27 (2006) 1438).  The basis grows until the
     answers of two successive sizes are finite and agree to
     atol + rtol max|p| at every time, or the space becomes invariant.
-    Returns None when that never happens within KRYLOV_M_MAX, or when the
-    total probability drifts by more than atol + rtol |sum p0|.
+    Returns None when that never happens within KRYLOV_M_MAX, when the
+    total probability drifts by more than atol + rtol |sum p0|, or when an
+    entry falls below -NEGATIVE_TOLERANCE.
     """
     n = p0.size
     m_max = min(KRYLOV_M_MAX, n)
@@ -345,8 +350,10 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray, times: np.ndarray,
     else:
         return None
     drift = np.abs(p.sum(axis=0) - p0.sum()).max()
-    _log.debug("krylov: m = %d, drift %.1e", m, drift)
-    return p if drift <= atol + rtol * abs(p0.sum()) else None
+    _log.debug("krylov: m = %d, drift %.1e, min %.1e", m, drift, p.min())
+    if drift > atol + rtol * abs(p0.sum()) or p.min() < -NEGATIVE_TOLERANCE:
+        return None
+    return p
 
 
 def _integrate(matrix: RateMatrix, p0: np.ndarray, times: np.ndarray,
@@ -366,7 +373,7 @@ def _integrate(matrix: RateMatrix, p0: np.ndarray, times: np.ndarray,
         out = _krylov(gen, p0, times, rtol, atol)
         if out is not None:
             return out
-        _log.debug("krylov estimate not converged at detuning %g; using LSODA",
+        _log.debug("krylov result rejected at detuning %g; using LSODA",
                    matrix.detuning)
         method = "lsoda"
     if method == "lsoda":
@@ -384,7 +391,7 @@ def _integrate(matrix: RateMatrix, p0: np.ndarray, times: np.ndarray,
 
 
 def _check_and_wrap(matrix: RateMatrix, vec: np.ndarray) -> PopulationState:
-    if vec.min() < -1e-10:
+    if vec.min() < -NEGATIVE_TOLERANCE:
         raise RuntimeError(f"integration produced negative population {vec.min():.2e}")
     vec = np.clip(vec, 0.0, None)
     state = PopulationState.from_vector(vec, matrix.grid_shape)

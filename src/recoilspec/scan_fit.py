@@ -66,13 +66,11 @@ def _mirror_groups(detunings: np.ndarray) -> list[list[int]]:
 
 def _propagate_group(args):
     """Records at one detuning for each of an increasing list of pulse times."""
-    (scenario, detuning, times, pulse, second_pulse, leak_survival,
-     method) = args
+    scenario, detuning, times, pulse, second_pulse, leak_survival = args
     matrix = build_rate_matrix(scenario, detuning)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
-        states = evolve_series(matrix, PopulationState.ground(scenario), times,
-                               method=method)
+        states = evolve_series(matrix, PopulationState.ground(scenario), times)
     records = []
     for state in states:
         if second_pulse is not None:
@@ -88,7 +86,7 @@ def _propagate_group(args):
 
 
 def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulse,
-          second_pulse, leak_survival, method,
+          second_pulse, leak_survival,
           workers) -> list[list[SpectrumRecord]]:
     """Records for every pulse time (outer) and detuning (inner), in input order.
 
@@ -107,7 +105,7 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulse,
     scenario.laser_coupling()  # build shared tables once, not per worker
     scenario.d_table()
     jobs = [(scenario, detunings[g[0]], times, pulse, second_pulse,
-             leak_survival, method) for g in groups]
+             leak_survival) for g in groups]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_propagate_group, jobs, chunksize=4))
@@ -125,7 +123,7 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulse,
 def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
                      pulse: Optional[ro.ReadoutPulse] = None,
                      second_pulse: Optional[ro.ReadoutPulse] = None,
-                     leak_survival: float = 0.5, method: str = "krylov",
+                     leak_survival: float = 0.5,
                      workers: int = 1) -> list[SpectrumRecord]:
     """Fluorescence signal and motional populations across a detuning grid.
 
@@ -133,11 +131,10 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
     second_pulse for the consecutive two-mode readout.  Each distinct
     |detuning| is solved once and shared with its mirror image; the
     distinct magnitudes are independent, so workers > 1 distributes them
-    over processes.  method is the propagator of rate_engine.evolve
-    ("krylov" by default).
+    over processes.
     """
     records = _scan(scenario, detunings, [tau_spec], pulse, second_pulse,
-                    leak_survival, method, workers)[0]
+                    leak_survival, workers)[0]
     if any(r.leak_flag for r in records):
         worst = max(r.leaked for r in records)
         warnings.warn(f"leaked population reaches {worst:.2%} on the scan",
@@ -262,17 +259,16 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
                        fit: str = "lorentzian",
                        pulse: Optional[ro.ReadoutPulse] = None,
                        second_pulse: Optional[ro.ReadoutPulse] = None,
-                       leak_survival: float = 0.5, method: str = "krylov",
+                       leak_survival: float = 0.5,
                        workers: int = 1) -> list[WidthDepthPoint]:
     """Signal FWHM and depth versus scaled time for several scenarios.
 
     Each (label, scenario) pair is scanned at every requested scaled
     time; pulse durations are converted through the scenario's resonant
     absorption rate.  One propagation per distinct |detuning| serves all
-    pulse times of a scenario; method is the propagator of
-    rate_engine.evolve ("krylov" by default).  Rows follow the scenarios,
-    then the scaled times, in input order.  Points whose scans breach the
-    leak threshold are flagged rather than dropped.
+    pulse times of a scenario.  Rows follow the scenarios, then the
+    scaled times, in input order.  Points whose scans breach the leak
+    threshold are flagged rather than dropped.
     """
     if fit not in ("lorentzian", "numeric"):
         raise ValueError("fit must be 'lorentzian' or 'numeric'")
@@ -282,7 +278,7 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
         r_res = base_rate(scenario.laser, scenario.line, 0.0, "absorption")
         tau_specs = tau_scaled / r_res
         scans = _scan(scenario, detunings, tau_specs, pulse, second_pulse,
-                      leak_survival, method, workers)
+                      leak_survival, workers)
         for ts, tau_spec, records in zip(tau_scaled, tau_specs, scans):
             if fit == "lorentzian":
                 res = fit_lorentzian(records)

@@ -204,20 +204,12 @@ def test_workers_flag_propagates():
         load_config(None, ["workers=-1"])
 
 
-def test_integrator_default_and_choices(tmp_path, capsys):
-    assert load_config()["integrator"] == "krylov"
-    default = tmp_path / "kr"
-    lsoda = tmp_path / "ls"
-    assert main(["spectrum", "-o", str(default), *FAST]) == EXIT_OK
-    assert main(["spectrum", "-o", str(lsoda), *FAST,
-                 "-s", "integrator=lsoda"]) == EXIT_OK
-    cfg = json.loads((tmp_path / "ls_config.json").read_text())
-    assert cfg["integrator"] == "lsoda"
-    got = [float(r["fluorescence_probability"])
-           for r in read_csv(default.with_suffix(".csv"))]
-    want = [float(r["fluorescence_probability"])
-            for r in read_csv(lsoda.with_suffix(".csv"))]
-    assert got == pytest.approx(want, abs=1e-8)
-    assert main(["spectrum", "-o", str(tmp_path / "bad"), *FAST,
-                 "-s", "integrator=euler"]) == EXIT_CONFIG
-    assert "integrator must be krylov" in capsys.readouterr().err
+def test_integrator_is_not_a_config_key(tmp_path, capsys):
+    # every command propagates with rate_engine's default; the solver is
+    # not a user setting
+    assert "integrator" not in load_config()
+    with pytest.raises(ConfigError, match="unknown config key: integrator"):
+        load_config(None, ["integrator=lsoda"])
+    assert main(["spectrum", "-o", str(tmp_path / "s"), *FAST,
+                 "-s", "integrator=lsoda"]) == EXIT_CONFIG
+    assert "integrator" in capsys.readouterr().err

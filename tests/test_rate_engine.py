@@ -278,6 +278,7 @@ def test_krylov_matches_matrix_exponential(name, detuning, t_max, fractions,
     exact = rate_engine._integrate(matrix, p0, times, "expm", 1e-9, 1e-12)
     assert np.abs(got - exact).max() <= 1e-9
     assert np.abs(got.sum(axis=0) - 1.0).max() <= 1e-9
+    assert got.min() >= -rate_engine.NEGATIVE_TOLERANCE
 
 
 def test_krylov_falls_back_to_lsoda(monkeypatch, caplog):
@@ -293,6 +294,32 @@ def test_krylov_falls_back_to_lsoda(monkeypatch, caplog):
     want = evolve_series(matrix, state, times, method="lsoda")
     for g, w in zip(got, want):
         assert np.abs(g.to_vector() - w.to_vector()).max() <= 1e-12
+    assert any("LSODA" in r.getMessage() for r in caplog.records
+               if r.levelno == logging.DEBUG)
+
+
+def test_krylov_negative_population_falls_back_to_lsoda(monkeypatch, caplog):
+    # move 5e-10 of probability off an empty state: the result converges
+    # and conserves probability, but evolve would reject it as negative
+    sc = small_mg()
+    matrix = build_rate_matrix(sc, 2 * np.pi * 10e6)
+    state = PopulationState.ground(sc)
+    tau = 1.3e-3
+    exact = evolve(matrix, state, tau, method="expm").to_vector()
+    empty, full = int(np.argmin(exact)), int(np.argmax(exact))
+    series = rate_engine._krylov_series
+
+    def skewed(*args):
+        p = series(*args)
+        p[empty] -= 5e-10
+        p[full] += 5e-10
+        return p
+
+    monkeypatch.setattr(rate_engine, "_krylov_series", skewed)
+    with caplog.at_level(logging.DEBUG, logger="recoilspec"):
+        got = evolve(matrix, state, tau)
+    want = evolve(matrix, state, tau, method="lsoda")
+    assert np.abs(got.to_vector() - want.to_vector()).max() <= 1e-12
     assert any("LSODA" in r.getMessage() for r in caplog.records
                if r.levelno == logging.DEBUG)
 

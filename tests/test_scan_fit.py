@@ -184,7 +184,7 @@ def propagations(monkeypatch):
 
 def scan(scenario, detunings, tau_specs):
     return _scan(scenario, detunings, tau_specs, pulse=None, second_pulse=None,
-                 leak_survival=0.5, method="lsoda", workers=1)
+                 leak_survival=0.5, workers=1)
 
 
 def test_symmetric_grid_one_propagation_per_magnitude(small_scan_scenario,
