@@ -10,8 +10,9 @@ reduced     three-level fast-model spectrum
 dtable      spontaneous-emission coefficient table
 
 Configs are JSON (nested key/value); CLI --set key=value flags override
-file values, and every run writes the fully resolved config next to its
-outputs so results can be reproduced bit for bit.
+file values, and every run writes the merged config next to its outputs
+so results can be reproduced bit for bit.  A scenario.* or scan.* key
+left null takes the preset's value, else the built-in default.
 
 Exit codes: 0 ok, 1 usage/config error, 2 numeric failure, 3 leak
 threshold exceeded (outputs still written).
@@ -23,15 +24,13 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from . import presets
 from .constants import ion_mass_kg
-from .ion_mechanics import BeamGeometry, IonSpecies, TwoIonSystem, lamb_dicke
-from .radiation import (EmissionPattern, LaserField, QuadratureError,
-                        TransitionLine, effective_saturation_intensity,
+from .ion_mechanics import BeamGeometry, lamb_dicke
+from .radiation import (QuadratureError, effective_saturation_intensity,
                         write_d_table_csv)
 from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
                           build_rate_matrix, evolve_series, scaled_time)
@@ -51,30 +50,28 @@ class ConfigError(ValueError):
 
 
 DEFAULT_CONFIG = {
-    "preset": "mg24_ca40",
+    "preset": presets.DEFAULT_PRESET,
     "scenario": {
-        # common knobs (null = keep the preset value)
-        "omega_z_hz": 147.9e3,
-        "heat_ip": 14.0,
-        "heat_op": 1.7,
-        "axial_projection": 0.7071067811865476,
+        # null = the preset's value, else presets.build's default
+        "omega_z_hz": None,
+        "heat_ip": None,
+        "heat_op": None,
+        "axial_projection": None,
         "intensity_sat_units": None,
         "intensity_w_m2": None,
         "laser_fwhm_hz": None,
-        "n_ip_max": 19,
-        "n_op_max": 19,
+        "n_ip_max": None,
+        "n_op_max": None,
         "s_ip_max": None,
         "s_op_max": None,
-        "leak_warn_fraction": 0.01,
-        # explicit physics, required only when preset is null
+        "leak_warn_fraction": None,
+        "absorption_scale": None,
+        "stimulated_scale": None,
+        # required when preset is null
         "target_mass_u": None,
         "readout_mass_u": None,
-        "target_label": "target",
-        "readout_label": "readout",
         "transition_wavelength_m": None,
         "gamma_t_hz": None,
-        "absorption_scale": 1.0,
-        "stimulated_scale": 1.0,
         "pattern": None,
     },
     "readout": {
@@ -84,11 +81,11 @@ DEFAULT_CONFIG = {
         "leak_survival": 0.5,
     },
     "scan": {
-        "span_hz": None,          # null = preset default (Mg 300 MHz, MgH 600 MHz)
+        "span_hz": None,          # null = the preset's value, else 300 MHz
         "points": 101,
         "tau_spec_s": 1.3e-3,
         "tau_scaled": None,       # overrides tau_spec_s when set
-        "fit": None,              # null = lorentzian (mg) / numeric (mgh)
+        "fit": None,              # null = the preset's value, else lorentzian
     },
     "dynamics": {
         "t_max_s": 5.3e-3,
@@ -98,7 +95,7 @@ DEFAULT_CONFIG = {
     "widthcurve": {
         "tau_scaled": [1.0, 2.23, 4.0, 6.2, 9.1],
         "intensities_sat_units": None,   # null = just the scenario intensity
-        "laser_fwhms_hz": None,          # mgh only
+        "laser_fwhms_hz": None,
     },
     "reduced": {
         "contrast": 0.5,
@@ -106,8 +103,22 @@ DEFAULT_CONFIG = {
     "workers": 0,                 # 0 = all logical cores
 }
 
-_SCAN_SPAN_DEFAULT = {"mg24_ca40": 300e6, "mgh24_ca40": 600e6, None: 300e6}
-_SCAN_FIT_DEFAULT = {"mg24_ca40": "lorentzian", "mgh24_ca40": "numeric", None: "lorentzian"}
+
+def _angular(hz: float) -> float:
+    return 2 * np.pi * hz
+
+
+# scenario.* keys whose presets.build keyword differs, with the conversion
+# from config units (Hz, u) to SI and rad/s
+_BUILD_KEYWORDS = {
+    "omega_z_hz": ("omega_z", _angular),
+    "laser_fwhm_hz": ("laser_fwhm", _angular),
+    "gamma_t_hz": ("gamma_t", _angular),
+    "intensity_w_m2": ("intensity", None),
+    "target_mass_u": ("target_mass", ion_mass_kg),
+    "readout_mass_u": ("readout_mass", ion_mass_kg),
+    "transition_wavelength_m": ("wavelength", None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +178,9 @@ def _validate(cfg: dict) -> None:
     _require(cfg["preset"] in (None, *presets.PRESETS),
              f"preset must be one of {sorted(presets.PRESETS)} or null")
     sc = cfg["scenario"]
-    _require(sc["omega_z_hz"] > 0, "scenario.omega_z_hz must be > 0")
-    _require(sc["heat_ip"] >= 0 and sc["heat_op"] >= 0,
-             "heating rates must be >= 0")
-    _require(0 <= sc["axial_projection"] <= 1,
-             "scenario.axial_projection must lie in [0, 1]")
     _require(not (sc["intensity_sat_units"] is not None
                   and sc["intensity_w_m2"] is not None),
              "set intensity_sat_units or intensity_w_m2, not both")
-    _require(sc["n_ip_max"] >= 1 and sc["n_op_max"] >= 1,
-             "grid bounds must be >= 1")
     if cfg["preset"] is None:
         for key in ("target_mass_u", "readout_mass_u", "transition_wavelength_m",
                     "gamma_t_hz", "pattern"):
@@ -192,46 +196,22 @@ def _validate(cfg: dict) -> None:
 
 
 def build_scenario(cfg: dict) -> SpectroscopyScenario:
-    sc = cfg["scenario"]
-    if cfg["preset"] is not None:
-        kwargs = dict(omega_z=2 * np.pi * sc["omega_z_hz"],
-                      heat_ip=sc["heat_ip"], heat_op=sc["heat_op"],
-                      axial_projection=sc["axial_projection"])
-        if sc["intensity_sat_units"] is not None:
-            kwargs["intensity_sat_units"] = sc["intensity_sat_units"]
-        if cfg["preset"] == "mgh24_ca40" and sc["laser_fwhm_hz"] is not None:
-            kwargs["laser_fwhm"] = 2 * np.pi * sc["laser_fwhm_hz"]
-        scenario = presets.PRESETS[cfg["preset"]](**kwargs)
-    else:
-        system = TwoIonSystem(
-            target=IonSpecies(ion_mass_kg(sc["target_mass_u"]), sc["target_label"]),
-            readout=IonSpecies(ion_mass_kg(sc["readout_mass_u"]), sc["readout_label"]),
-            omega_z=2 * np.pi * sc["omega_z_hz"])
-        line = TransitionLine.from_wavelength(
-            sc["transition_wavelength_m"], gamma_t=2 * np.pi * sc["gamma_t_hz"],
-            absorption_scale=sc["absorption_scale"],
-            stimulated_scale=sc["stimulated_scale"])
-        laser = LaserField(intensity=sc["intensity_w_m2"] or 0.0,
-                           fwhm=2 * np.pi * (sc["laser_fwhm_hz"] or 0.0))
-        if sc["intensity_sat_units"] is not None:
-            laser = replace(laser, intensity=sc["intensity_sat_units"]
-                            * effective_saturation_intensity(line, laser.sigma))
-        scenario = SpectroscopyScenario(
-            system=system, line=line, laser=laser,
-            beam=BeamGeometry(sc["transition_wavelength_m"], sc["axial_projection"]),
-            pattern=EmissionPattern(sc["pattern"]))
-    # post-construction overrides shared by both paths
-    fields = {}
-    for name in ("n_ip_max", "n_op_max", "s_ip_max", "s_op_max"):
-        if sc[name] is not None and sc[name] != getattr(scenario, name):
-            fields[name] = sc[name]
-    if sc["leak_warn_fraction"] != scenario.leak_warn_fraction:
-        fields["leak_warn_fraction"] = sc["leak_warn_fraction"]
-    if fields:
-        scenario = replace(scenario, **fields)
-    if cfg["preset"] is not None and sc["intensity_w_m2"] is not None:
-        scenario = scenario.with_laser(intensity=sc["intensity_w_m2"])
-    return scenario
+    """A scenario.* key that is set wins, then the preset's row, then the
+    default of presets.build."""
+    kwargs = dict(presets.ROWS.get(cfg["preset"], {}))
+    for key, value in cfg["scenario"].items():
+        if value is not None:
+            name, convert = _BUILD_KEYWORDS.get(key, (key, None))
+            kwargs[name] = convert(value) if convert else value
+    return presets.build(**kwargs)
+
+
+def _scan_setting(cfg: dict, key: str, default):
+    """scan.<key> if set, else the preset's value, else default."""
+    value = cfg["scan"][key]
+    if value is None:
+        value = presets.SCAN_ROWS.get(cfg["preset"], {}).get(key, default)
+    return value
 
 
 def _resolve_tau_spec(cfg: dict, scenario: SpectroscopyScenario) -> float:
@@ -242,9 +222,7 @@ def _resolve_tau_spec(cfg: dict, scenario: SpectroscopyScenario) -> float:
 
 
 def _detuning_grid(cfg: dict) -> np.ndarray:
-    span = cfg["scan"]["span_hz"]
-    if span is None:
-        span = _SCAN_SPAN_DEFAULT[cfg["preset"]]
+    span = _scan_setting(cfg, "span_hz", 300e6)
     half = 2 * np.pi * span / 2.0
     return np.linspace(-half, half, cfg["scan"]["points"])
 
@@ -404,7 +382,7 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
                 workers=_workers(cfg))
     csv_path = prefix + ".csv"
     _write_csv(csv_path, _SPECTRUM_HEADER, _spectrum_rows(records, model))
-    fit_mode = cfg["scan"]["fit"] or _SCAN_FIT_DEFAULT[cfg["preset"]]
+    fit_mode = _scan_setting(cfg, "fit", "lorentzian")
     fit_payload = {"fit": None, "fit_error": None}
     try:
         if fit_mode == "numeric":
@@ -454,7 +432,7 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
             entries.append((f"GammaL={f / 1e6:g}MHz", build_scenario(sub)))
     else:
         entries.append(("scan", scenario))
-    fit_mode = cfg["scan"]["fit"] or _SCAN_FIT_DEFAULT[cfg["preset"]]
+    fit_mode = _scan_setting(cfg, "fit", "lorentzian")
     pulse, second = _readout_pulses(cfg, scenario)
     rows = width_depth_curves(entries, wc["tau_scaled"], _detuning_grid(cfg),
                               fit=fit_mode, pulse=pulse, second_pulse=second,
@@ -512,7 +490,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot-script", action="store_true",
                         help="also emit a gnuplot script next to the CSV")
     parser.add_argument("--print-config", action="store_true",
-                        help="print the resolved config and exit")
+                        help="print the merged config and exit")
     return parser
 
 

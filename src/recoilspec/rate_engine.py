@@ -393,14 +393,7 @@ def _integrate(matrix: RateMatrix, p0: np.ndarray, times: np.ndarray,
 def _check_and_wrap(matrix: RateMatrix, vec: np.ndarray) -> PopulationState:
     if vec.min() < -NEGATIVE_TOLERANCE:
         raise RuntimeError(f"integration produced negative population {vec.min():.2e}")
-    vec = np.clip(vec, 0.0, None)
-    state = PopulationState.from_vector(vec, matrix.grid_shape)
-    if state.leaked > matrix.leak_warn_fraction:
-        warnings.warn(
-            f"population outside the motional grid is {state.leaked:.2%} "
-            f"(threshold {matrix.leak_warn_fraction:.2%})", LeakWarning,
-            stacklevel=3)
-    return state
+    return PopulationState.from_vector(np.clip(vec, 0.0, None), matrix.grid_shape)
 
 
 def evolve(matrix: RateMatrix, initial: PopulationState, duration: float,
@@ -417,10 +410,7 @@ def evolve(matrix: RateMatrix, initial: PopulationState, duration: float,
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
-    initial.validate()
-    y = _integrate(matrix, initial.to_vector(), np.array([duration]),
-                   method, rtol, atol)
-    return _check_and_wrap(matrix, y[:, -1])
+    return evolve_series(matrix, initial, [duration], method, rtol, atol)[0]
 
 
 def evolve_series(matrix: RateMatrix, initial: PopulationState, times,
@@ -429,20 +419,20 @@ def evolve_series(matrix: RateMatrix, initial: PopulationState, times,
     """Evolve and sample the population at each time in an increasing list.
 
     One propagation serves every time; with the default "krylov" method
-    one factorization and one basis do.  Methods are those of evolve.
+    one factorization and one basis do.  Methods are those of evolve.  A
+    LeakWarning is raised when the leaked probability at the last time
+    exceeds the configured threshold.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
     initial.validate()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        y = _integrate(matrix, initial.to_vector(), times, method, rtol, atol)
-        states = [_check_and_wrap(matrix, y[:, k]) for k in range(times.size)]
-    if states and states[-1].leaked > matrix.leak_warn_fraction:
+    y = _integrate(matrix, initial.to_vector(), times, method, rtol, atol)
+    states = [_check_and_wrap(matrix, y[:, k]) for k in range(times.size)]
+    if states[-1].leaked > matrix.leak_warn_fraction:
         warnings.warn(
-            f"population outside the motional grid reaches {states[-1].leaked:.2%}",
-            LeakWarning, stacklevel=2)
+            f"population outside the motional grid reaches {states[-1].leaked:.2%} "
+            f"(threshold {matrix.leak_warn_fraction:.2%})", LeakWarning, stacklevel=2)
     return states
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from recoilspec import presets
 from recoilspec.cli import (EXIT_CONFIG, EXIT_LEAK, EXIT_OK, ConfigError,
                             build_scenario, load_config, main)
+from recoilspec.constants import CA40_U, H1_U, MG24_U
 
 FAST = ["-s", "scenario.n_ip_max=7", "-s", "scenario.n_op_max=7",
         "-s", "scan.points=9", "-s", "scan.span_hz=250e6",
@@ -42,6 +44,8 @@ def test_invalid_config_fields_rejected(tmp_path, capsys):
     bad.write_text(json.dumps({"typo_section": {}}))
     assert main(["modes", "-c", str(bad)]) == EXIT_CONFIG
     assert "typo_section" in capsys.readouterr().err
+    assert main(["modes", "-s", "scenario.heat_ip=-1"]) == EXIT_CONFIG
+    assert "heating" in capsys.readouterr().err
     bad.write_text("{not json")
     assert main(["modes", "-c", str(bad)]) == EXIT_CONFIG
 
@@ -164,37 +168,68 @@ def test_mgh_preset_via_flags(tmp_path):
     assert report["saturation_intensity_w_m2"] == pytest.approx(3.40, rel=0.01)
 
 
+MG_EXPLICIT = [
+    "preset=null",
+    f"scenario.target_mass_u={MG24_U!r}",
+    f"scenario.readout_mass_u={CA40_U!r}",
+    "scenario.transition_wavelength_m=279.6e-9",
+    "scenario.gamma_t_hz=41.8e6",
+    "scenario.pattern=mg_mixed",
+    "scenario.intensity_sat_units=6.54e-6",
+    "scenario.absorption_scale=0.6666666666666666",
+    "scenario.stimulated_scale=0.6666666666666666",
+]
+
+
 def test_custom_scenario_without_preset():
-    cfg = load_config(None, [
-        "preset=null",
-        "scenario.target_mass_u=23.985041697",
-        "scenario.readout_mass_u=39.962590863",
-        "scenario.transition_wavelength_m=279.6e-9",
-        "scenario.gamma_t_hz=41.8e6",
-        "scenario.pattern=mg_mixed",
-        "scenario.intensity_sat_units=6.54e-6",
-        "scenario.absorption_scale=0.6666666666666666",
-        "scenario.stimulated_scale=0.6666666666666666",
-    ])
-    scenario = build_scenario(cfg)
+    # an explicit config carrying a preset's row builds that preset's scenario:
+    # the same line, laser, beam, pattern, sideband bounds and heating
+    scenario = build_scenario(load_config(None, MG_EXPLICIT))
     assert scenario.system.omega_ip / (2 * np.pi) == pytest.approx(162.9e3, rel=1e-3)
-    assert scenario.laser.intensity == presets.mg24_ca40().laser.intensity
+    assert scenario == presets.mg24_ca40()
     # a laser width alone selects the Gaussian laser and its saturation regime
     cfg = load_config(None, [
         "preset=null",
-        "scenario.target_mass_u=25.0", "scenario.readout_mass_u=40.0",
+        f"scenario.target_mass_u={MG24_U + H1_U!r}",
+        f"scenario.readout_mass_u={CA40_U!r}",
         "scenario.transition_wavelength_m=6.17e-6", "scenario.gamma_t_hz=2.5",
         "scenario.laser_fwhm_hz=50e6", "scenario.pattern=isotropic",
         "scenario.intensity_sat_units=2.08e4",
         "scenario.absorption_scale=0.1111111111111111",
         "scenario.stimulated_scale=0.3333333333333333",
+        "scenario.s_ip_max=3", "scenario.s_op_max=3",
     ])
-    assert build_scenario(cfg).laser == presets.mgh24_ca40().laser
-    with pytest.raises(ConfigError, match="laser_shape"):
-        load_config(None, ["scenario.laser_shape=delta"])
+    assert build_scenario(cfg) == presets.mgh24_ca40()
+    for key in ("laser_shape", "target_label", "readout_label"):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, [f"scenario.{key}=x"])
     missing = ["preset=null", "scenario.target_mass_u=24.0"]
     with pytest.raises(ConfigError, match="readout_mass_u"):
         load_config(None, missing)
+
+
+@pytest.mark.parametrize("sets, attr, expected", [
+    (MG_EXPLICIT + ["scenario.heat_ip=30"], "heat_ip", 30.0),
+    (["preset=mg24_ca40", "scenario.laser_fwhm_hz=1e6"], "laser.fwhm", 2 * np.pi * 1e6),
+    (["preset=mg24_ca40", "scenario.gamma_t_hz=20e6"], "line.gamma_t", 2 * np.pi * 20e6),
+    (["preset=mgh24_ca40", "scenario.gamma_t_hz=10"], "line.gamma_t", 2 * np.pi * 10),
+    (["preset=mgh24_ca40", "scenario.absorption_scale=0.5"], "line.absorption_scale", 0.5),
+    (["preset=mgh24_ca40", "scenario.intensity_w_m2=5.0"], "laser.intensity", 5.0),
+])
+def test_set_scenario_key_wins_over_preset(sets, attr, expected):
+    assert attrgetter(attr)(build_scenario(load_config(None, sets))) == expected
+
+
+def test_widthcurve_laser_widths_under_mg_preset(tmp_path):
+    out = tmp_path / "wcl"
+    code = main(["widthcurve", "-p", "mg24_ca40", "-o", str(out), *FAST,
+                 "-s", "widthcurve.tau_scaled=[2.23]",
+                 "-s", "widthcurve.laser_fwhms_hz=[1e6,200e6]"])
+    assert code == EXIT_OK
+    rows = read_csv(out.with_suffix(".csv"))
+    assert [row["label"] for row in rows] == ["GammaL=1MHz", "GammaL=200MHz"]
+    narrow, broad = (float(row["fwhm_hz"]) for row in rows)
+    assert broad > 1.5 * narrow
 
 
 def test_workers_flag_propagates():
