@@ -407,7 +407,7 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
     _write_effective_config(prefix, cfg)
     if args.plot_script:
         _write_gnuplot(prefix, csv_path, "detuning (Hz)", "fluorescence", 1, 2)
-    leak = any(getattr(r, "leak_flag", False) for r in records)
+    leak = any(r.leak_flag for r in records)
     if fit_payload["fit"]:
         f = fit_payload["fit"]
         print(f"{model} spectrum: FWHM {f['fwhm_hz'] / 1e6:.2f} MHz, "
@@ -516,6 +516,9 @@ def main(argv=None) -> int:
     except (FitError, QuadratureError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # a value only the command itself checks
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":  # pragma: no cover

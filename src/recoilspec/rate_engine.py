@@ -27,9 +27,13 @@ from .radiation import (EmissionPattern, LaserField, TransitionLine,
 
 _log = logging.getLogger(__name__)
 
+# propagation tolerance: answers agree to ATOL + RTOL max|p|
+RTOL = 1e-9
+ATOL = 1e-12
+
 # shift-and-invert Krylov propagator: the shift is this fraction of the
 # largest requested time; the basis grows from M_START in steps of M_STEP
-# until two successive sizes agree to the call's tolerance, up to M_MAX
+# until two successive sizes agree to the tolerance, up to M_MAX
 KRYLOV_SHIFT = 0.05
 KRYLOV_M_START = 16
 KRYLOV_M_STEP = 8
@@ -92,9 +96,6 @@ class SpectroscopyScenario:
     @property
     def leak_index(self) -> int:
         return 2 * self.n_motional
-
-    def state_index(self, internal: int, n_ip: int, n_op: int) -> int:
-        return internal * self.n_motional + n_ip * (self.n_op_max + 1) + n_op
 
     # -- cached tables ---------------------------------------------------------
     def laser_eta(self) -> tuple[float, float]:
@@ -159,10 +160,10 @@ class PopulationState:
         """P(n_ip, n_op) summed over the internal state (in-grid part)."""
         return self.p.sum(axis=0)
 
-    def validate(self, atol: float = 1e-7) -> None:
-        if self.p.min() < -1e-10 or self.leaked < -1e-10:
+    def validate(self) -> None:
+        if min(self.p.min(), self.leaked) < -NEGATIVE_TOLERANCE:
             raise ValueError(f"negative population {min(self.p.min(), self.leaked):.2e}")
-        if abs(self.total() - 1.0) > atol:
+        if abs(self.total() - 1.0) > 1e-7:
             raise ValueError(f"population not normalized: total = {self.total()!r}")
 
 
@@ -178,14 +179,6 @@ class RateMatrix:
     grid_shape: tuple[int, int]
     leak_warn_fraction: float = 0.01
     _dense: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    @property
-    def n_states(self) -> int:
-        return self.generator.shape[0]
-
-    @property
-    def leak_index(self) -> int:
-        return 2 * self.grid_shape[0] * self.grid_shape[1]
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
@@ -300,8 +293,8 @@ def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
         return beta * (basis @ coeffs)
 
 
-def _krylov(gen: sp.csc_matrix, p0: np.ndarray, times: np.ndarray,
-            rtol: float, atol: float) -> Optional[np.ndarray]:
+def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
+            times: np.ndarray) -> Optional[np.ndarray]:
     """Shift-and-invert Krylov propagation to every time from one basis.
 
     One LU of (I - shift G) with shift = KRYLOV_SHIFT * t_max; Arnoldi on
@@ -309,9 +302,9 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray, times: np.ndarray,
     H_m, and G is approximated by V_m G_m V_m^T (van den Eshof & Hochbruck,
     SIAM J. Sci. Comput. 27 (2006) 1438).  The basis grows until the
     answers of two successive sizes are finite and agree to
-    atol + rtol max|p| at every time, or the space becomes invariant.
+    ATOL + RTOL max|p| at every time, or the space becomes invariant.
     Returns None when that never happens within KRYLOV_M_MAX, when the
-    total probability drifts by more than atol + rtol |sum p0|, or when an
+    total probability drifts by more than ATOL + RTOL |sum p0|, or when an
     entry falls below -NEGATIVE_TOLERANCE.
     """
     n = p0.size
@@ -341,7 +334,7 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray, times: np.ndarray,
             if not np.all(np.isfinite(p)):
                 p = None
             elif invariant or (previous is not None and np.abs(p - previous).max()
-                               <= atol + rtol * np.abs(p).max()):
+                               <= ATOL + RTOL * np.abs(p).max()):
                 break
             if invariant:
                 return None
@@ -351,40 +344,26 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray, times: np.ndarray,
         return None
     drift = np.abs(p.sum(axis=0) - p0.sum()).max()
     _log.debug("krylov: m = %d, drift %.1e, min %.1e", m, drift, p.min())
-    if drift > atol + rtol * abs(p0.sum()) or p.min() < -NEGATIVE_TOLERANCE:
+    if drift > ATOL + RTOL * abs(p0.sum()) or p.min() < -NEGATIVE_TOLERANCE:
         return None
     return p
 
 
-def _integrate(matrix: RateMatrix, p0: np.ndarray, times: np.ndarray,
-               method: str, rtol: float, atol: float) -> np.ndarray:
+def _integrate(matrix: RateMatrix, p0: np.ndarray,
+               times: np.ndarray) -> np.ndarray:
     """Propagate p0 to each requested time; returns (n_states, len(times))."""
     t_end = float(times[-1])
     if t_end == 0.0:
         return np.repeat(p0[:, None], len(times), axis=1)
-    if method == "expm":
-        dense = matrix.dense()
-        out = np.empty((p0.size, len(times)))
-        for k, t in enumerate(times):
-            out[:, k] = expm(dense * float(t)) @ p0
-        return out
     gen = matrix.generator
-    if method == "krylov":
-        out = _krylov(gen, p0, times, rtol, atol)
-        if out is not None:
-            return out
-        _log.debug("krylov result rejected at detuning %g; using LSODA",
-                   matrix.detuning)
-        method = "lsoda"
-    if method == "lsoda":
-        sol = solve_ivp(lambda t, p: gen @ p, (0.0, t_end), p0, method="LSODA",
-                        jac=lambda t, p: matrix.dense(), rtol=rtol, atol=atol,
-                        t_eval=times)
-    elif method == "bdf":
-        sol = solve_ivp(lambda t, p: gen @ p, (0.0, t_end), p0, method="BDF",
-                        jac=gen, rtol=rtol, atol=atol, t_eval=times)
-    else:
-        raise ValueError(f"unknown integration method {method!r}")
+    out = _krylov(gen, p0, times)
+    if out is not None:
+        return out
+    _log.debug("krylov result rejected at detuning %g; using LSODA",
+               matrix.detuning)
+    sol = solve_ivp(lambda t, p: gen @ p, (0.0, t_end), p0, method="LSODA",
+                    jac=lambda t, p: matrix.dense(), rtol=RTOL, atol=ATOL,
+                    t_eval=times)
     if not sol.success:  # pragma: no cover - scipy failure path
         raise RuntimeError(f"integration failed: {sol.message}")
     return sol.y
@@ -396,38 +375,37 @@ def _check_and_wrap(matrix: RateMatrix, vec: np.ndarray) -> PopulationState:
     return PopulationState.from_vector(np.clip(vec, 0.0, None), matrix.grid_shape)
 
 
-def evolve(matrix: RateMatrix, initial: PopulationState, duration: float,
-           method: str = "krylov", rtol: float = 1e-9,
-           atol: float = 1e-12) -> PopulationState:
+def evolve(matrix: RateMatrix, initial: PopulationState,
+           duration: float) -> PopulationState:
     """Evolve a population for `duration` seconds under a fixed generator.
 
-    method "krylov" (default) is the shift-and-invert Krylov propagator,
-    which falls back to LSODA when its error estimate does not reach
-    atol + rtol max|p|; "lsoda" and "bdf" are adaptive stiff integrators;
-    "expm" evaluates the dense matrix exponential (exact up to roundoff,
-    intended for cross-checks and small grids).  A LeakWarning is raised
-    when the leaked probability exceeds the configured threshold.
+    The shift-and-invert Krylov propagator runs first; when its answer
+    does not converge to ATOL + RTOL max|p|, drifts in total probability
+    or goes negative, LSODA with the exact Jacobian takes over.  The
+    dense matrix exponential that judges both lives in the test oracles
+    (tests/oracles.py, expm_populations), not here.  A LeakWarning is
+    raised when the leaked probability exceeds the configured threshold.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
-    return evolve_series(matrix, initial, [duration], method, rtol, atol)[0]
+    return evolve_series(matrix, initial, [duration])[0]
 
 
-def evolve_series(matrix: RateMatrix, initial: PopulationState, times,
-                  method: str = "krylov", rtol: float = 1e-9,
-                  atol: float = 1e-12) -> list[PopulationState]:
+def evolve_series(matrix: RateMatrix, initial: PopulationState,
+                  times) -> list[PopulationState]:
     """Evolve and sample the population at each time in an increasing list.
 
-    One propagation serves every time; with the default "krylov" method
-    one factorization and one basis do.  Methods are those of evolve.  A
-    LeakWarning is raised when the leaked probability at the last time
-    exceeds the configured threshold.
+    One propagation serves every time: one factorization and one Krylov
+    basis, or one LSODA run on fallback, as in evolve.  Tests compare the
+    result with a dense matrix exponential per time.  A LeakWarning is
+    raised when the leaked probability at the last time exceeds the
+    configured threshold.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
     initial.validate()
-    y = _integrate(matrix, initial.to_vector(), times, method, rtol, atol)
+    y = _integrate(matrix, initial.to_vector(), times)
     states = [_check_and_wrap(matrix, y[:, k]) for k in range(times.size)]
     if states[-1].leaked > matrix.leak_warn_fraction:
         warnings.warn(

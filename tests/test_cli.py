@@ -240,11 +240,25 @@ def test_workers_flag_propagates():
 
 
 def test_integrator_is_not_a_config_key(tmp_path, capsys):
-    # every command propagates with rate_engine's default; the solver is
-    # not a user setting
+    # rate_engine has one propagation path; the solver is not a user setting
     assert "integrator" not in load_config()
     with pytest.raises(ConfigError, match="unknown config key: integrator"):
         load_config(None, ["integrator=lsoda"])
     assert main(["spectrum", "-o", str(tmp_path / "s"), *FAST,
                  "-s", "integrator=lsoda"]) == EXIT_CONFIG
     assert "integrator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["widthcurve", "-p", "mgh24_ca40", "-s", "widthcurve.laser_fwhms_hz=[-1e6]"],
+    ["widthcurve", "-s", "widthcurve.intensities_sat_units=[-1]"],
+    ["widthcurve", "-s", "widthcurve.tau_scaled=[-1]"],
+    ["spectrum", "-s", "scan.tau_spec_s=-1e-3"],
+    ["spectrum", "-s", "scan.tau_scaled=-2"],
+    ["dynamics", "-s", "dynamics.t_max_s=-1e-3"],
+    ["dynamics", "-s", "dynamics.points=0"],
+], ids=lambda argv: argv[-1])
+def test_bad_run_time_value_is_a_config_error(argv, tmp_path, capsys):
+    # values checked only once the command runs still report as config errors
+    assert main([*argv, "-w", "1", "-o", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
