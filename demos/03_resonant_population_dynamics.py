@@ -8,11 +8,12 @@ monotonically while low excited states rise, saturate, and spread.
 
 import warnings
 
-import numpy as np
-
+# recoilspec before numpy: importing it sets OpenBLAS to one thread
 from recoilspec import (LeakWarning, PopulationState, build_rate_matrix,
                         evolve_series, scaled_time)
 from recoilspec.presets import mg24_ca40, mgh24_ca40
+
+import numpy as np
 
 try:
     import matplotlib

@@ -10,12 +10,13 @@ by roughly half.
 
 import warnings
 
-import numpy as np
-
+# recoilspec before numpy: importing it sets OpenBLAS to one thread
 from recoilspec import (LeakWarning, fit_lorentzian, readout_spectrum,
                         scaled_time)
 from recoilspec.presets import mg24_ca40
 from recoilspec.readout import pi_pulse
+
+import numpy as np
 
 try:
     import matplotlib

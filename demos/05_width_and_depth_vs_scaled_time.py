@@ -8,10 +8,11 @@ intensities nearly collapse when plotted against scaled time.
 
 import warnings
 
-import numpy as np
-
+# recoilspec before numpy: importing it sets OpenBLAS to one thread
 from recoilspec import LeakWarning, width_depth_curves
 from recoilspec.presets import mg24_ca40, mgh24_ca40
+
+import numpy as np
 
 MHz = 2 * np.pi * 1e6
 

@@ -9,11 +9,12 @@ faster, which makes it handy for scouting scan parameters.
 import time
 import warnings
 
-import numpy as np
-
+# recoilspec before numpy: importing it sets OpenBLAS to one thread
 from recoilspec import (LeakWarning, fit_lorentzian, readout_spectrum,
                         reduced_rates, reduced_spectrum, scaled_time)
 from recoilspec.presets import mg24_ca40
+
+import numpy as np
 
 MHz = 2 * np.pi * 1e6
 scenario = mg24_ca40()

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from .coupling import xi_mode_table
@@ -293,11 +293,42 @@ def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
         return beta * (basis @ coeffs)
 
 
+def _shift_invert_solver(gen: sp.csc_matrix, shift: float):
+    """Solver for (I - shift G) x = b by elimination of the ground block.
+
+    The states are ordered as _transition_kernel lays them out: ground
+    grid, excited grid, leak row (n = 2 n_mot + 1).  Only heating keeps
+    the internal state, so the ground block A_gg is the diagonal plus the
+    upward heating ladder; in the grid order it is lower triangular, and
+    its sparse LU fills in nothing.  The excited block, which carries the
+    leak row, is eliminated densely: one dense LU of the Schur complement
+    S = A_ee - A_eg A_gg^-1 A_ge on n_mot + 1 states.  I - shift G is a
+    nonsingular M-matrix, so A_gg and S are nonsingular and this is exact
+    block LU.  Each solve makes two ground-block solves and one dense one.
+    """
+    n_g = (gen.shape[0] - 1) // 2
+    a = sp.identity(gen.shape[0], format="csc") - shift * gen
+    a_ge = a[:n_g, n_g:]
+    # dense: a BLAS product with the dense A_gg^-1 A_ge beats a sparse one
+    a_eg = a[n_g:, :n_g].toarray()
+    lu_g = splu(a[:n_g, :n_g], permc_spec="NATURAL")
+    lu_s = lu_factor(a[n_g:, n_g:].toarray()
+                     - a_eg @ lu_g.solve(a_ge.toarray()))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        b_g = b[:n_g]
+        x_e = lu_solve(lu_s, b[n_g:] - a_eg @ lu_g.solve(b_g))
+        return np.concatenate([lu_g.solve(b_g - a_ge @ x_e), x_e])
+
+    return solve
+
+
 def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
             times: np.ndarray) -> Optional[np.ndarray]:
     """Shift-and-invert Krylov propagation to every time from one basis.
 
-    One LU of (I - shift G) with shift = KRYLOV_SHIFT * t_max; Arnoldi on
+    One factorization of (I - shift G) with shift = KRYLOV_SHIFT * t_max,
+    by elimination of the ground block (_shift_invert_solver); Arnoldi on
     its inverse (classical Gram-Schmidt, reorthogonalised) gives V_m and
     H_m, and G is approximated by V_m G_m V_m^T (van den Eshof & Hochbruck,
     SIAM J. Sci. Comput. 27 (2006) 1438).  The basis grows until the
@@ -310,9 +341,7 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
     n = p0.size
     m_max = min(KRYLOV_M_MAX, n)
     shift = KRYLOV_SHIFT * float(times[-1])
-    # the grid order keeps the couplings banded, which fills in less than
-    # the default column ordering
-    lu = splu(sp.identity(n, format="csc") - shift * gen, permc_spec="NATURAL")
+    solve = _shift_invert_solver(gen, shift)
     beta = float(np.linalg.norm(p0))
     basis = np.zeros((n, m_max + 1))
     hess = np.zeros((m_max + 1, m_max))
@@ -320,7 +349,7 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
     previous = None
     for j in range(m_max):
         m = j + 1
-        w = lu.solve(basis[:, j])
+        w = solve(basis[:, j])
         w_norm = np.linalg.norm(w)
         for _ in range(2):
             h = basis[:, :m].T @ w

@@ -1,12 +1,17 @@
 import logging
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recoilspec
 from recoilspec import rate_engine
 from recoilspec.coupling import xi_mode_table
 from recoilspec.presets import mg24_ca40, mgh24_ca40
@@ -321,6 +326,66 @@ def test_krylov_negative_population_falls_back_to_lsoda(monkeypatch, caplog):
     assert np.abs(got.to_vector() - exact).max() <= 1e-8
     assert any("LSODA" in r.getMessage() for r in caplog.records
                if r.levelno == logging.DEBUG)
+
+
+# --------------------------------------------------------------------------
+# the shift-and-invert solve: elimination of the ground block
+# --------------------------------------------------------------------------
+
+# small grids of both presets at their pulse scales, and one with heating
+# near 1e3/s, so that the ladder in the ground block is far from negligible
+_SOLVER_CASES = {
+    "mg": (replace(mg24_ca40(), n_ip_max=5, n_op_max=4), 1.3e-3),
+    "mgh": (replace(mgh24_ca40(), n_ip_max=4, n_op_max=6), 50e-3),
+    "mg-heated": (replace(mg24_ca40(heat_ip=1e3, heat_op=1.3e3),
+                          n_ip_max=5, n_op_max=4), 1.3e-3)}
+
+
+@pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 60e6])
+@pytest.mark.parametrize("name", sorted(_SOLVER_CASES))
+def test_shift_invert_solver_matches_dense_solve(name, detuning):
+    sc, tau = _SOLVER_CASES[name]
+    gen = build_rate_matrix(sc, detuning).generator
+    shift = rate_engine.KRYLOV_SHIFT * tau
+    a = np.eye(gen.shape[0]) - shift * gen.toarray()
+    b = np.random.default_rng(5).random(gen.shape[0])
+    got = rate_engine._shift_invert_solver(gen, shift)(b)
+    want = np.linalg.solve(a, b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(a @ got - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 60e6])
+@pytest.mark.parametrize("name", sorted(_SOLVER_CASES))
+def test_ground_block_is_the_heating_ladder(name, detuning):
+    # only heating keeps the internal state, so the ground block is the
+    # diagonal plus the upward ladder of each mode; the solver's speed rests
+    # on that (its LU has no fill), and a new g -> g process must change
+    # this test on purpose
+    sc, _ = _SOLVER_CASES[name]
+    n_mot, n_op = sc.n_motional, sc.n_op_max + 1
+    block = build_rate_matrix(sc, detuning).generator[:n_mot, :n_mot].toarray()
+    ladder = np.zeros((n_mot, n_mot))
+    src = np.arange(n_mot)
+    up_ip = src[src // n_op < sc.n_ip_max]
+    up_op = src[src % n_op < sc.n_op_max]
+    ladder[up_ip + n_op, up_ip] = sc.heat_ip
+    ladder[up_op + 1, up_op] = sc.heat_op
+    assert np.array_equal(block - np.diag(np.diag(block)), ladder)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_openblas_to_one_thread(preset, expected):
+    # recoilspec defaults OpenBLAS to one thread; a value already set wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(recoilspec.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import recoilspec, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == expected
 
 
 def test_leak_warning_raised():
