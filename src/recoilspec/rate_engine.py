@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import splu
 
 from .coupling import xi_mode_table
@@ -312,8 +313,11 @@ def _shift_invert_solver(gen: sp.csc_matrix, shift: float):
     # dense: a BLAS product with the dense A_gg^-1 A_ge beats a sparse one
     a_eg = a[n_g:, :n_g].toarray()
     lu_g = splu(a[:n_g, :n_g], permc_spec="NATURAL")
-    lu_s = lu_factor(a[n_g:, n_g:].toarray()
-                     - a_eg @ lu_g.solve(a_ge.toarray()))
+    # S is formed and factored in one Fortran-ordered array: A_eg^T is
+    # Fortran-ordered as stored, so the product copies nothing either
+    schur = dgemm(-1.0, a_eg.T, lu_g.solve(a_ge.toarray(order="F")), 1.0,
+                  a[n_g:, n_g:].toarray(order="F"), trans_a=1, overwrite_c=1)
+    lu_s = lu_factor(schur, overwrite_a=True)
 
     def solve(b: np.ndarray) -> np.ndarray:
         b_g = b[:n_g]
