@@ -56,9 +56,10 @@ pulse_op = pi_pulse(strong.system, (0, -1))
 pulse_ip = pi_pulse(strong.system, (-1, 0))
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", LeakWarning)
-    single = readout_spectrum(strong, grid, 1.6e-3, pulse=pulse_op, workers=2)
-    double = readout_spectrum(strong, grid, 1.6e-3, pulse=pulse_op,
-                              second_pulse=pulse_ip, workers=2)
+    single = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op,),
+                              workers=2)
+    double = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op, pulse_ip),
+                              workers=2)
 d1 = fit_lorentzian(single).depth
 d2 = fit_lorentzian(double).depth
 print(f"\ntwo-pulse readout: depth {d1:.3f} -> {d2:.3f} "

@@ -29,8 +29,7 @@ from .rate_engine import (LeakWarning, PopulationState, RateMatrix,
                           SpectroscopyScenario, build_rate_matrix, evolve,
                           evolve_series, scaled_time)
 from .readout import (ReadoutPulse, fluorescence_probability, pi_pulse,
-                      pi_time, readout_lamb_dicke, shelving_probability,
-                      two_pulse_fluorescence)
+                      pi_time, readout_lamb_dicke)
 from .scan_fit import (FitError, FitResult, SpectrumRecord, WidthDepthPoint,
                        fit_lorentzian, numeric_fwhm_depth, readout_spectrum,
                        width_depth_curves)

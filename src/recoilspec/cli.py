@@ -182,6 +182,9 @@ def _validate(cfg: dict) -> None:
     _require(not (sc["intensity_sat_units"] is not None
                   and sc["intensity_w_m2"] is not None),
              "set intensity_sat_units or intensity_w_m2, not both")
+    wc = cfg["widthcurve"]
+    _require(not (wc["intensities_sat_units"] and wc["laser_fwhms_hz"]),
+             "set widthcurve.intensities_sat_units or laser_fwhms_hz, not both")
     if cfg["preset"] is None:
         for key in ("target_mass_u", "readout_mass_u", "transition_wavelength_m",
                     "gamma_t_hz", "pattern"):
@@ -235,10 +238,9 @@ def _workers(cfg: dict) -> int:
 def _readout_pulses(cfg: dict, scenario: SpectroscopyScenario):
     ro = cfg["readout"]
     omega_0 = 2 * np.pi * ro["omega_0_hz"]
-    first = pi_pulse(scenario.system, (0, -1), omega_0, ro["wavelength_m"])
-    second = (pi_pulse(scenario.system, (-1, 0), omega_0, ro["wavelength_m"])
-              if ro["two_pulse"] else None)
-    return first, second
+    sidebands = [(0, -1), (-1, 0)] if ro["two_pulse"] else [(0, -1)]
+    return tuple(pi_pulse(scenario.system, sb, omega_0, ro["wavelength_m"])
+                 for sb in sidebands)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +376,11 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
         records = reduced_spectrum(scenario, detunings, tau_spec,
                                    contrast=cfg["reduced"]["contrast"])
     else:
-        pulse, second = _readout_pulses(cfg, scenario)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LeakWarning)
             records = readout_spectrum(
-                scenario, detunings, tau_spec, pulse=pulse, second_pulse=second,
+                scenario, detunings, tau_spec,
+                pulses=_readout_pulses(cfg, scenario),
                 leak_survival=cfg["readout"]["leak_survival"],
                 workers=_workers(cfg))
     csv_path = prefix + ".csv"
@@ -434,9 +436,9 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
     else:
         entries.append(("scan", scenario))
     fit_mode = _scan_setting(cfg, "fit", "lorentzian")
-    pulse, second = _readout_pulses(cfg, scenario)
     rows = width_depth_curves(entries, wc["tau_scaled"], _detuning_grid(cfg),
-                              fit=fit_mode, pulse=pulse, second_pulse=second,
+                              fit=fit_mode,
+                              pulses=_readout_pulses(cfg, scenario),
                               leak_survival=cfg["readout"]["leak_survival"],
                               workers=_workers(cfg))
     csv_path = prefix + ".csv"

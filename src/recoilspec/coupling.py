@@ -7,34 +7,14 @@ built from a generalized Laguerre polynomial:
     xi_mode(eta, n, s) = exp(-eta^2/2) (i eta)^|s| sqrt(n_<!/n_>!) L_{n_<}^{|s|}(eta^2)
 
 with n_< = min(n, n+s), n_> = max(n, n+s).  Rate computations use
-|xi|^2 only; the i^|s| phase is carried for completeness.  Laguerre
-polynomials are evaluated by the three-term recurrence in the degree,
-which stays stable for the n <= 40 range used here (factorial sums
-overflow and cancel badly).
+|xi|^2 only; the i^|s| phase is carried for completeness.  The Laguerre
+polynomials come from scipy.special.eval_genlaguerre, which for an
+integer degree runs the three-term recurrence; it stays stable for the
+n <= 40 range used here, where factorial sums overflow and cancel badly.
 """
 
 import numpy as np
-from scipy.special import gammaln
-
-
-def genlaguerre_sequence(n_max: int, alpha: float, x) -> np.ndarray:
-    """L_k^alpha(x) for k = 0..n_max by upward recurrence.
-
-    x may be a scalar or array; result has shape (n_max+1,) + shape(x).
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1.0 + alpha - x
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1 + alpha - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
-    return out
-
-
-def _sqrt_factorial_ratio(n_lo: int, n_hi: int) -> float:
-    """sqrt(n_lo! / n_hi!) for n_hi >= n_lo, computed in log space."""
-    return float(np.exp(0.5 * (gammaln(n_lo + 1) - gammaln(n_hi + 1))))
+from scipy.special import eval_genlaguerre, gammaln
 
 
 def xi_mode(eta: float, n: int, s: int) -> complex:
@@ -43,12 +23,8 @@ def xi_mode(eta: float, n: int, s: int) -> complex:
         raise ValueError(f"motional quantum number must be >= 0, got {n}")
     if n + s < 0:
         raise ValueError(f"final quantum number n + s = {n + s} is negative")
-    n_lo, n_hi = min(n, n + s), max(n, n + s)
     a = abs(s)
-    x = eta * eta
-    lag = genlaguerre_sequence(n_lo, a, x)[n_lo]
-    mag = np.exp(-x / 2.0) * eta**a * _sqrt_factorial_ratio(n_lo, n_hi) * lag
-    return (1j) ** a * mag
+    return (1j) ** a * xi_mode_table(eta, n, a)[n, a + s]
 
 
 def xi(eta_ip: float, eta_op: float, n_ip: int, n_op: int,
@@ -96,27 +72,19 @@ def xi_mode_table(eta, n_max: int, s_max: int) -> np.ndarray:
     T[n, s_max + s] = xi_mode(eta, n, s) stripped of its i^|s| phase;
     entries with n + s < 0 are zero.  eta may also be a 1-D array of
     values (e.g. quadrature nodes), giving shape (len(eta), n_max+1,
-    2*s_max+1).
+    2*s_max+1), also for a single node.
 
     Squaring this table gives the |xi|^2 factors used by the rate
     engine; tables are immutable once built and safe to share.
     """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    eta = np.asarray(eta, dtype=float)[..., None, None]
     x = eta * eta
-    n_lag = n_max + s_max
-    table = np.zeros((eta.size, n_max + 1, 2 * s_max + 1))
-    ns = np.arange(n_max + 1)
-    for a in range(s_max + 1):
-        lag = genlaguerre_sequence(n_lag, a, x)  # (n_lag+1, len(eta))
-        for s in ({a, -a} if a else {0}):
-            n_fin = ns + s
-            ok = n_fin >= 0
-            n_lo = np.minimum(ns, n_fin)[ok]
-            n_hi = np.maximum(ns, n_fin)[ok]
-            fac = np.exp(0.5 * (gammaln(n_lo + 1) - gammaln(n_hi + 1)))
-            vals = (np.exp(-x / 2.0)[:, None] * eta[:, None]**a
-                    * fac[None, :] * lag[n_lo, :].T)
-            table[:, ok, s_max + s] = vals
-    if table.shape[0] == 1:
-        return table[0]
-    return table
+    n = np.arange(n_max + 1)[:, None]
+    s = np.arange(-s_max, s_max + 1)
+    a = np.abs(s)
+    n_lo = np.minimum(n, n + s)
+    ok = n_lo >= 0
+    n_lo = np.where(ok, n_lo, 0)
+    fac = np.exp(0.5 * (gammaln(n_lo + 1) - gammaln(n_lo + a + 1)))
+    table = np.exp(-x / 2.0) * eta**a * fac * eval_genlaguerre(n_lo, a, x)
+    return np.where(ok, table, 0.0)

@@ -1,9 +1,10 @@
 """Red-sideband shelving readout of the motional state distribution.
 
-After the spectroscopy pulse, a resolved sideband pi-pulse on the readout
-ion maps motional excitation onto shelving; the detected fluorescence is
-proportional to the probability of remaining in the readout ground state.
-Both are computed analytically from the per-state Rabi frequencies.
+After the spectroscopy pulse, one or more resolved sideband pulses on the
+readout ion map motional excitation onto shelving; the detected
+fluorescence is proportional to the probability of remaining in the
+readout ground state.  It is computed analytically from the per-state
+Rabi frequencies.
 """
 
 from dataclasses import dataclass, replace
@@ -78,70 +79,35 @@ def _rabi_map(pulse: ReadoutPulse, grid_shape: tuple[int, int]) -> np.ndarray:
     A scan reads out every detuning with the same pulse, so maps are
     cached; they are returned read-only because the cache shares them.
     """
-    s_ip, s_op = pulse.sideband
-    t_ip = xi_mode_table(pulse.eta_ip, grid_shape[0] - 1, abs(s_ip) if s_ip else 1)
-    t_op = xi_mode_table(pulse.eta_op, grid_shape[1] - 1, abs(s_op) if s_op else 1)
-    col_ip = t_ip[:, t_ip.shape[1] // 2 + s_ip]
-    col_op = t_op[:, t_op.shape[1] // 2 + s_op]
-    omega = pulse.omega_0 * np.abs(np.outer(col_ip, col_op))
+    cols = [xi_mode_table(eta, n - 1, abs(s))[:, abs(s) + s] for eta, n, s
+            in zip((pulse.eta_ip, pulse.eta_op), grid_shape, pulse.sideband)]
+    omega = pulse.omega_0 * np.abs(np.outer(*cols))
     omega.setflags(write=False)
     return omega
 
 
-def _shelve_map(pulse: ReadoutPulse, grid_shape: tuple[int, int]) -> np.ndarray:
-    """Shelving probability per motional state (generalized Rabi formula)."""
-    omega = _rabi_map(pulse, grid_shape)
-    det2 = pulse.detuning**2
-    gen = np.sqrt(det2 + omega**2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(gen > 0.0, omega**2 / np.maximum(gen**2, 1e-300), 0.0)
-    return frac * np.sin(gen * pulse.duration / 2.0) ** 2
-
-
-def shelving_probability(state: PopulationState, pulse: ReadoutPulse,
-                         leak_survival: float = 0.5) -> float:
-    """Probability that the readout pulse shelves the readout ion.
-
-    Summed over the motional grid, marginalized over the target internal
-    state.  Population that leaked off the grid is treated as shelving
-    with probability 1 - leak_survival (high-n average 1/2 by default).
-    """
-    shelve = _shelve_map(pulse, state.p.shape[1:])
-    return float((shelve * state.motional_marginal()).sum()
-                 + (1.0 - leak_survival) * state.leaked)
-
-
-def fluorescence_probability(state: PopulationState, pulse: ReadoutPulse,
+def fluorescence_probability(state: PopulationState, *pulses: ReadoutPulse,
                              leak_survival: float = 0.5) -> float:
     """Probability of remaining in the fluorescing readout ground state.
 
-    Resonant fast path (requires pulse.detuning == 0); this is the
-    simulated detected signal.
+    This is the simulated detected signal after the pulses, applied in
+    turn.  Population shelved by one pulse leaves the readout ground
+    state and is not addressed by the next; unshelved population keeps
+    its motional state, so per motional state the survival factors
+    1 - (Omega/W)^2 sin^2(W t / 2), W = hypot(Omega, detuning), multiply.
+    Population that leaked off the grid survives each pulse with
+    probability leak_survival (high-n average 1/2 by default).
     """
-    if pulse.detuning != 0.0:
-        raise ValueError("fluorescence fast path requires a resonant pulse")
-    omega = _rabi_map(pulse, state.p.shape[1:])
-    survive = 1.0 - np.sin(omega * pulse.duration / 2.0) ** 2
-    return float((survive * state.motional_marginal()).sum()
-                 + leak_survival * state.leaked)
-
-
-def two_pulse_fluorescence(state: PopulationState, pulse_op: ReadoutPulse,
-                           pulse_ip: ReadoutPulse,
-                           leak_survival: float = 0.5) -> float:
-    """Fluorescence after consecutive pi-pulses addressing both modes.
-
-    Population shelved by the first pulse leaves the readout ground state
-    and is not addressed by the second; unshelved population keeps its
-    motional state, so per state the survival factors multiply.  Leaked
-    population keeps one leak_survival factor per pulse.
-    """
+    if not pulses:
+        raise ValueError("the readout needs at least one pulse")
+    if not 0.0 <= leak_survival <= 1.0:
+        raise ValueError("leak_survival must lie in [0, 1]")
     shape = state.p.shape[1:]
     survive = np.ones(shape)
-    for pulse in (pulse_op, pulse_ip):
-        if pulse.detuning != 0.0:
-            raise ValueError("two-pulse readout assumes resonant pulses")
+    for pulse in pulses:
         omega = _rabi_map(pulse, shape)
-        survive = survive * (1.0 - np.sin(omega * pulse.duration / 2.0) ** 2)
+        gen = np.hypot(omega, pulse.detuning)
+        frac = np.divide(omega, gen, out=np.zeros(shape), where=gen > 0.0) ** 2
+        survive = survive * (1.0 - frac * np.sin(gen * pulse.duration / 2.0) ** 2)
     return float((survive * state.motional_marginal()).sum()
-                 + leak_survival**2 * state.leaked)
+                 + leak_survival ** len(pulses) * state.leaked)

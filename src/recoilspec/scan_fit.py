@@ -20,9 +20,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import readout as ro
-from .radiation import base_rate
 from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
-                          build_rate_matrix, evolve_series)
+                          build_rate_matrix, evolve_series, scaled_time)
 
 
 class FitError(RuntimeError):
@@ -66,18 +65,15 @@ def _mirror_groups(detunings: np.ndarray) -> list[list[int]]:
 
 def _propagate_group(args):
     """Records at one detuning for each of an increasing list of pulse times."""
-    scenario, detuning, times, pulse, second_pulse, leak_survival = args
+    scenario, detuning, times, pulses, leak_survival = args
     matrix = build_rate_matrix(scenario, detuning)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
         states = evolve_series(matrix, PopulationState.ground(scenario), times)
     records = []
     for state in states:
-        if second_pulse is not None:
-            signal = ro.two_pulse_fluorescence(state, pulse, second_pulse,
-                                               leak_survival)
-        else:
-            signal = ro.fluorescence_probability(state, pulse, leak_survival)
+        signal = ro.fluorescence_probability(state, *pulses,
+                                             leak_survival=leak_survival)
         records.append(SpectrumRecord(
             detuning=float(detuning), fluorescence=signal,
             marginal=state.motional_marginal(), leaked=state.leaked,
@@ -85,17 +81,16 @@ def _propagate_group(args):
     return records
 
 
-def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulse,
-          second_pulse, leak_survival,
-          workers) -> list[list[SpectrumRecord]]:
+def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
+          leak_survival, workers) -> list[list[SpectrumRecord]]:
     """Records for every pulse time (outer) and detuning (inner), in input order.
 
     Each mirror group of detunings is propagated once, at one of its
     members, through the sorted distinct pulse times; every member gets
     its own signed detuning on the shared populations.
     """
-    if pulse is None:
-        pulse = ro.pi_pulse(scenario.system, (0, -1))
+    if pulses is None:
+        pulses = (ro.pi_pulse(scenario.system, (0, -1)),)
     detunings = np.asarray(detunings, dtype=float)
     times, time_index = np.unique(np.asarray(tau_specs, dtype=float),
                                   return_inverse=True)
@@ -104,8 +99,8 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulse,
     groups = _mirror_groups(detunings)
     scenario.laser_coupling()  # build shared tables once, not per worker
     scenario.d_table()
-    jobs = [(scenario, detunings[g[0]], times, pulse, second_pulse,
-             leak_survival) for g in groups]
+    jobs = [(scenario, detunings[g[0]], times, tuple(pulses), leak_survival)
+            for g in groups]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_propagate_group, jobs, chunksize=4))
@@ -121,20 +116,19 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulse,
 
 
 def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
-                     pulse: Optional[ro.ReadoutPulse] = None,
-                     second_pulse: Optional[ro.ReadoutPulse] = None,
+                     pulses: Optional[tuple[ro.ReadoutPulse, ...]] = None,
                      leak_survival: float = 0.5,
                      workers: int = 1) -> list[SpectrumRecord]:
     """Fluorescence signal and motional populations across a detuning grid.
 
-    pulse defaults to a pi-pulse on the out-of-phase red sideband; pass
-    second_pulse for the consecutive two-mode readout.  Each distinct
-    |detuning| is solved once and shared with its mirror image; the
-    distinct magnitudes are independent, so workers > 1 distributes them
-    over processes.
+    pulses is the readout sequence, applied in turn; it defaults to a
+    pi-pulse on the out-of-phase red sideband, and two pulses give the
+    consecutive two-mode readout.  Each distinct |detuning| is solved once
+    and shared with its mirror image; the distinct magnitudes are
+    independent, so workers > 1 distributes them over processes.
     """
-    records = _scan(scenario, detunings, [tau_spec], pulse, second_pulse,
-                    leak_survival, workers)[0]
+    records = _scan(scenario, detunings, [tau_spec], pulses, leak_survival,
+                    workers)[0]
     if any(r.leak_flag for r in records):
         worst = max(r.leaked for r in records)
         warnings.warn(f"leaked population reaches {worst:.2%} on the scan",
@@ -257,8 +251,7 @@ class WidthDepthPoint:
 def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
                        tau_scaled_values, detunings,
                        fit: str = "lorentzian",
-                       pulse: Optional[ro.ReadoutPulse] = None,
-                       second_pulse: Optional[ro.ReadoutPulse] = None,
+                       pulses: Optional[tuple[ro.ReadoutPulse, ...]] = None,
                        leak_survival: float = 0.5,
                        workers: int = 1) -> list[WidthDepthPoint]:
     """Signal FWHM and depth versus scaled time for several scenarios.
@@ -275,10 +268,9 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
     tau_scaled = np.asarray(tau_scaled_values, dtype=float)
     rows = []
     for label, scenario in scenarios:
-        r_res = base_rate(scenario.laser, scenario.line, 0.0, "absorption")
-        tau_specs = tau_scaled / r_res
-        scans = _scan(scenario, detunings, tau_specs, pulse, second_pulse,
-                      leak_survival, workers)
+        tau_specs = tau_scaled / scaled_time(1.0, scenario)
+        scans = _scan(scenario, detunings, tau_specs, pulses, leak_survival,
+                      workers)
         for ts, tau_spec, records in zip(tau_scaled, tau_specs, scans):
             if fit == "lorentzian":
                 res = fit_lorentzian(records)

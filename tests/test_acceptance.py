@@ -286,9 +286,8 @@ def test_criterion_7d_two_pulse_contrast(mg_scenario):
     grid = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 41)
     pulse_op = pi_pulse(scenario.system, (0, -1))
     pulse_ip = pi_pulse(scenario.system, (-1, 0))
-    single = spectrum(scenario, grid, 1.6e-3, pulse=pulse_op)
-    double = spectrum(scenario, grid, 1.6e-3, pulse=pulse_op,
-                      second_pulse=pulse_ip)
+    single = spectrum(scenario, grid, 1.6e-3, pulses=(pulse_op,))
+    double = spectrum(scenario, grid, 1.6e-3, pulses=(pulse_op, pulse_ip))
     d1 = fit_lorentzian(single).depth
     d2 = fit_lorentzian(double).depth
     gain = d2 / d1 - 1.0
@@ -301,7 +300,7 @@ def test_criterion_7d_two_pulse_contrast(mg_scenario):
 # --------------------------------------------------------------------------
 
 def test_criterion_8_oracles(mg_scenario, monkeypatch):
-    # coupling amplitudes: recurrence vs factorial double sum
+    # coupling amplitudes: Laguerre polynomials vs factorial double sum
     worst = 0.0
     for eta in (0.30, 0.36, 0.204, 0.0917):
         for n in range(26):

@@ -250,6 +250,19 @@ def test_integrator_is_not_a_config_key(tmp_path, capsys):
     assert "integrator" in capsys.readouterr().err
 
 
+def test_widthcurve_sweeps_one_key(tmp_path, capsys):
+    # an intensity sweep would silently drop the laser widths
+    with pytest.raises(ConfigError, match="not both"):
+        load_config(None, ["widthcurve.intensities_sat_units=[1e-5]",
+                           "widthcurve.laser_fwhms_hz=[5e6]"])
+    out = tmp_path / "wc"
+    assert main(["widthcurve", "-p", "mgh24_ca40", "-o", str(out), *FAST,
+                 "-s", "widthcurve.intensities_sat_units=[1e-5]",
+                 "-s", "widthcurve.laser_fwhms_hz=[5e6]"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "wc.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["widthcurve", "-p", "mgh24_ca40", "-s", "widthcurve.laser_fwhms_hz=[-1e6]"],
     ["widthcurve", "-s", "widthcurve.intensities_sat_units=[-1]"],

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from recoilspec.coupling import (genlaguerre_sequence, rabi, xi, xi_lamb_dicke,
-                                 xi_mode, xi_mode_table)
+from recoilspec.coupling import rabi, xi, xi_lamb_dicke, xi_mode, xi_mode_table
 
 from oracles import xi_double_sum, xi_double_sum_mode
 
@@ -88,24 +87,27 @@ def test_two_mode_completeness():
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_table_agrees_with_scalar_xi():
-    table = xi_mode_table(0.36, 6, 4)
-    for n in range(7):
-        for s in range(-4, 5):
-            if n + s < 0:
-                assert table[n, 4 + s] == 0.0
-            else:
-                assert (1j) ** abs(s) * table[n, 4 + s] == pytest.approx(
-                    xi_mode(0.36, n, s), abs=1e-14)
+def test_table_matches_double_sum():
+    # scalar and quadrature-node eta, every n <= 25 and |s| <= 6; the
+    # table drops the i^|s| phase and zeroes the unreachable n + s < 0
+    etas = np.array([0.05, 0.0917, 0.30, 0.51, -0.36])
+    nodes = xi_mode_table(etas, 25, 6)
+    for k, eta in enumerate(etas):
+        table = xi_mode_table(eta, 25, 6)
+        assert np.array_equal(nodes[k], table)
+        for n in range(26):
+            for s in range(-6, 7):
+                want = xi_double_sum_mode(eta, n, s) / (1j) ** abs(s)
+                assert table[n, 6 + s] == pytest.approx(want.real, abs=1e-10)
+                assert abs(want.imag) < 1e-15
+                if n + s < 0:
+                    assert table[n, 6 + s] == 0.0
 
 
-def test_laguerre_recurrence_against_scipy():
-    from scipy.special import eval_genlaguerre
-    x = 0.26
-    for alpha in (0, 1, 4):
-        seq = genlaguerre_sequence(30, alpha, x)
-        for k in (0, 1, 5, 17, 30):
-            assert seq[k] == pytest.approx(eval_genlaguerre(k, alpha, x), rel=1e-12)
+def test_table_shape_follows_eta():
+    assert xi_mode_table(0.3, 7, 2).shape == (8, 5)
+    assert xi_mode_table(np.array([0.3]), 7, 2).shape == (1, 8, 5)
+    assert xi_mode_table([0.1, 0.3], 7, 2).shape == (2, 8, 5)
 
 
 def test_lamb_dicke_approximation_examples():

@@ -307,6 +307,14 @@ def test_quadrature_convergence_failure_reported(mg_line, mg_system):
                               n_max=(7, 7), s_max=(3, 3), n_theta=2, n_phi=4)
 
 
+def test_single_node_quadrature_reported(mg_line, mg_system):
+    # one Gauss-Legendre node still gives a 3-D xi table, so the coarse
+    # pass reaches the refinement check instead of failing in einsum
+    with pytest.raises(QuadratureError):
+        emission_coefficients(EmissionPattern("mg_mixed"), mg_line, mg_system,
+                              n_max=(7, 7), s_max=(3, 3), n_theta=1, n_phi=4)
+
+
 def test_d_table_csv_export(mg_d_table):
     buf = io.StringIO()
     write_d_table_csv(mg_d_table, buf)

@@ -183,8 +183,8 @@ def propagations(monkeypatch):
 
 
 def scan(scenario, detunings, tau_specs):
-    return _scan(scenario, detunings, tau_specs, pulse=None, second_pulse=None,
-                 leak_survival=0.5, workers=1)
+    return _scan(scenario, detunings, tau_specs, pulses=None, leak_survival=0.5,
+                 workers=1)
 
 
 def test_symmetric_grid_one_propagation_per_magnitude(small_scan_scenario,
