@@ -104,6 +104,38 @@ def test_table_matches_double_sum():
                     assert table[n, 6 + s] == 0.0
 
 
+def test_table_agrees_with_scalar_xi():
+    table = xi_mode_table(0.36, 6, 4)
+    for n in range(7):
+        for s in range(-4, 5):
+            if n + s < 0:
+                assert table[n, 4 + s] == 0.0
+            else:
+                assert (1j) ** abs(s) * table[n, 4 + s] == pytest.approx(
+                    xi_mode(0.36, n, s), abs=1e-14)
+
+
+def test_laguerre_recurrence_against_scipy():
+    # L_k^alpha(x) by the three-term recurrence, against scipy and against
+    # the Laguerre factor recovered from the table entry n = k -> k + alpha
+    from math import exp, factorial, sqrt
+
+    from scipy.special import eval_genlaguerre
+    x = 0.26
+    eta = sqrt(x)
+    for alpha in (0, 1, 4):
+        seq = [1.0, 1.0 + alpha - x]
+        for k in range(1, 30):
+            seq.append(((2 * k + 1 + alpha - x) * seq[k]
+                        - (k + alpha) * seq[k - 1]) / (k + 1))
+        table = xi_mode_table(eta, 30, alpha)
+        for k in (0, 1, 5, 17, 30):
+            assert seq[k] == pytest.approx(eval_genlaguerre(k, alpha, x), rel=1e-12)
+            prefactor = exp(-x / 2) * eta**alpha * sqrt(
+                factorial(k) / factorial(k + alpha))
+            assert table[k, 2 * alpha] / prefactor == pytest.approx(seq[k], rel=1e-12)
+
+
 def test_table_shape_follows_eta():
     assert xi_mode_table(0.3, 7, 2).shape == (8, 5)
     assert xi_mode_table(np.array([0.3]), 7, 2).shape == (1, 8, 5)
