@@ -536,7 +536,7 @@ def main(argv=None) -> int:
             sets.append(f"workers={args.workers}")
         cfg = load_config(args.config, sets)
         scenario = build_scenario(cfg)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.print_config:
@@ -548,7 +548,7 @@ def main(argv=None) -> int:
     except (FitError, QuadratureError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:  # a value only the command itself checks
+    except (ValueError, TypeError) as exc:  # a value only the command checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

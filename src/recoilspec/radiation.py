@@ -16,7 +16,7 @@ from scipy.special import voigt_profile
 
 from .constants import C, HBAR
 from .coupling import xi_mode_table
-from .ion_mechanics import TwoIonSystem
+from .ion_mechanics import BeamGeometry, TwoIonSystem, lamb_dicke
 
 
 class QuadratureError(RuntimeError):
@@ -228,14 +228,6 @@ def solid_angle_norm(pattern: EmissionPattern, n_theta: int = 64,
     return float(total)
 
 
-def _spontaneous_eta_z(line: TransitionLine, system: TwoIonSystem) -> tuple[float, float]:
-    """Target Lamb-Dicke parameters for a photon emitted straight along z."""
-    k = line.omega_t / C
-    eta_ip = k * abs(system.b_ip_t) * np.sqrt(HBAR / (2.0 * system.target.mass * system.omega_ip))
-    eta_op = k * abs(system.b_op_t) * np.sqrt(HBAR / (2.0 * system.target.mass * system.omega_op))
-    return float(eta_ip), float(eta_op)
-
-
 def _d_table_once(pattern, eta_ip_z, eta_op_z, n_ip_max, n_op_max,
                   s_ip_max, s_op_max, n_theta, n_phi):
     nodes, wts = np.polynomial.legendre.leggauss(n_theta)
@@ -266,11 +258,11 @@ def emission_coefficients(pattern: EmissionPattern, line: TransitionLine,
     Quadrature is Gauss-Legendre in cos(theta) times a uniform grid in
     phi; one refinement doubling serves as the convergence check.
     """
-    coarse = _d_table_once(pattern, *_spontaneous_eta_z(line, system),
-                           n_max[0], n_max[1], s_max[0], s_max[1],
-                           n_theta, n_phi)
-    fine = _d_table_once(pattern, *_spontaneous_eta_z(line, system),
-                         n_max[0], n_max[1], s_max[0], s_max[1],
+    # Lamb-Dicke parameters of a photon emitted straight along z
+    eta_z = lamb_dicke(system, BeamGeometry(line.wavelength, 1.0), "target")
+    coarse = _d_table_once(pattern, *eta_z, n_max[0], n_max[1], s_max[0],
+                           s_max[1], n_theta, n_phi)
+    fine = _d_table_once(pattern, *eta_z, n_max[0], n_max[1], s_max[0], s_max[1],
                          2 * n_theta, 2 * n_phi)
     err = np.max(np.abs(fine - coarse))
     if err > rtol:

@@ -28,7 +28,7 @@ from .radiation import (EmissionPattern, LaserField, TransitionLine,
 
 _log = logging.getLogger(__name__)
 
-# propagation tolerance: answers agree to ATOL + RTOL max|p|
+# propagation tolerance: answers agree to ATOL + RTOL sum(p)
 RTOL = 1e-9
 ATOL = 1e-12
 
@@ -179,12 +179,9 @@ class RateMatrix:
     detuning: float
     grid_shape: tuple[int, int]
     leak_warn_fraction: float = 0.01
-    _dense: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self.generator.toarray()
-        return self._dense
+        return self.generator.toarray()
 
 
 def _transition_kernel(scenario: SpectroscopyScenario, weights: np.ndarray,
@@ -297,17 +294,17 @@ def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
 def _shift_invert_solver(gen: sp.csc_matrix, shift: float):
     """Solver for (I - shift G) x = b by elimination of the ground block.
 
-    The states are ordered as _transition_kernel lays them out: ground
-    grid, excited grid, leak row (n = 2 n_mot + 1).  Only heating keeps
+    G is the in-grid block, ordered as _transition_kernel lays it out:
+    ground grid, then excited grid (n = 2 n_mot).  Only heating keeps
     the internal state, so the ground block A_gg is the diagonal plus the
     upward heating ladder; in the grid order it is lower triangular, and
-    its sparse LU fills in nothing.  The excited block, which carries the
-    leak row, is eliminated densely: one dense LU of the Schur complement
-    S = A_ee - A_eg A_gg^-1 A_ge on n_mot + 1 states.  I - shift G is a
+    its sparse LU fills in nothing.  The excited block is eliminated
+    densely: one dense LU of the Schur complement
+    S = A_ee - A_eg A_gg^-1 A_ge on n_mot states.  I - shift G is a
     nonsingular M-matrix, so A_gg and S are nonsingular and this is exact
     block LU.  Each solve makes two ground-block solves and one dense one.
     """
-    n_g = (gen.shape[0] - 1) // 2
+    n_g = gen.shape[0] // 2
     a = sp.identity(gen.shape[0], format="csc") - shift * gen
     a_ge = a[:n_g, n_g:]
     # dense: a BLAS product with the dense A_gg^-1 A_ge beats a sparse one
@@ -331,16 +328,17 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
             times: np.ndarray) -> Optional[np.ndarray]:
     """Shift-and-invert Krylov propagation to every time from one basis.
 
-    One factorization of (I - shift G) with shift = KRYLOV_SHIFT * t_max,
-    by elimination of the ground block (_shift_invert_solver); Arnoldi on
-    its inverse (classical Gram-Schmidt, reorthogonalised) gives V_m and
-    H_m, and G is approximated by V_m G_m V_m^T (van den Eshof & Hochbruck,
-    SIAM J. Sci. Comput. 27 (2006) 1438).  The basis grows until the
-    answers of two successive sizes are finite and agree to
-    ATOL + RTOL max|p| at every time, or the space becomes invariant.
-    Returns None when that never happens within KRYLOV_M_MAX, when the
-    total probability drifts by more than ATOL + RTOL |sum p0|, or when an
-    entry falls below -NEGATIVE_TOLERANCE.
+    gen is the in-grid block of the generator and p0 a nonzero in-grid
+    state.  One factorization of (I - shift G) with shift =
+    KRYLOV_SHIFT * t_max, by elimination of the ground block
+    (_shift_invert_solver); Arnoldi on its inverse (classical
+    Gram-Schmidt, reorthogonalised) gives V_m and H_m, and G is
+    approximated by V_m G_m V_m^T (van den Eshof & Hochbruck, SIAM J.
+    Sci. Comput. 27 (2006) 1438).  The basis grows until the answers of
+    two successive sizes are finite and agree to ATOL + RTOL sum(p0) at
+    every time, or the space becomes invariant.  Returns None when that
+    never happens within KRYLOV_M_MAX or when an entry falls below
+    -NEGATIVE_TOLERANCE.
     """
     n = p0.size
     m_max = min(KRYLOV_M_MAX, n)
@@ -350,6 +348,7 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
     basis = np.zeros((n, m_max + 1))
     hess = np.zeros((m_max + 1, m_max))
     basis[:, 0] = p0 / beta
+    tolerance = ATOL + RTOL * float(p0.sum())
     previous = None
     for j in range(m_max):
         m = j + 1
@@ -366,8 +365,8 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
             p = _krylov_series(basis[:, :m], hess[:m, :m], beta, shift, times)
             if not np.all(np.isfinite(p)):
                 p = None
-            elif invariant or (previous is not None and np.abs(p - previous).max()
-                               <= ATOL + RTOL * np.abs(p).max()):
+            elif invariant or (previous is not None
+                               and np.abs(p - previous).max() <= tolerance):
                 break
             if invariant:
                 return None
@@ -375,31 +374,37 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
         basis[:, m] = w / hess[m, j]
     else:
         return None
-    drift = np.abs(p.sum(axis=0) - p0.sum()).max()
-    _log.debug("krylov: m = %d, drift %.1e, min %.1e", m, drift, p.min())
-    if drift > ATOL + RTOL * abs(p0.sum()) or p.min() < -NEGATIVE_TOLERANCE:
-        return None
-    return p
+    _log.debug("krylov: m = %d, min %.1e", m, p.min())
+    return None if p.min() < -NEGATIVE_TOLERANCE else p
 
 
 def _integrate(matrix: RateMatrix, p0: np.ndarray,
                times: np.ndarray) -> np.ndarray:
-    """Propagate p0 to each requested time; returns (n_states, len(times))."""
+    """Propagate p0 to each requested time; returns (n_states, len(times)).
+
+    Only the 2 n_mot in-grid states are propagated, by _krylov or, when
+    its answer is rejected, by LSODA with the exact Jacobian.  The leak
+    row is absorbing and every generator column sums to zero, so the
+    leak is the conserved total sum(p0) less the in-grid total.
+    """
+    n = p0.size - 1
+    p_in = p0[:n]
     t_end = float(times[-1])
-    if t_end == 0.0:
+    if t_end == 0.0 or not p_in.any():
         return np.repeat(p0[:, None], len(times), axis=1)
-    gen = matrix.generator
-    out = _krylov(gen, p0, times)
-    if out is not None:
-        return out
-    _log.debug("krylov result rejected at detuning %g; using LSODA",
-               matrix.detuning)
-    sol = solve_ivp(lambda t, p: gen @ p, (0.0, t_end), p0, method="LSODA",
-                    jac=lambda t, p: matrix.dense(), rtol=RTOL, atol=ATOL,
-                    t_eval=times)
-    if not sol.success:  # pragma: no cover - scipy failure path
-        raise RuntimeError(f"integration failed: {sol.message}")
-    return sol.y
+    gen = matrix.generator[:n, :n]
+    out = _krylov(gen, p_in, times)
+    if out is None:
+        _log.debug("krylov result rejected at detuning %g; using LSODA",
+                   matrix.detuning)
+        jac = gen.toarray()
+        sol = solve_ivp(lambda t, p: gen @ p, (0.0, t_end), p_in,
+                        method="LSODA", jac=lambda t, p: jac, rtol=RTOL,
+                        atol=ATOL, t_eval=times)
+        if not sol.success:  # pragma: no cover - scipy failure path
+            raise RuntimeError(f"integration failed: {sol.message}")
+        out = sol.y
+    return np.vstack([out, p0.sum() - out.sum(axis=0)])
 
 
 def _check_and_wrap(matrix: RateMatrix, vec: np.ndarray) -> PopulationState:
@@ -412,12 +417,14 @@ def evolve(matrix: RateMatrix, initial: PopulationState,
            duration: float) -> PopulationState:
     """Evolve a population for `duration` seconds under a fixed generator.
 
-    The shift-and-invert Krylov propagator runs first; when its answer
-    does not converge to ATOL + RTOL max|p|, drifts in total probability
-    or goes negative, LSODA with the exact Jacobian takes over.  The
-    dense matrix exponential that judges both lives in the test oracles
-    (tests/oracles.py, expm_populations), not here.  A LeakWarning is
-    raised when the leaked probability exceeds the configured threshold.
+    The in-grid populations are propagated by the shift-and-invert
+    Krylov method; when its answer does not converge to
+    ATOL + RTOL sum(p) or goes negative, LSODA with the exact Jacobian
+    takes over.  The leak is what the grid lost: the total probability
+    less the in-grid total.  The dense matrix exponential that judges
+    both paths lives in the test oracles (tests/oracles.py,
+    expm_populations), not here.  A LeakWarning is raised when the leaked
+    probability exceeds the configured threshold.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -428,11 +435,12 @@ def evolve_series(matrix: RateMatrix, initial: PopulationState,
                   times) -> list[PopulationState]:
     """Evolve and sample the population at each time in an increasing list.
 
-    One propagation serves every time: one factorization and one Krylov
-    basis, or one LSODA run on fallback, as in evolve.  Tests compare the
-    result with a dense matrix exponential per time.  A LeakWarning is
-    raised when the leaked probability at the last time exceeds the
-    configured threshold.
+    One propagation of the in-grid states serves every time: one
+    factorization and one Krylov basis, or one LSODA run on fallback, as
+    in evolve; the leak at each time follows from conservation.  Tests
+    compare the result with a dense matrix exponential per time.  A
+    LeakWarning is raised when the leaked probability at the last time
+    exceeds the configured threshold.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:

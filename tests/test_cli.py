@@ -271,6 +271,12 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     ["spectrum", "-s", "scan.tau_scaled=-2"],
     ["dynamics", "-s", "dynamics.t_max_s=-1e-3"],
     ["dynamics", "-s", "dynamics.points=0"],
+    # a value of the wrong type
+    ["spectrum", "-s", "scan.points=abc"],
+    ["spectrum", "-s", "scan.points=10.5"],
+    ["dynamics", "-s", "dynamics.points=abc"],
+    ["widthcurve", "-s", "widthcurve.tau_scaled=5"],
+    ["modes", "-s", "readout.omega_0_hz=null"],
 ], ids=lambda argv: argv[-1])
 def test_bad_run_time_value_is_a_config_error(argv, tmp_path, capsys):
     # values checked only once the command runs still report as config errors

@@ -5,6 +5,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -256,6 +257,14 @@ def test_adaptive_integrators_match_matrix_exponential(method, monkeypatch):
     assert adaptive.to_vector() == pytest.approx(exact, abs=1e-8)
 
 
+def _krylov_only(matrix, p0, times):
+    """_integrate with a fallback to LSODA turned into a test failure."""
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the Krylov basis did not converge")
+    with mock.patch.object(rate_engine, "solve_ivp", no_fallback):
+        return rate_engine._integrate(matrix, p0, times)
+
+
 # small grids of both presets; pulse times up to 20 scaled units for Mg+
 # (tau_spec 12 ms) and 20000 for MgH+ (61 ms), the ranges the model is used in
 _KRYLOV_CASES = {"mg": (replace(mg24_ca40(), n_ip_max=5, n_op_max=4), 20.0),
@@ -278,12 +287,63 @@ def test_krylov_matches_matrix_exponential(name, detuning, t_max, fractions,
                        else fractions)
     matrix = build_rate_matrix(sc, detuning)
     p0 = PopulationState.ground(sc).to_vector()
-    got = rate_engine._krylov(matrix.generator, p0, times)
-    assert got is not None, "error estimate did not converge"
+    got = _krylov_only(matrix, p0, times)
     exact = expm_populations(matrix, p0, times)
     assert np.abs(got - exact).max() <= 1e-9
     assert np.abs(got.sum(axis=0) - 1.0).max() <= 1e-9
     assert got.min() >= -rate_engine.NEGATIVE_TOLERANCE
+
+
+# runs in which nearly everything leaks: small Mg grids far beyond the
+# scaled times in use, and MgH up to 1e6; pulse times span two decades or
+# a quarter of the run
+_LEAKED_GRIDS = {"mg-6x5": (replace(mg24_ca40(), n_ip_max=5, n_op_max=4),
+                            (100, 300, 1000, 3000)),
+                 "mg-10x10": (replace(mg24_ca40(), n_ip_max=9, n_op_max=9),
+                              (100, 300, 1000, 3000)),
+                 "mgh-5x7": (replace(mgh24_ca40(), n_ip_max=4, n_op_max=6),
+                             (2e4, 1e5, 1e6))}
+_LEAKED_SPANS = {"0.01-1": (0.01, 0.1, 1.0), "0.25-1": (0.25, 0.5, 1.0)}
+
+
+@pytest.mark.parametrize("span", sorted(_LEAKED_SPANS))
+@pytest.mark.parametrize("detuning_mhz", [0.0, 30.0])
+@pytest.mark.parametrize("name, tau_scaled", [
+    (name, tau) for name, (_, taus) in _LEAKED_GRIDS.items() for tau in taus])
+def test_fully_leaked_runs_converge_on_krylov(name, tau_scaled, detuning_mhz,
+                                              span):
+    # the leak is taken by conservation, so a run that has lost almost all
+    # of its population to the leak row still converges without LSODA
+    sc = _LEAKED_GRIDS[name][0]
+    times = (tau_scaled / scaled_time(1.0, sc)) * np.array(_LEAKED_SPANS[span])
+    matrix = build_rate_matrix(sc, 2 * np.pi * detuning_mhz * 1e6)
+    p0 = PopulationState.ground(sc).to_vector()
+    got = _krylov_only(matrix, p0, times)
+    assert np.abs(got - expm_populations(matrix, p0, times)).max() <= 1e-9
+
+
+def test_fully_leaked_state_is_unchanged():
+    sc = small_mg()
+    matrix = build_rate_matrix(sc, 2 * np.pi * 10e6)
+    state = PopulationState(p=np.zeros((2,) + sc.grid_shape), leaked=1.0)
+    with pytest.warns(LeakWarning):
+        got = evolve_series(matrix, state, [0.0, 1.3e-4, 1.3e-3])
+    for g in got:
+        assert np.array_equal(g.to_vector(), state.to_vector())
+
+
+def test_initial_leak_is_kept():
+    # the leak is the initial total less the in-grid total, not 1 less it
+    sc = small_mg()
+    matrix = build_rate_matrix(sc, 2 * np.pi * 10e6)
+    state = PopulationState(p=0.75 * PopulationState.ground(sc).p, leaked=0.25)
+    times = [1.3e-5, 1.3e-4, 1.3e-3]
+    with pytest.warns(LeakWarning):
+        got = evolve_series(matrix, state, times)
+    want = expm_populations(matrix, state.to_vector(), times)
+    for k, g in enumerate(got):
+        assert np.abs(g.to_vector() - want[:, k]).max() <= 1e-9
+        assert g.leaked >= 0.25
 
 
 def test_krylov_falls_back_to_lsoda(monkeypatch, caplog):
@@ -345,7 +405,8 @@ _SOLVER_CASES = {
 @pytest.mark.parametrize("name", sorted(_SOLVER_CASES))
 def test_shift_invert_solver_matches_dense_solve(name, detuning):
     sc, tau = _SOLVER_CASES[name]
-    gen = build_rate_matrix(sc, detuning).generator
+    n = sc.leak_index  # the solver takes the in-grid block
+    gen = build_rate_matrix(sc, detuning).generator[:n, :n]
     shift = rate_engine.KRYLOV_SHIFT * tau
     a = np.eye(gen.shape[0]) - shift * gen.toarray()
     b = np.random.default_rng(5).random(gen.shape[0])
