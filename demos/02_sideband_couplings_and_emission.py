@@ -1,14 +1,14 @@
 """Sideband coupling factors and spontaneous-emission recoil tables.
 
 Shows the coupling amplitude |xi| between motional states for laser
-recoil, its Lamb-Dicke approximation, and the angle-averaged emission
+recoil, its Lamb-Dicke approximation, the emission patterns as densities
+in cos(theta) about the trap axis, and the direction-averaged emission
 coefficients D that distribute spontaneous decays over sidebands.
 """
 
 import numpy as np
 
-from recoilspec import (EmissionPattern, solid_angle_norm, xi, xi_lamb_dicke,
-                        xi_mode_table)
+from recoilspec import EmissionPattern, xi, xi_lamb_dicke, xi_mode_table
 from recoilspec.presets import mg24_ca40
 
 # ---- coupling strength vs sideband order -----------------------------------
@@ -33,13 +33,15 @@ for n in range(3):
           f"  ({abs(approx / exact - 1):.2%} off)")
 
 # ---- emission patterns -------------------------------------------------------
-print("\nangular emission patterns (steradian^-1):")
+# the recoil sees the photon direction only through c = cos(theta), its
+# projection on the trap axis; each pattern is a density a + b c^2 in c
+nodes, weights = np.polynomial.legendre.leggauss(4)
+print("\nemission patterns as densities in cos(theta):")
 for kind in ("isotropic", "pi", "sigma", "mg_mixed"):
     pattern = EmissionPattern(kind)
-    w0 = pattern.weight(np.pi / 2, 0.0)
-    wy = pattern.weight(np.pi / 2, np.pi / 2)
-    print(f"  {kind:9s}: along x {w0:.4f}, along y {wy:.4f},"
-          f" integral {solid_angle_norm(pattern):.6f}")
+    w0, w1, w_1 = pattern.density([0.0, 1.0, -1.0])
+    print(f"  {kind:9s}: c = 0 {w0:.4f}, c = +1 {w1:.4f}, c = -1 {w_1:.4f},"
+          f" integral {weights @ pattern.density(nodes):.6f}")
 
 # ---- D coefficients for the Mg scenario -------------------------------------
 scenario = mg24_ca40()

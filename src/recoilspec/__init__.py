@@ -18,13 +18,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .constants import ATOMIC_MASS, C, HBAR, ion_mass_kg
 from .ion_mechanics import (BeamGeometry, IonSpecies, TwoIonSystem, lamb_dicke,
                             mode_eigenvectors, mode_frequencies)
-from .coupling import rabi, xi, xi_lamb_dicke, xi_mode_table
+from .coupling import xi, xi_lamb_dicke, xi_mode_table
 from .radiation import (EmissionPattern, LaserField, QuadratureError,
                         TransitionLine, base_rate, composite_target_lineshape,
                         effective_saturation_intensity,
                         effective_spectral_density, emission_coefficients,
-                        lineshape_value, saturation_intensity,
-                        solid_angle_norm, write_d_table_csv)
+                        saturation_intensity)
 from .rate_engine import (LeakWarning, PopulationState, RateMatrix,
                           SpectroscopyScenario, build_rate_matrix, evolve,
                           evolve_series, scaled_time)

@@ -31,8 +31,7 @@ import numpy as np
 from . import presets
 from .constants import ion_mass_kg
 from .ion_mechanics import BeamGeometry, lamb_dicke
-from .radiation import (QuadratureError, effective_saturation_intensity,
-                        write_d_table_csv)
+from .radiation import QuadratureError, effective_saturation_intensity
 from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
                           build_rate_matrix, evolve_series, scaled_time)
 from .readout import pi_pulse
@@ -175,7 +174,27 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+# the types a key with a non-null default takes, by the default's type
+_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+          float: ((int, float), "a number"), list: ((list,), "a list")}
+
+
+def _check_types(cfg: dict, default: dict, path: str = "") -> None:
+    """A key whose default is not null takes a value of the default's type:
+    an int is also a float, but a bool is no number."""
+    for key, dflt in default.items():
+        where, value = path + key, cfg[key]
+        if isinstance(dflt, dict):
+            _check_types(value, dflt, where + ".")
+        elif dflt is not None and where != "preset":
+            types, name = _TYPES[type(dflt)]
+            _require(isinstance(value, types)
+                     and isinstance(value, bool) == isinstance(dflt, bool),
+                     f"{where} must be {name}, got {value!r}")
+
+
 def _validate(cfg: dict) -> None:
+    _check_types(cfg, DEFAULT_CONFIG)
     _require(cfg["preset"] in (None, *presets.PRESETS),
              f"preset must be one of {sorted(presets.PRESETS)} or null")
     sc = cfg["scenario"]
@@ -191,6 +210,10 @@ def _validate(cfg: dict) -> None:
             _require(sc[key] is not None,
                      f"scenario.{key} is required when preset is null")
     _require(cfg["scan"]["points"] >= 8, "scan.points must be >= 8")
+    _require(cfg["scan"]["fit"] in (None, "lorentzian", "numeric"),
+             "scan.fit must be null, lorentzian or numeric")
+    _require(cfg["dynamics"]["points"] >= 1, "dynamics.points must be >= 1")
+    _require(cfg["dynamics"]["t_max_s"] > 0, "dynamics.t_max_s must be > 0")
     _require(cfg["workers"] >= 0, "workers must be >= 0")
     ro = cfg["readout"]
     _require(ro["omega_0_hz"] > 0 and ro["wavelength_m"] > 0,
@@ -456,10 +479,11 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
 
 def _cmd_dtable(cfg, scenario, prefix, args):
     table = scenario.d_table()
+    s_ip, s_op = scenario.s_ip_max, scenario.s_op_max
     csv_path = prefix + ".csv"
-    os.makedirs(os.path.dirname(csv_path) or ".", exist_ok=True)
-    with open(csv_path, "w") as fh:
-        write_d_table_csv(table, fh)
+    _write_csv(csv_path, ["n_ip", "n_op", "s_ip", "s_op", "D"],
+               ([a, b, i - s_ip, j - s_op, table[a, b, i, j]]
+                for a, b, i, j in np.ndindex(table.shape)))
     _write_effective_config(prefix, cfg)
     print(f"wrote {csv_path} ({table.size} coefficients)")
     return EXIT_OK

@@ -58,13 +58,6 @@ def xi_lamb_dicke(eta_ip: float, eta_op: float, n_ip: int, n_op: int,
     return float(factor(eta_ip, n_ip, s_ip) * factor(eta_op, n_op, s_op))
 
 
-def rabi(omega_0: float, xi_value) -> float:
-    """Sideband Rabi angular frequency Omega = omega_0 * |xi|."""
-    if omega_0 < 0:
-        raise ValueError("carrier Rabi frequency must be >= 0")
-    return float(omega_0 * abs(xi_value))
-
-
 def xi_mode_table(eta, n_max: int, s_max: int) -> np.ndarray:
     """Signed real per-mode amplitudes for all n -> n + s on a grid.
 

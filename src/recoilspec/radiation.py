@@ -2,13 +2,13 @@
 
 Covers the spectral overlap of a laser line with the target transition
 (effective spectral energy density), the absorption / stimulated-emission
-base rates and saturation intensities derived from it, angular emission
-patterns for spontaneous decay, and the solid-angle-averaged recoil
-coefficients D that weight spontaneous emission on each motional sideband.
+base rates and saturation intensities derived from it, emission patterns
+for spontaneous decay as densities in cos(theta), and the direction-averaged
+recoil coefficients D that weight spontaneous emission on each motional
+sideband.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -83,24 +83,6 @@ class LaserField:
 # lineshapes and spectral overlap
 # ---------------------------------------------------------------------------
 
-def lineshape_value(kind: str, omega: float, center: float, width: float):
-    """Normalized spectral density (1/(rad/s)) at omega.
-
-    kind "lorentzian": width is the FWHM decay rate Gamma.
-    kind "gaussian":   width is the standard deviation sigma.
-    """
-    if width <= 0:
-        raise ValueError("lineshape width must be positive")
-    delta = np.asarray(omega, dtype=float) - center
-    if kind == "lorentzian":
-        val = (width / (2.0 * np.pi)) / (delta**2 + width**2 / 4.0)
-    elif kind == "gaussian":
-        val = np.exp(-delta**2 / (2.0 * width**2)) / (np.sqrt(2.0 * np.pi) * width)
-    else:
-        raise ValueError(f"unknown lineshape kind {kind!r}")
-    return float(val) if np.isscalar(omega) else val
-
-
 def effective_spectral_density(laser: LaserField, line: TransitionLine,
                                detuning: float = 0.0) -> float:
     """Spectral energy density (J s / m^3) the transition sees.
@@ -164,125 +146,72 @@ def base_rate(laser: LaserField, line: TransitionLine, detuning: float,
 # spontaneous-emission geometry
 # ---------------------------------------------------------------------------
 
-def _weight_pi(theta, phi):
-    """Dipole pattern of a pi transition with quantization axis along y."""
-    s2 = np.sin(theta)**2 * np.sin(phi)**2
-    return 3.0 / (8.0 * np.pi) * (1.0 - s2)
-
-
-def _weight_sigma(theta, phi):
-    s2 = np.sin(theta)**2 * np.sin(phi)**2
-    return 3.0 / (16.0 * np.pi) * (1.0 + s2)
-
-
-def _weight_mg_mixed(theta, phi):
-    return (2.0 / 3.0) * _weight_pi(theta, phi) + (1.0 / 3.0) * _weight_sigma(theta, phi)
-
-
-def _weight_isotropic(theta, phi):
-    return np.full_like(np.broadcast_to(np.asarray(phi, dtype=float),
-                                        np.broadcast_shapes(np.shape(theta), np.shape(phi))),
-                        1.0 / (4.0 * np.pi))
-
-
-_PATTERNS: dict[str, Callable] = {
-    "mg_mixed": _weight_mg_mixed,
-    "isotropic": _weight_isotropic,
-    "pi": _weight_pi,
-    "sigma": _weight_sigma,
+# The recoil sees a photon's direction only through c = cos(theta), its
+# projection on the crystal axis z, so a pattern is its density in c: the
+# azimuthal average a + b c^2 of the dipole pattern, with 2a + 2b/3 = 1.
+# The pi and sigma dipoles have their quantization axis along y; mg_mixed
+# is 2/3 pi + 1/3 sigma.
+_PATTERNS = {
+    "isotropic": (1.0 / 2.0, 0.0),
+    "pi": (3.0 / 8.0, 3.0 / 8.0),
+    "sigma": (9.0 / 16.0, -3.0 / 16.0),
+    "mg_mixed": (7.0 / 16.0, 3.0 / 16.0),
 }
 
 
 @dataclass(frozen=True)
 class EmissionPattern:
-    """Angular probability density W(theta, phi) of spontaneous photons.
-
-    Named kinds are looked up in a module registry (and pickle cleanly);
-    kind "custom" carries its own weight function, which must integrate
-    to 1 over the sphere.
-    """
+    """Angular distribution of spontaneous photons, by named kind."""
     kind: str = "isotropic"
-    weight_fn: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind == "custom":
-            if self.weight_fn is None:
-                raise ValueError("custom pattern needs a weight function")
-        elif self.kind not in _PATTERNS:
+        if self.kind not in _PATTERNS:
             raise ValueError(f"unknown emission pattern {self.kind!r}")
 
-    def weight(self, theta, phi):
-        fn = self.weight_fn if self.kind == "custom" else _PATTERNS[self.kind]
-        return fn(theta, phi)
+    def density(self, cos_theta):
+        """Probability density of c = cos(theta) on [-1, 1], theta from z."""
+        a, b = _PATTERNS[self.kind]
+        c = np.asarray(cos_theta, dtype=float)
+        return a + b * c * c
 
 
-def solid_angle_norm(pattern: EmissionPattern, n_theta: int = 64,
-                     n_phi: int = 128) -> float:
-    """Integral of W over the sphere (should be 1)."""
+def _d_table_once(pattern, eta_ip_z, eta_op_z, n_max, s_max, n_theta):
     nodes, wts = np.polynomial.legendre.leggauss(n_theta)
-    phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    total = 0.0
-    for c, w in zip(nodes, wts):
-        theta = np.arccos(c)
-        total += w * pattern.weight(theta, phi).sum() * (2.0 * np.pi / n_phi)
-    return float(total)
-
-
-def _d_table_once(pattern, eta_ip_z, eta_op_z, n_ip_max, n_op_max,
-                  s_ip_max, s_op_max, n_theta, n_phi):
-    nodes, wts = np.polynomial.legendre.leggauss(n_theta)
-    phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    dphi = 2.0 * np.pi / n_phi
-    # per-node axial recoil: eta(theta) = eta_z * cos(theta)
-    t_ip = xi_mode_table(eta_ip_z * nodes, n_ip_max, s_ip_max) ** 2
-    t_op = xi_mode_table(eta_op_z * nodes, n_op_max, s_op_max) ** 2
-    w_phi = np.array([pattern.weight(np.arccos(c), phi).sum() * dphi for c in nodes])
-    return np.einsum("k,kau,kbv->abuv", wts * w_phi, t_ip, t_op)
+    # a photon at cos(theta) = c recoils with eta_z * c along the axis
+    t_ip = xi_mode_table(eta_ip_z * nodes, n_max[0], s_max[0]) ** 2
+    t_op = xi_mode_table(eta_op_z * nodes, n_max[1], s_max[1]) ** 2
+    return np.einsum("k,kau,kbv->abuv", wts * pattern.density(nodes),
+                     t_ip, t_op, optimize=True)
 
 
 def emission_coefficients(pattern: EmissionPattern, line: TransitionLine,
                           system: TwoIonSystem,
                           n_max: tuple[int, int] = (19, 19),
                           s_max: tuple[int, int] = (5, 6),
-                          n_theta: int = 32, n_phi: int = 64,
+                          n_theta: int = 32,
                           rtol: float = 1e-6) -> np.ndarray:
     """Sideband emission coefficients D on a motional grid.
 
     D[n_ip, n_op, s_ip_max + s_ip, s_op_max + s_op] is the probability
     that a spontaneously emitted photon changes the motional state from
-    (n_ip, n_op) to (n_ip + s_ip, n_op + s_op): the solid-angle average
-    of |xi|^2 over the emission pattern, with the axial recoil scaling
-    as cos(theta).  Summed over an unbounded sideband range every row
-    would add to 1.
+    (n_ip, n_op) to (n_ip + s_ip, n_op + s_op): the average of |xi|^2
+    over the pattern's density in cos(theta), with the axial recoil
+    scaling as cos(theta).  Summed over an unbounded sideband range every
+    row would add to 1.
 
-    Quadrature is Gauss-Legendre in cos(theta) times a uniform grid in
-    phi; one refinement doubling serves as the convergence check.
+    Quadrature is Gauss-Legendre in cos(theta); one refinement doubling
+    serves as the convergence check.
     """
     # Lamb-Dicke parameters of a photon emitted straight along z
     eta_z = lamb_dicke(system, BeamGeometry(line.wavelength, 1.0), "target")
-    coarse = _d_table_once(pattern, *eta_z, n_max[0], n_max[1], s_max[0],
-                           s_max[1], n_theta, n_phi)
-    fine = _d_table_once(pattern, *eta_z, n_max[0], n_max[1], s_max[0], s_max[1],
-                         2 * n_theta, 2 * n_phi)
+    coarse = _d_table_once(pattern, *eta_z, n_max, s_max, n_theta)
+    fine = _d_table_once(pattern, *eta_z, n_max, s_max, 2 * n_theta)
     err = np.max(np.abs(fine - coarse))
     if err > rtol:
         raise QuadratureError(
             f"emission-coefficient quadrature changed by {err:.2e} on refinement "
-            f"(tolerance {rtol:.0e}); raise n_theta/n_phi")
+            f"(tolerance {rtol:.0e}); raise n_theta")
     return fine
-
-
-def write_d_table_csv(d_table: np.ndarray, fh) -> None:
-    """Dump a D table as CSV rows (n_ip, n_op, s_ip, s_op, D)."""
-    n_ip, n_op, u_ip, u_op = d_table.shape
-    s_ip_max, s_op_max = (u_ip - 1) // 2, (u_op - 1) // 2
-    fh.write("n_ip,n_op,s_ip,s_op,D\n")
-    for a in range(n_ip):
-        for b in range(n_op):
-            for i in range(u_ip):
-                for j in range(u_op):
-                    fh.write(f"{a},{b},{i - s_ip_max},{j - s_op_max},"
-                             f"{d_table[a, b, i, j]:.12e}\n")
 
 
 # ---------------------------------------------------------------------------

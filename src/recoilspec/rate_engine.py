@@ -385,7 +385,9 @@ def _integrate(matrix: RateMatrix, p0: np.ndarray,
     Only the 2 n_mot in-grid states are propagated, by _krylov or, when
     its answer is rejected, by LSODA with the exact Jacobian.  The leak
     row is absorbing and every generator column sums to zero, so the
-    leak is the conserved total sum(p0) less the in-grid total.
+    leak is the conserved total sum(p0) less the in-grid total, and it
+    never falls below its initial value: an in-grid total a tolerance
+    above sum(p0) would otherwise give a negative leak.
     """
     n = p0.size - 1
     p_in = p0[:n]
@@ -404,7 +406,7 @@ def _integrate(matrix: RateMatrix, p0: np.ndarray,
         if not sol.success:  # pragma: no cover - scipy failure path
             raise RuntimeError(f"integration failed: {sol.message}")
         out = sol.y
-    return np.vstack([out, p0.sum() - out.sum(axis=0)])
+    return np.vstack([out, np.maximum(p0.sum() - out.sum(axis=0), p0[n])])
 
 
 def _check_and_wrap(matrix: RateMatrix, vec: np.ndarray) -> PopulationState:

@@ -4,11 +4,12 @@ These deliberately avoid the code paths they check: couplings come from
 the explicit factorial double sum, mode data from direct diagonalization
 of the mass-weighted Hessian, spectral overlaps from fine-grid
 trapezoid integration, split-line widths from a dense-grid half-maximum
-search, time evolution from the dense matrix exponential of the
-generator (the reference for the library's Krylov and LSODA paths),
-laser-broadened dip widths from resonant dense matrix exponentials
-instead of a detuning scan, and the heating ladder from an explicit loop
-over grid states.
+search, emission coefficients from the full dipole patterns integrated
+over the sphere in (theta, phi), time evolution from the dense matrix
+exponential of the generator (the reference for the library's Krylov
+and LSODA paths), laser-broadened dip widths from resonant dense matrix
+exponentials instead of a detuning scan, and the heating ladder from an
+explicit loop over grid states.
 """
 
 import numpy as np
@@ -90,6 +91,46 @@ def split_lorentzian_fwhm(gamma: float, splitting: float,
     i = np.nonzero(y >= half)[0][-1]
     crossing = x[i] + (y[i] - half) / (y[i] - y[i + 1]) * (x[i + 1] - x[i])
     return float(2.0 * crossing)
+
+
+def dipole_pattern(kind: str, theta, phi):
+    """Angular density W(theta, phi) (1/sr) of spontaneous photons.
+
+    theta is measured from the crystal axis z; the pi and sigma dipoles
+    have their quantization axis along y, and mg_mixed is 2/3 pi plus
+    1/3 sigma.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    s2 = (np.sin(theta) * np.sin(phi)) ** 2
+    pi = 3.0 / (8.0 * np.pi) * (1.0 - s2)
+    sigma = 3.0 / (16.0 * np.pi) * (1.0 + s2)
+    return {"isotropic": np.full_like(s2, 1.0 / (4.0 * np.pi)),
+            "pi": pi, "sigma": sigma,
+            "mg_mixed": (2.0 / 3.0) * pi + (1.0 / 3.0) * sigma}[kind]
+
+
+def sphere_d_table(kind: str, eta_ip_z: float, eta_op_z: float,
+                   n_max: tuple[int, int], s_max: tuple[int, int],
+                   n_theta: int = 48, n_phi: int = 12) -> np.ndarray:
+    """Emission coefficients D by a 2-D quadrature over the sphere.
+
+    Gauss-Legendre in cos(theta) times a uniform grid in phi, weighting
+    |xi|^2 from the factorial double sum at the axial recoil
+    eta_z cos(theta) of each direction by dipole_pattern; same index
+    layout as radiation.emission_coefficients.
+    """
+    nodes, wts = np.polynomial.legendre.leggauss(n_theta)
+    phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
+    theta = np.arccos(nodes)[:, None]
+    w = wts[:, None] * (2.0 * np.pi / n_phi) * dipole_pattern(kind, theta, phi)
+
+    def table(eta_z, n_hi, s_hi):
+        return np.array([[[abs(xi_double_sum_mode(eta_z * c, n, s)) ** 2
+                           for s in range(-s_hi, s_hi + 1)]
+                          for n in range(n_hi + 1)] for c in nodes])
+
+    return np.einsum("kj,kau,kbv->abuv", w, table(eta_ip_z, n_max[0], s_max[0]),
+                     table(eta_op_z, n_max[1], s_max[1]))
 
 
 def expm_populations(matrix, p0: np.ndarray, times) -> np.ndarray:

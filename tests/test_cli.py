@@ -110,14 +110,20 @@ def test_reduced_command(tmp_path):
 
 def test_dtable_command(tmp_path):
     out = tmp_path / "dt"
-    assert main(["dtable", "-o", str(out), "-s", "scenario.n_ip_max=2",
-                 "-s", "scenario.n_op_max=2"]) == EXIT_OK
-    rows = read_csv(out.with_suffix(".csv"))
-    by_state = {}
-    for row in rows:
-        key = (row["n_ip"], row["n_op"])
-        by_state[key] = by_state.get(key, 0.0) + float(row["D"])
-    assert by_state[("0", "0")] == pytest.approx(1.0, abs=1e-5)
+    sets = ["scenario.n_ip_max=2", "scenario.n_op_max=2"]
+    assert main(["dtable", "-o", str(out), "-s", sets[0], "-s", sets[1]]) == EXIT_OK
+    table = build_scenario(load_config(None, sets)).d_table()
+    lines = out.with_suffix(".csv").read_text().splitlines()
+    assert lines[0] == "n_ip,n_op,s_ip,s_op,D"
+    assert len(lines) == 1 + table.size
+    rows = [line.split(",") for line in lines[1:]]
+    # flat row order is (n_ip, n_op, s_ip, s_op); spot-check one entry
+    assert [int(v) for v in rows[6 * 13 + 6][:4]] == [0, 0, 1, 0]
+    assert [[int(v) for v in row[:4]] for row in rows] == [
+        [a, b, i - 5, j - 6] for a, b, i, j in np.ndindex(table.shape)]
+    # D round-trips through the CSV
+    assert np.array_equal([float(row[4]) for row in rows], table.ravel())
+    assert table[0, 0].sum() == pytest.approx(1.0, abs=1e-5)
 
 
 def test_widthcurve_command(tmp_path):
@@ -263,6 +269,13 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     assert not (tmp_path / "wc.csv").exists()
 
 
+# bad values that only the physics code checks, once the command runs
+_CHECKED_BY_COMMAND = {"widthcurve.laser_fwhms_hz=[-1e6]",
+                       "widthcurve.intensities_sat_units=[-1]",
+                       "widthcurve.tau_scaled=[-1]", "scan.tau_spec_s=-1e-3",
+                       "scan.tau_scaled=-2"}
+
+
 @pytest.mark.parametrize("argv", [
     ["widthcurve", "-p", "mgh24_ca40", "-s", "widthcurve.laser_fwhms_hz=[-1e6]"],
     ["widthcurve", "-s", "widthcurve.intensities_sat_units=[-1]"],
@@ -277,11 +290,21 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     ["dynamics", "-s", "dynamics.points=abc"],
     ["widthcurve", "-s", "widthcurve.tau_scaled=5"],
     ["modes", "-s", "readout.omega_0_hz=null"],
+    ["spectrum", "-s", "readout.two_pulse=yes"],
+    ["spectrum", "-s", "readout.two_pulse=1"],
+    ["spectrum", "-s", "scan.points=true"],
+    ["modes", "-s", "readout.leak_survival=true"],
+    # a value outside the accepted set
+    ["spectrum", "-s", "scan.fit=gaussian"],
 ], ids=lambda argv: argv[-1])
 def test_bad_run_time_value_is_a_config_error(argv, tmp_path, capsys):
     # values checked only once the command runs still report as config errors
     assert main([*argv, "-w", "1", "-o", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    # the config check names the key it rejects
+    if argv[-1] not in _CHECKED_BY_COMMAND:
+        assert argv[-1].split("=")[0] in err
 
 
 class _FakeLibc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from recoilspec.coupling import rabi, xi, xi_lamb_dicke, xi_mode, xi_mode_table
+from recoilspec.coupling import xi, xi_lamb_dicke, xi_mode, xi_mode_table
 
 from oracles import xi_double_sum, xi_double_sum_mode
 
@@ -166,14 +166,3 @@ def test_lamb_dicke_approximation_accuracy():
                             continue
                         assert approx == pytest.approx(exact, rel=0.02)
 
-
-def test_rabi_frequency():
-    assert rabi(0.0, 0.7) == 0.0
-    assert rabi(2 * np.pi * 10e3, 1.0) == pytest.approx(2 * np.pi * 10e3)
-    with pytest.raises(ValueError):
-        rabi(-1.0, 0.5)
-    # red sideband of the out-of-phase mode, fixed by the double-sum oracle
-    omega_0 = 2 * np.pi * 10e3
-    value = rabi(omega_0, xi(0.204, 0.0917, 0, 1, 0, -1))
-    want = omega_0 * abs(xi_double_sum(0.204, 0.0917, 0, 1, 0, -1))
-    assert value == pytest.approx(want, rel=1e-12)

@@ -1,23 +1,20 @@
-import io
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import voigt_profile
 
+from recoilspec.cli import EXIT_OK, main
 from recoilspec.constants import C, HBAR
-from recoilspec.ion_mechanics import TwoIonSystem
+from recoilspec.ion_mechanics import BeamGeometry, TwoIonSystem, lamb_dicke
 from recoilspec.presets import CA40, MG24, OMEGA_Z_DEFAULT
 from recoilspec.radiation import (EmissionPattern, LaserField, QuadratureError,
                                   TransitionLine, base_rate,
                                   composite_target_lineshape,
                                   effective_saturation_intensity,
                                   effective_spectral_density,
-                                  emission_coefficients, lineshape_value,
-                                  saturation_intensity, solid_angle_norm,
-                                  write_d_table_csv)
+                                  emission_coefficients, saturation_intensity)
 
-from oracles import overlap_trapezoid, split_lorentzian_fwhm
+from oracles import overlap_trapezoid, sphere_d_table, split_lorentzian_fwhm
 
 GAMMA_MG = 2 * np.pi * 41.8e6
 GAMMA_MGH = 2 * np.pi * 2.50
@@ -41,37 +38,34 @@ def mgh_line():
 # lineshapes
 # --------------------------------------------------------------------------
 
-def test_lorentzian_peak_and_halfwidth():
-    gamma = 2 * np.pi * 10e6
-    peak = lineshape_value("lorentzian", 0.0, 0.0, gamma)
+def test_lorentzian_peak_and_halfwidth(mg_line):
+    # a delta laser sees the transition Lorentzian: half its peak at Gamma/2
+    laser = LaserField(intensity=1.0)
+    gamma = mg_line.gamma_t
+    peak = effective_spectral_density(laser, mg_line) * C / 3.0
     assert peak == pytest.approx(2.0 / (np.pi * gamma), rel=1e-14)
-    assert lineshape_value("lorentzian", gamma / 2, 0.0, gamma) == pytest.approx(
-        peak / 2, rel=1e-14)
-
-
-def test_gaussian_peak():
-    sigma = 2 * np.pi * 4e6
-    assert lineshape_value("gaussian", 0.0, 0.0, sigma) == pytest.approx(
-        1.0 / (np.sqrt(2 * np.pi) * sigma), rel=1e-14)
+    assert effective_spectral_density(laser, mg_line, gamma / 2) * C / 3.0 == \
+        pytest.approx(peak / 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("kind,width", [("lorentzian", 2 * np.pi * 41.8e6),
                                         ("gaussian", 2 * np.pi * 21e6)])
 def test_lineshapes_normalized(kind, width):
+    # the overlap integrates to 1 over the detuning: a delta laser on a line
+    # of FWHM `width`, or a Gaussian laser of rms `width` on a 2.5 Hz line
+    if kind == "lorentzian":
+        line = TransitionLine.from_wavelength(279.6e-9, width)
+        laser = LaserField(intensity=1.0)
+    else:
+        line = TransitionLine.from_wavelength(6.17e-6, GAMMA_MGH)
+        laser = LaserField(intensity=1.0, fwhm=np.sqrt(8 * np.log(2)) * width)
     # the Lorentzian tail out to X leaves Gamma/(pi X); reach 1e-8 analytically
     span = 6.4e7 * width if kind == "lorentzian" else 15 * width
     breaks = [s * width for k in range(0, 28) for s in (-2.0**k, 2.0**k)]
     points = sorted({0.0, *(b for b in breaks if -span < b < span)})
-    val, _ = quad(lambda w: lineshape_value(kind, w, 0.0, width),
+    val, _ = quad(lambda d: effective_spectral_density(laser, line, d) * C / 3.0,
                   -span, span, points=points, limit=500)
     assert val == pytest.approx(1.0, abs=1e-8)
-
-
-def test_lineshape_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lineshape_value("lorentzian", 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        lineshape_value("boxcar", 0.0, 0.0, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +111,8 @@ def test_general_path_agrees_with_limit_forms(mg_line):
     narrow_laser_fwhm = 1e-5 * np.sqrt(8 * np.log(2)) * mg_line.gamma_t
     laser = LaserField(intensity=1.0, fwhm=narrow_laser_fwhm)
     got = effective_spectral_density(laser, mg_line, 0.3 * mg_line.gamma_t) * C / 3.0
-    want = lineshape_value("lorentzian", 0.3 * mg_line.gamma_t, 0.0, mg_line.gamma_t)
+    gamma = mg_line.gamma_t
+    want = (gamma / (2 * np.pi)) / ((0.3 * gamma) ** 2 + gamma**2 / 4)
     assert got == pytest.approx(want, rel=1e-4)
 
 
@@ -236,21 +231,26 @@ def test_base_rate_definition_consistency(mg_line):
 # emission patterns and recoil coefficients
 # --------------------------------------------------------------------------
 
+_KINDS = ["isotropic", "pi", "sigma", "mg_mixed"]
+
+
 def test_isotropic_weight():
-    pat = EmissionPattern("isotropic")
-    assert pat.weight(0.3, 1.2) == pytest.approx(1 / (4 * np.pi))
+    c = np.linspace(-1.0, 1.0, 9)
+    assert np.array_equal(EmissionPattern("isotropic").density(c), np.full(9, 0.5))
 
 
 def test_pi_pattern_broadside():
-    pat = EmissionPattern("pi")
-    # directions with sin(theta) sin(phi) = 0 see the full dipole lobe
-    assert pat.weight(np.pi / 2, 0.0) == pytest.approx(3 / (8 * np.pi))
-    assert pat.weight(0.0, 1.0) == pytest.approx(3 / (8 * np.pi))
+    # photons along the axis carry twice the density of those across it
+    density = EmissionPattern("pi").density
+    assert density(0.0) == pytest.approx(3 / 8, rel=1e-15)
+    assert density(1.0) == pytest.approx(3 / 4, rel=1e-15)
+    assert density(-1.0) == pytest.approx(3 / 4, rel=1e-15)
 
 
-@pytest.mark.parametrize("kind", ["isotropic", "pi", "sigma", "mg_mixed"])
+@pytest.mark.parametrize("kind", _KINDS)
 def test_patterns_normalized(kind):
-    assert solid_angle_norm(EmissionPattern(kind)) == pytest.approx(1.0, abs=1e-6)
+    nodes, wts = np.polynomial.legendre.leggauss(4)
+    assert wts @ EmissionPattern(kind).density(nodes) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_unknown_pattern_rejected():
@@ -269,6 +269,16 @@ def mg_system():
 def mg_d_table(mg_line, mg_system):
     return emission_coefficients(EmissionPattern("mg_mixed"), mg_line, mg_system,
                                  n_max=(7, 7), s_max=(5, 6))
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_d_table_matches_sphere_quadrature(kind, mg_line, mg_system):
+    n_max, s_max = (6, 6), (4, 5)
+    got = emission_coefficients(EmissionPattern(kind), mg_line, mg_system,
+                                n_max=n_max, s_max=s_max)
+    eta_z = lamb_dicke(mg_system, BeamGeometry(mg_line.wavelength, 1.0), "target")
+    want = sphere_d_table(kind, *eta_z, n_max, s_max)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_d_entries_are_probabilities(mg_d_table):
@@ -304,7 +314,7 @@ def test_zero_recoil_limit(mg_system):
 def test_quadrature_convergence_failure_reported(mg_line, mg_system):
     with pytest.raises(QuadratureError):
         emission_coefficients(EmissionPattern("mg_mixed"), mg_line, mg_system,
-                              n_max=(7, 7), s_max=(3, 3), n_theta=2, n_phi=4)
+                              n_max=(7, 7), s_max=(3, 3), n_theta=2)
 
 
 def test_single_node_quadrature_reported(mg_line, mg_system):
@@ -312,13 +322,16 @@ def test_single_node_quadrature_reported(mg_line, mg_system):
     # pass reaches the refinement check instead of failing in einsum
     with pytest.raises(QuadratureError):
         emission_coefficients(EmissionPattern("mg_mixed"), mg_line, mg_system,
-                              n_max=(7, 7), s_max=(3, 3), n_theta=1, n_phi=4)
+                              n_max=(7, 7), s_max=(3, 3), n_theta=1)
 
 
-def test_d_table_csv_export(mg_d_table):
-    buf = io.StringIO()
-    write_d_table_csv(mg_d_table, buf)
-    lines = buf.getvalue().splitlines()
+def test_d_table_csv_export(mg_d_table, tmp_path):
+    # the default scenario's D table is mg_d_table; export it via `dtable`
+    out = tmp_path / "dt"
+    code = main(["dtable", "-o", str(out),
+                 "-s", "scenario.n_ip_max=7", "-s", "scenario.n_op_max=7"])
+    assert code == EXIT_OK
+    lines = out.with_suffix(".csv").read_text().splitlines()
     assert lines[0] == "n_ip,n_op,s_ip,s_op,D"
     assert len(lines) == 1 + mg_d_table.size
     # flat row order is (n_ip, n_op, s_ip, s_op); spot-check one entry
