@@ -30,11 +30,10 @@ import numpy as np
 
 from . import presets
 from .constants import ion_mass_kg
-from .ion_mechanics import BeamGeometry, lamb_dicke
 from .radiation import QuadratureError, effective_saturation_intensity
 from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
                           build_rate_matrix, evolve_series, scaled_time)
-from .readout import pi_pulse
+from .readout import pi_pulse, readout_lamb_dicke
 from .reduced_model import reduced_spectrum
 from .scan_fit import (FitError, fit_lorentzian, numeric_fwhm_depth,
                        readout_spectrum, width_depth_curves)
@@ -174,29 +173,52 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-# the types a key with a non-null default takes, by the default's type
-_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-          float: ((int, float), "a number"), list: ((list,), "a list")}
+# a key that is set takes its default's type, or for a null default the
+# type _NULL_DEFAULT_TYPES names, else a number; an int is also a float,
+# but a bool is no number
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               list: "a list", str: "a string"}
+_NULL_DEFAULT_TYPES = {"scenario.pattern": str, "scan.fit": str,
+                       "widthcurve.intensities_sat_units": list,
+                       "widthcurve.laser_fwhms_hz": list}
+
+# the range of a number, or of each item of a list
+_POSITIVE = (lambda v: v > 0, "be > 0")
+_UNIT = (lambda v: 0 <= v <= 1, "lie in [0, 1]")
+_RANGES = {"scan.points": (lambda v: v >= 8, "be >= 8"),
+           "dynamics.points": (lambda v: v >= 1, "be >= 1"),
+           "workers": (lambda v: v >= 0, "be >= 0"),
+           "widthcurve.laser_fwhms_hz": (lambda v: v >= 0, "be >= 0"),
+           "readout.leak_survival": _UNIT, "reduced.contrast": _UNIT,
+           **dict.fromkeys(["scan.span_hz", "scan.tau_spec_s", "scan.tau_scaled",
+                            "dynamics.t_max_s", "widthcurve.tau_scaled",
+                            "widthcurve.intensities_sat_units",
+                            "readout.omega_0_hz", "readout.wavelength_m"], _POSITIVE)}
 
 
 def _check_types(cfg: dict, default: dict, path: str = "") -> None:
-    """A key whose default is not null takes a value of the default's type:
-    an int is also a float, but a bool is no number."""
     for key, dflt in default.items():
         where, value = path + key, cfg[key]
         if isinstance(dflt, dict):
             _check_types(value, dflt, where + ".")
-        elif dflt is not None and where != "preset":
-            types, name = _TYPES[type(dflt)]
-            _require(isinstance(value, types)
-                     and isinstance(value, bool) == isinstance(dflt, bool),
-                     f"{where} must be {name}, got {value!r}")
+        elif where != "preset" and (value, dflt) != (None, None):
+            kind = _NULL_DEFAULT_TYPES.get(where, float) if dflt is None else type(dflt)
+            _require(isinstance(value, (int, float) if kind is float else kind)
+                     and isinstance(value, bool) == (kind is bool),
+                     f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def _validate(cfg: dict) -> None:
     _check_types(cfg, DEFAULT_CONFIG)
     _require(cfg["preset"] in (None, *presets.PRESETS),
              f"preset must be one of {sorted(presets.PRESETS)} or null")
+    for where, (holds, condition) in _RANGES.items():
+        section, _, key = where.rpartition(".")
+        value = (cfg[section] if section else cfg)[key]
+        for v in value if isinstance(value, list) else [value]:
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            _require(value is None or number and holds(v),
+                     f"{where} must {condition}, got {v!r}")
     sc = cfg["scenario"]
     _require(not (sc["intensity_sat_units"] is not None
                   and sc["intensity_w_m2"] is not None),
@@ -209,17 +231,8 @@ def _validate(cfg: dict) -> None:
                     "gamma_t_hz", "pattern"):
             _require(sc[key] is not None,
                      f"scenario.{key} is required when preset is null")
-    _require(cfg["scan"]["points"] >= 8, "scan.points must be >= 8")
     _require(cfg["scan"]["fit"] in (None, "lorentzian", "numeric"),
              "scan.fit must be null, lorentzian or numeric")
-    _require(cfg["dynamics"]["points"] >= 1, "dynamics.points must be >= 1")
-    _require(cfg["dynamics"]["t_max_s"] > 0, "dynamics.t_max_s must be > 0")
-    _require(cfg["workers"] >= 0, "workers must be >= 0")
-    ro = cfg["readout"]
-    _require(ro["omega_0_hz"] > 0 and ro["wavelength_m"] > 0,
-             "readout pulse needs positive Rabi frequency and wavelength")
-    _require(0 <= ro["leak_survival"] <= 1,
-             "readout.leak_survival must lie in [0, 1]")
 
 
 def build_scenario(cfg: dict) -> SpectroscopyScenario:
@@ -243,9 +256,11 @@ def _scan_setting(cfg: dict, key: str, default):
 
 def _resolve_tau_spec(cfg: dict, scenario: SpectroscopyScenario) -> float:
     scan = cfg["scan"]
-    if scan["tau_scaled"] is not None:
-        return scan["tau_scaled"] / scaled_time(1.0, scenario)
-    return scan["tau_spec_s"]
+    if scan["tau_scaled"] is None:
+        return scan["tau_spec_s"]
+    rate = scaled_time(1.0, scenario)
+    _require(rate > 0, f"scan.tau_scaled: resonant absorption rate {rate!r} must be > 0")
+    return scan["tau_scaled"] / rate
 
 
 def _detuning_grid(cfg: dict) -> np.ndarray:
@@ -295,10 +310,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_effective_config(prefix: str, cfg: dict) -> None:
-    _write_json(prefix + "_config.json", cfg)
-
-
 _MARGINAL_STATES = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
                     (1, 2), (2, 1), (2, 2)]
 _MARGINAL_HEADER = [f"P_{i}{j}" for i, j in _MARGINAL_STATES]
@@ -318,8 +329,7 @@ _SPECTRUM_HEADER = (["detuning_hz", "fluorescence_probability",
 
 def _write_gnuplot(prefix: str, csv_path: str, xlabel: str, ylabel: str,
                    xcol: int, ycol: int) -> None:
-    path = prefix + ".gp"
-    with open(path, "w") as fh:
+    with open(prefix + ".gp", "w") as fh:
         fh.write(f"""set datafile separator ','
 set xlabel '{xlabel}'
 set ylabel '{ylabel}'
@@ -334,9 +344,8 @@ plot '{os.path.basename(csv_path)}' using {xcol}:{ycol} with linespoints
 
 def _cmd_modes(cfg, scenario, prefix, args):
     sys_ = scenario.system
-    eta_t = lamb_dicke(sys_, scenario.beam, "target")
-    eta_r = lamb_dicke(sys_, BeamGeometry(cfg["readout"]["wavelength_m"], 1.0),
-                       "readout")
+    eta_t = scenario.laser_eta()
+    eta_r = readout_lamb_dicke(sys_, cfg["readout"]["wavelength_m"])
     isat = effective_saturation_intensity(scenario.line, scenario.laser.sigma)
     regime = "laser" if scenario.laser.fwhm else "transition"
     report = {
@@ -362,7 +371,6 @@ def _cmd_modes(cfg, scenario, prefix, args):
     print(f"readout Lamb-Dicke: eta_ip {eta_r[0]:.4f}, eta_op {eta_r[1]:.4f}")
     print(f"saturation intensity ({regime}): {isat:.4g} W/m^2")
     _write_json(prefix + ".json", {"report": report, "config": cfg})
-    _write_effective_config(prefix, cfg)
     return EXIT_OK
 
 
@@ -370,11 +378,9 @@ def _cmd_dynamics(cfg, scenario, prefix, args):
     dyn = cfg["dynamics"]
     times = np.linspace(0.0, dyn["t_max_s"], dyn["points"] + 1)[1:]
     matrix = build_rate_matrix(scenario, 2 * np.pi * dyn["detuning_hz"])
-    leak_seen = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", LeakWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LeakWarning)
         states = evolve_series(matrix, PopulationState.ground(scenario), times)
-        leak_seen = any(issubclass(w.category, LeakWarning) for w in caught)
     rate = scaled_time(1.0, scenario)
     rows = []
     for t, st in zip(times, states):
@@ -385,11 +391,10 @@ def _cmd_dynamics(cfg, scenario, prefix, args):
                "p_ground_00", "p_excited_00"] + _MARGINAL_HEADER)
     csv_path = prefix + ".csv"
     _write_csv(csv_path, header, rows)
-    _write_effective_config(prefix, cfg)
     if args.plot_script:
         _write_gnuplot(prefix, csv_path, "t (s)", "population", 1, 6)
     print(f"wrote {csv_path} ({len(rows)} time points)")
-    return EXIT_LEAK if leak_seen else EXIT_OK
+    return EXIT_LEAK if states[-1].leaked > scenario.leak_warn_fraction else EXIT_OK
 
 
 def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
@@ -409,7 +414,9 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
     csv_path = prefix + ".csv"
     _write_csv(csv_path, _SPECTRUM_HEADER, _spectrum_rows(records, model))
     fit_mode = _scan_setting(cfg, "fit", "lorentzian")
-    fit_payload = {"fit": None, "fit_error": None}
+    fit_payload = {"fit": None, "fit_error": None, "tau_spec_s": tau_spec,
+                   "tau_scaled": scaled_time(tau_spec, scenario), "model": model,
+                   "config": cfg}
     try:
         if fit_mode == "numeric":
             fwhm, depth = numeric_fwhm_depth(records)
@@ -425,12 +432,7 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
                 "iterations": res.iterations}
     except (FitError, ValueError) as exc:
         fit_payload["fit_error"] = str(exc)
-    fit_payload["tau_spec_s"] = tau_spec
-    fit_payload["tau_scaled"] = scaled_time(tau_spec, scenario)
-    fit_payload["model"] = model
-    fit_payload["config"] = cfg
     _write_json(prefix + "_fit.json", fit_payload)
-    _write_effective_config(prefix, cfg)
     if args.plot_script:
         _write_gnuplot(prefix, csv_path, "detuning (Hz)", "fluorescence", 1, 2)
     leak = any(r.leak_flag for r in records)
@@ -470,7 +472,6 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
                 "max_leaked_probability", "leak_flag"],
                [[r.label, r.tau_scaled, r.tau_spec, r.fwhm / (2 * np.pi),
                  r.depth, r.max_leaked, int(r.flagged)] for r in rows])
-    _write_effective_config(prefix, cfg)
     if args.plot_script:
         _write_gnuplot(prefix, csv_path, "tau_scaled", "FWHM (Hz)", 2, 4)
     print(f"wrote {csv_path} ({len(rows)} points)")
@@ -484,7 +485,6 @@ def _cmd_dtable(cfg, scenario, prefix, args):
     _write_csv(csv_path, ["n_ip", "n_op", "s_ip", "s_op", "D"],
                ([a, b, i - s_ip, j - s_op, table[a, b, i, j]]
                 for a, b, i, j in np.ndindex(table.shape)))
-    _write_effective_config(prefix, cfg)
     print(f"wrote {csv_path} ({table.size} coefficients)")
     return EXIT_OK
 
@@ -568,13 +568,15 @@ def main(argv=None) -> int:
         return EXIT_OK
     prefix = args.output or os.path.join("out", args.command)
     try:
-        return _COMMANDS[args.command](cfg, scenario, prefix, args)
+        code = _COMMANDS[args.command](cfg, scenario, prefix, args)
     except (FitError, QuadratureError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, TypeError) as exc:  # a value only the command checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    _write_json(prefix + "_config.json", cfg)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,11 +1,10 @@
 """Light-field machinery: lineshapes, rates, and emission-recoil tables.
 
 Covers the spectral overlap of a laser line with the target transition
-(effective spectral energy density), the absorption / stimulated-emission
-base rates and saturation intensities derived from it, emission patterns
-for spontaneous decay as densities in cos(theta), and the direction-averaged
-recoil coefficients D that weight spontaneous emission on each motional
-sideband.
+(effective spectral energy density), the absorption base rate and the
+saturation intensities derived from it, emission patterns for spontaneous
+decay as densities in cos(theta), and the direction-averaged recoil
+coefficients D that weight spontaneous emission on each motional sideband.
 """
 
 from dataclasses import dataclass
@@ -123,23 +122,19 @@ def effective_saturation_intensity(line: TransitionLine,
     return saturation_intensity(line, sigma_L) / line.absorption_scale
 
 
-def base_rate(laser: LaserField, line: TransitionLine, detuning: float,
-              channel: str = "absorption") -> float:
-    """Absorption or stimulated-emission base rate (1/s) at one detuning.
+def base_rate(laser: LaserField, line: TransitionLine, detuning: float) -> float:
+    """Absorption base rate r (1/s) at one detuning.
 
-    R = B * rho_eff(detuning) * channel_scale with B = pi^2 c^3 Gamma_t /
-    (hbar w_t^3); multiply by |xi|^2 per sideband to get transition rates.
-    On resonance this equals Gamma_t * (I_L / I_sat) * channel_scale with
-    the unscaled two-level I_sat.
+    r = B * rho_eff(detuning) * absorption_scale with B = pi^2 c^3
+    Gamma_t / (hbar w_t^3); multiply by |xi|^2 per sideband to get
+    transition rates.  Stimulated emission runs at
+    r * stimulated_scale / absorption_scale.  On resonance r equals
+    Gamma_t * (I_L / I_sat) * absorption_scale with the unscaled
+    two-level I_sat.
     """
-    if channel == "absorption":
-        scale = line.absorption_scale
-    elif channel == "stimulated":
-        scale = line.stimulated_scale
-    else:
-        raise ValueError(f"channel must be 'absorption' or 'stimulated', got {channel!r}")
     b_coef = np.pi**2 * C**3 * line.gamma_t / (HBAR * line.omega_t**3)
-    return b_coef * effective_spectral_density(laser, line, detuning) * scale
+    density = effective_spectral_density(laser, line, detuning)
+    return b_coef * density * line.absorption_scale
 
 
 # ---------------------------------------------------------------------------

@@ -237,34 +237,36 @@ def _heating_kernel(scenario: SpectroscopyScenario) -> sp.csc_matrix:
 
 
 def _scenario_kernels(scenario: SpectroscopyScenario):
-    """Detuning-independent pieces of the generator, cached on the scenario."""
+    """Laser-independent pieces of the generator, cached on the scenario:
+    K = K_abs + rho K_stim with rho = stimulated_scale / absorption_scale,
+    C = K_heat + Gamma_t K_spon, and K_heat alone."""
     if "kernels" not in scenario._cache:
+        line = scenario.line
         x_ip, x_op = scenario.laser_coupling()
         xi2 = np.einsum("au,bv->abuv", x_ip, x_op)
-        k_abs = _transition_kernel(scenario, xi2, src_block=0, dest_block=1)
-        k_stim = _transition_kernel(scenario, xi2, src_block=1, dest_block=0)
-        k_spon = _transition_kernel(scenario, scenario.d_table(),
-                                    src_block=1, dest_block=0)
+        rho = line.stimulated_scale / line.absorption_scale
+        k_laser = _transition_kernel(scenario, xi2, src_block=0, dest_block=1)
+        k_laser += rho * _transition_kernel(scenario, xi2, src_block=1, dest_block=0)
         k_heat = _heating_kernel(scenario)
-        scenario._cache["kernels"] = (k_abs, k_stim, k_spon, k_heat)
+        k_const = k_heat + line.gamma_t * _transition_kernel(
+            scenario, scenario.d_table(), src_block=1, dest_block=0)
+        scenario._cache["kernels"] = (k_laser, k_const, k_heat)
     return scenario._cache["kernels"]
 
 
 def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
                       include_spontaneous: bool = True) -> RateMatrix:
-    """Assemble the linear rate generator at one laser detuning (rad/s).
+    """Assemble the linear rate generator r K + C at one detuning (rad/s).
 
-    Absorption g,(n) -> e,(n+s) at R_abs,0(detuning) |xi(n,s)|^2;
-    stimulated emission e,(n) -> g,(n+s) at R_stim,0 |xi|^2 (the same
-    table by the n_< / n_> symmetry); spontaneous emission at Gamma_t D;
-    heating as an upward ladder.  Off-grid destinations feed the leak row.
+    r is the absorption base rate: absorption g,(n) -> e,(n+s) at
+    r |xi(n,s)|^2, stimulated emission e,(n) -> g,(n+s) at rho r |xi|^2
+    (the same table by the n_< / n_> symmetry).  C holds spontaneous
+    emission at Gamma_t D and the heating ladder; include_spontaneous=False
+    keeps only the ladder.  Off-grid destinations feed the leak row.
     """
-    k_abs, k_stim, k_spon, k_heat = _scenario_kernels(scenario)
-    r_abs = base_rate(scenario.laser, scenario.line, detuning, "absorption")
-    r_stim = base_rate(scenario.laser, scenario.line, detuning, "stimulated")
-    gen = r_abs * k_abs + r_stim * k_stim + k_heat
-    if include_spontaneous:
-        gen = gen + scenario.line.gamma_t * k_spon
+    k_laser, k_const, k_heat = _scenario_kernels(scenario)
+    rate = base_rate(scenario.laser, scenario.line, detuning)
+    gen = rate * k_laser + (k_const if include_spontaneous else k_heat)
     return RateMatrix(generator=gen.tocsc(), detuning=detuning,
                       grid_shape=scenario.grid_shape,
                       leak_warn_fraction=scenario.leak_warn_fraction)
@@ -463,5 +465,4 @@ def scaled_time(tau_spec: float, scenario: SpectroscopyScenario) -> float:
     Roughly the number of photons scattered during the pulse; spectra at
     equal scaled time nearly coincide when heating is negligible.
     """
-    r_res = base_rate(scenario.laser, scenario.line, 0.0, "absorption")
-    return float(tau_spec * r_res)
+    return float(tau_spec * base_rate(scenario.laser, scenario.line, 0.0))

@@ -52,15 +52,15 @@ def reduced_rates(scenario: SpectroscopyScenario, detuning: float) -> ReducedRat
     x_ip, x_op = scenario.laser_coupling()
     carrier = float(x_ip[0, scenario.s_ip_max] * x_op[0, scenario.s_op_max])
     d00 = float(scenario.d_table()[0, 0, scenario.s_ip_max, scenario.s_op_max])
-    r_abs = base_rate(scenario.laser, scenario.line, detuning, "absorption")
-    r_stim = base_rate(scenario.laser, scenario.line, detuning, "stimulated")
-    gamma = scenario.line.gamma_t
+    line = scenario.line
+    r_abs = base_rate(scenario.laser, line, detuning)
+    r_stim = r_abs * line.stimulated_scale / line.absorption_scale
     heat = scenario.heat_ip + scenario.heat_op
     return ReducedRates(
         g_to_e=r_abs * carrier,
-        e_to_g=r_stim * carrier + gamma * d00,
+        e_to_g=r_stim * carrier + line.gamma_t * d00,
         g_to_aux=r_abs * (1.0 - carrier) + heat,
-        e_to_aux=r_stim * (1.0 - carrier) + gamma * (1.0 - d00) + heat,
+        e_to_aux=r_stim * (1.0 - carrier) + line.gamma_t * (1.0 - d00) + heat,
     )
 
 

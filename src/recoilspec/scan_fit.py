@@ -268,7 +268,9 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
     tau_scaled = np.asarray(tau_scaled_values, dtype=float)
     rows = []
     for label, scenario in scenarios:
-        tau_specs = tau_scaled / scaled_time(1.0, scenario)
+        if not (rate := scaled_time(1.0, scenario)) > 0:
+            raise ValueError(f"{label}: resonant absorption rate {rate!r} must be > 0")
+        tau_specs = tau_scaled / rate
         scans = _scan(scenario, detunings, tau_specs, pulses, leak_survival,
                       workers)
         for ts, tau_spec, records in zip(tau_scaled, tau_specs, scans):

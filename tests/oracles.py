@@ -8,16 +8,19 @@ search, emission coefficients from the full dipole patterns integrated
 over the sphere in (theta, phi), time evolution from the dense matrix
 exponential of the generator (the reference for the library's Krylov
 and LSODA paths), laser-broadened dip widths from resonant dense matrix
-exponentials instead of a detuning scan, and the heating ladder from an
-explicit loop over grid states.
+exponentials instead of a detuning scan, the heating ladder from an
+explicit loop over grid states, and the whole rate generator from a loop
+over grid states and sidebands with every rate written out.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.optimize import brentq
-from scipy.special import gammaln
+from scipy.special import gammaln, voigt_profile
 
+from recoilspec.constants import C, HBAR
+from recoilspec.ion_mechanics import BeamGeometry, lamb_dicke
 from recoilspec.radiation import base_rate
 from recoilspec.rate_engine import PopulationState, build_rate_matrix
 from recoilspec.readout import fluorescence_probability, pi_pulse
@@ -165,7 +168,7 @@ def gaussian_profile_fwhm(scenario, tau_scaled: float) -> float:
     if not line.gamma_t < 1e-4 * laser.fwhm:
         raise ValueError("oracle holds only for a Gaussian laser much broader "
                          "than the transition")
-    tau_spec = tau_scaled / base_rate(laser, line, 0.0, "absorption")
+    tau_spec = tau_scaled / base_rate(laser, line, 0.0)
     pulse = pi_pulse(scenario.system, (0, -1))
     ground = PopulationState.ground(scenario)
     cache = {}
@@ -212,3 +215,55 @@ def heating_kernel_loop(scenario) -> sp.csc_matrix:
                     data += [rate, -rate]
     n = scenario.n_states
     return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+
+
+def generator_loop(scenario, detuning: float,
+                   include_spontaneous: bool = True) -> np.ndarray:
+    """Dense rate generator built one grid state and one sideband at a time.
+
+    Absorption g(n) -> e(n+s) and stimulated emission e(n) -> g(n+s) run
+    at their own rate B (3 I / c) V(detuning) times their channel scale,
+    with V the Voigt overlap of laser and line and B = pi^2 c^3 Gamma_t /
+    (hbar w_t^3), times |xi|^2 from the factorial double sum; spontaneous
+    emission e(n) -> g(n+s) runs at Gamma_t times D from sphere_d_table,
+    and heating comes from heating_kernel_loop.  A destination past the
+    grid edge is the leak row, and each diagonal entry balances its
+    column.
+    """
+    laser, line = scenario.laser, scenario.line
+    n_ip, n_op = scenario.grid_shape
+    s_ip, s_op = scenario.s_ip_max, scenario.s_op_max
+    n_mot = n_ip * n_op
+    leak = scenario.leak_index
+    b_coef = np.pi**2 * C**3 * line.gamma_t / (HBAR * line.omega_t**3)
+    rho_eff = 3.0 * laser.intensity / C * voigt_profile(detuning, laser.sigma,
+                                                         line.gamma_t / 2.0)
+    r_abs = b_coef * rho_eff * line.absorption_scale
+    r_stim = b_coef * rho_eff * line.stimulated_scale
+    eta_ip, eta_op = scenario.laser_eta()
+    d = None
+    if include_spontaneous:
+        eta_z = lamb_dicke(scenario.system, BeamGeometry(line.wavelength, 1.0),
+                           "target")
+        d = sphere_d_table(scenario.pattern.kind, *eta_z, (n_ip - 1, n_op - 1),
+                           (s_ip, s_op))
+    g = heating_kernel_loop(scenario).toarray()
+    for i in range(n_ip):
+        for j in range(n_op):
+            for u in range(-s_ip, s_ip + 1):
+                for v in range(-s_op, s_op + 1):
+                    if i + u < 0 or j + v < 0:
+                        continue
+                    xi2 = abs(xi_double_sum(eta_ip, eta_op, i, j, u, v)) ** 2
+                    jumps = [(0, 1, r_abs * xi2), (1, 0, r_stim * xi2)]
+                    if d is not None:
+                        d_jump = d[i, j, s_ip + u, s_op + v]
+                        jumps.append((1, 0, line.gamma_t * d_jump))
+                    in_grid = i + u < n_ip and j + v < n_op
+                    for src_block, dest_block, rate in jumps:
+                        src = src_block * n_mot + i * n_op + j
+                        dest = (dest_block * n_mot + (i + u) * n_op + j + v
+                                if in_grid else leak)
+                        g[dest, src] += rate
+                        g[src, src] -= rate
+    return g

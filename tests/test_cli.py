@@ -269,13 +269,6 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     assert not (tmp_path / "wc.csv").exists()
 
 
-# bad values that only the physics code checks, once the command runs
-_CHECKED_BY_COMMAND = {"widthcurve.laser_fwhms_hz=[-1e6]",
-                       "widthcurve.intensities_sat_units=[-1]",
-                       "widthcurve.tau_scaled=[-1]", "scan.tau_spec_s=-1e-3",
-                       "scan.tau_scaled=-2"}
-
-
 @pytest.mark.parametrize("argv", [
     ["widthcurve", "-p", "mgh24_ca40", "-s", "widthcurve.laser_fwhms_hz=[-1e6]"],
     ["widthcurve", "-s", "widthcurve.intensities_sat_units=[-1]"],
@@ -284,11 +277,21 @@ _CHECKED_BY_COMMAND = {"widthcurve.laser_fwhms_hz=[-1e6]",
     ["spectrum", "-s", "scan.tau_scaled=-2"],
     ["dynamics", "-s", "dynamics.t_max_s=-1e-3"],
     ["dynamics", "-s", "dynamics.points=0"],
+    ["spectrum", "-s", "scan.span_hz=0"],
+    ["widthcurve", "-s", "widthcurve.tau_scaled=[0]"],
+    ["reduced", "-s", "reduced.contrast=2"],
     # a value of the wrong type
     ["spectrum", "-s", "scan.points=abc"],
     ["spectrum", "-s", "scan.points=10.5"],
     ["dynamics", "-s", "dynamics.points=abc"],
     ["widthcurve", "-s", "widthcurve.tau_scaled=5"],
+    ["widthcurve", "-s", "widthcurve.tau_scaled=[1,\"a\"]"],
+    ["widthcurve", "-s", "widthcurve.laser_fwhms_hz=[true]"],
+    ["widthcurve", "-s", "widthcurve.intensities_sat_units=[null]"],
+    ["spectrum", "-s", "scan.tau_scaled=abc"],
+    ["spectrum", "-s", "scan.span_hz=abc"],
+    ["modes", "-s", "scenario.heat_ip=abc"],
+    ["modes", "-s", "scenario.pattern=5"],
     ["modes", "-s", "readout.omega_0_hz=null"],
     ["spectrum", "-s", "readout.two_pulse=yes"],
     ["spectrum", "-s", "readout.two_pulse=1"],
@@ -298,13 +301,24 @@ _CHECKED_BY_COMMAND = {"widthcurve.laser_fwhms_hz=[-1e6]",
     ["spectrum", "-s", "scan.fit=gaussian"],
 ], ids=lambda argv: argv[-1])
 def test_bad_run_time_value_is_a_config_error(argv, tmp_path, capsys):
-    # values checked only once the command runs still report as config errors
     assert main([*argv, "-w", "1", "-o", str(tmp_path / "x")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     # the config check names the key it rejects
-    if argv[-1] not in _CHECKED_BY_COMMAND:
-        assert argv[-1].split("=")[0] in err
+    assert argv[-1].split("=")[0] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-s", "scan.tau_scaled=2"],
+    ["widthcurve"],
+], ids=lambda argv: argv[0])
+def test_scaled_time_without_light_is_a_config_error(argv, tmp_path, capsys):
+    # a dark laser has no resonant rate to turn a scaled time into seconds
+    assert main([*argv, "-s", "scenario.intensity_sat_units=0", "-w", "1",
+                 "-o", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "resonant absorption rate" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 class _FakeLibc:

@@ -6,13 +6,14 @@ from scipy.special import voigt_profile
 from recoilspec.cli import EXIT_OK, main
 from recoilspec.constants import C, HBAR
 from recoilspec.ion_mechanics import BeamGeometry, TwoIonSystem, lamb_dicke
-from recoilspec.presets import CA40, MG24, OMEGA_Z_DEFAULT
+from recoilspec.presets import CA40, MG24, OMEGA_Z_DEFAULT, mgh24_ca40
 from recoilspec.radiation import (EmissionPattern, LaserField, QuadratureError,
                                   TransitionLine, base_rate,
                                   composite_target_lineshape,
                                   effective_saturation_intensity,
                                   effective_spectral_density,
                                   emission_coefficients, saturation_intensity)
+from recoilspec.rate_engine import build_rate_matrix
 
 from oracles import overlap_trapezoid, sphere_d_table, split_lorentzian_fwhm
 
@@ -195,7 +196,7 @@ def test_saturation_intensity_argument_errors(mg_line):
 def test_mg_resonant_base_rate(mg_line):
     intensity = 6.54e-6 * effective_saturation_intensity(mg_line)
     laser = LaserField(intensity=intensity)
-    rate = base_rate(laser, mg_line, 0.0, "absorption")
+    rate = base_rate(laser, mg_line, 0.0)
     assert rate == pytest.approx(mg_line.gamma_t * 6.54e-6, rel=1e-9)
     assert rate == pytest.approx(1.72e3, rel=0.01)
     assert rate * 1.3e-3 == pytest.approx(2.23, rel=0.01)
@@ -205,26 +206,27 @@ def test_mgh_resonant_base_rate(mgh_line):
     sigma = 2 * np.pi * 50e6 / np.sqrt(8 * np.log(2))
     laser = LaserField(intensity=2.08e4 * effective_saturation_intensity(
         mgh_line, sigma), fwhm=2 * np.pi * 50e6)
-    rate = base_rate(laser, mgh_line, 0.0, "absorption")
+    rate = base_rate(laser, mgh_line, 0.0)
     assert rate * 10e-3 == pytest.approx(3280, rel=0.02)
-    # stimulated channel carries scale 1/3 instead of 1/9
-    assert base_rate(laser, mgh_line, 0.0, "stimulated") == pytest.approx(
-        3 * rate, rel=1e-12)
+    # the generator drives stimulated emission with scale 1/3 instead of 1/9:
+    # the carrier e(0,0) -> g(0,0) runs at 3 times g(0,0) -> e(0,0)
+    sc = mgh24_ca40(n_ip_max=1, n_op_max=1).with_laser(intensity=laser.intensity)
+    gen = build_rate_matrix(sc, 0.0, include_spontaneous=False).generator
+    assert gen[0, sc.n_motional] == pytest.approx(3 * gen[sc.n_motional, 0],
+                                                  rel=1e-12)
 
 
 def test_zero_intensity_gives_zero_rate(mg_line):
     laser = LaserField(intensity=0.0)
-    assert base_rate(laser, mg_line, 0.0, "absorption") == 0.0
+    assert base_rate(laser, mg_line, 0.0) == 0.0
 
 
 def test_base_rate_definition_consistency(mg_line):
-    # R(resonance) * I_sat / I_L = Gamma_t * channel_scale
+    # R(resonance) * I_sat / I_L = Gamma_t * absorption_scale
     laser = LaserField(intensity=3.3)
-    for channel, scale in (("absorption", mg_line.absorption_scale),
-                           ("stimulated", mg_line.stimulated_scale)):
-        rate = base_rate(laser, mg_line, 0.0, channel)
-        assert rate * saturation_intensity(mg_line) / 3.3 == pytest.approx(
-            mg_line.gamma_t * scale, rel=1e-12)
+    rate = base_rate(laser, mg_line, 0.0)
+    assert rate * saturation_intensity(mg_line) / 3.3 == pytest.approx(
+        mg_line.gamma_t * mg_line.absorption_scale, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

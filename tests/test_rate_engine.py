@@ -21,7 +21,8 @@ from recoilspec.rate_engine import (LeakWarning, PopulationState,
                                     _heating_kernel, build_rate_matrix, evolve,
                                     evolve_series, scaled_time)
 
-from oracles import expm_populations, heating_kernel_loop, xi_double_sum_mode
+from oracles import (expm_populations, generator_loop, heating_kernel_loop,
+                     xi_double_sum_mode)
 
 
 def small_mg(n_max=7, **kw):
@@ -57,6 +58,20 @@ def test_leak_row_collects_out_of_grid_flow():
     leak = sc.leak_index
     assert gen[leak].sum() > 0.0          # something routes off-grid
     assert np.all(gen[:, leak] == 0.0)    # and the leak row is absorbing
+
+
+@pytest.mark.parametrize("include_spontaneous", [True, False])
+@pytest.mark.parametrize("detuning_mhz", [0.0, 30.0, -30.0])
+@pytest.mark.parametrize("make", [mg24_ca40, mgh24_ca40])
+def test_generator_matches_state_by_state_oracle(make, detuning_mhz,
+                                                 include_spontaneous):
+    # r K + C against a loop over states and sidebands in which absorption
+    # and stimulated emission each have their own rate and channel scale
+    sc = make(n_ip_max=2, n_op_max=3, s_ip_max=2, s_op_max=3)
+    detuning = 2 * np.pi * detuning_mhz * 1e6
+    built = build_rate_matrix(sc, detuning, include_spontaneous).dense()
+    oracle = generator_loop(sc, detuning, include_spontaneous)
+    assert np.abs(built - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 # small grids of both presets, each with a delta and a 50 MHz Gaussian laser
@@ -108,13 +123,19 @@ def _frozen_ip_scenario(r_abs_over_stim=1.0, eta_op=0.3):
     return sc
 
 
+def _stimulated_rate(sc):
+    """Resonant stimulated-emission rate: rho times the absorption base rate."""
+    rho = sc.line.stimulated_scale / sc.line.absorption_scale
+    return rho * base_rate(sc.laser, sc.line, 0.0)
+
+
 def _toy_oracle_generator(sc, eta_op):
     """Hand-built generator on the active subspace, from oracle couplings."""
     c = [abs(xi_double_sum_mode(eta_op, n, 0)) ** 2 for n in (0, 1)]
     x01 = abs(xi_double_sum_mode(eta_op, 0, 1)) ** 2
     y12 = abs(xi_double_sum_mode(eta_op, 1, 1)) ** 2
-    r_a = base_rate(sc.laser, sc.line, 0.0, "absorption")
-    r_s = base_rate(sc.laser, sc.line, 0.0, "stimulated")
+    r_a = base_rate(sc.laser, sc.line, 0.0)
+    r_s = _stimulated_rate(sc)
     g = np.zeros((5, 5))
     # order: g(0,0), g(0,1), e(0,0), e(0,1), leak
     for src, dst, rate in [
@@ -148,7 +169,7 @@ def test_toy_grid_quasistationary_state():
     matrix = build_rate_matrix(sc, 0.0)
     state = PopulationState.ground(sc)
     # the slowest relaxation is motional mixing at the sideband rate
-    t_relax = 150.0 / base_rate(sc.laser, sc.line, 0.0, "stimulated")
+    t_relax = 150.0 / _stimulated_rate(sc)
     final = expm_populations(matrix, state.to_vector(), [t_relax])[:, 0]
     in_grid = final[_TOY_ACTIVE[:4]]
     assert in_grid / in_grid.sum() == pytest.approx(lead, abs=1e-8)
@@ -160,7 +181,7 @@ def test_toy_grid_detailed_balance_ratio():
     ratio = 0.5
     sc = _frozen_ip_scenario(r_abs_over_stim=ratio, eta_op=0.02)
     matrix = build_rate_matrix(sc, 0.0)
-    t_relax = 80.0 / base_rate(sc.laser, sc.line, 0.0, "stimulated")
+    t_relax = 80.0 / _stimulated_rate(sc)
     p = expm_populations(matrix, PopulationState.ground(sc).to_vector(),
                          [t_relax])[:, 0]
     # the open boundary skews the balance at O(|xi(1->2)|^2 / carrier)

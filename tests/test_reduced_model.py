@@ -34,7 +34,7 @@ def test_sideband_sums_from_completeness(mg_scenario):
     r = reduced_rates(mg_scenario, 0.0)
     x_ip, x_op = mg_scenario.laser_coupling()
     carrier = x_ip[0, mg_scenario.s_ip_max] * x_op[0, mg_scenario.s_op_max]
-    r_abs = base_rate(mg_scenario.laser, mg_scenario.line, 0.0, "absorption")
+    r_abs = base_rate(mg_scenario.laser, mg_scenario.line, 0.0)
     want = r_abs * (1.0 - carrier) + mg_scenario.heat_ip + mg_scenario.heat_op
     assert r.g_to_aux == pytest.approx(want, rel=1e-12)
     # the same sideband weight from an explicit sum over s != 0

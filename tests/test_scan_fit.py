@@ -225,7 +225,7 @@ def test_width_curve_matches_per_tau_spectra(small_scan_scenario):
     sc = small_scan_scenario
     taus = [1.0, 2.23, 4.0]
     rows = width_depth_curves([("mg", sc)], taus, SCAN_GRID, fit="numeric")
-    r_res = base_rate(sc.laser, sc.line, 0.0, "absorption")
+    r_res = base_rate(sc.laser, sc.line, 0.0)
     for ts, row in zip(taus, rows):
         assert row.tau_scaled == ts
         assert row.tau_spec == ts / r_res
@@ -244,6 +244,13 @@ def test_width_curve_keeps_input_order_of_pulse_times(small_scan_scenario,
     ordered = width_depth_curves(entries, [1.0, 4.0], SCAN_GRID, fit="numeric")
     assert [r.tau_scaled for r in mixed] == [4.0, 1.0, 4.0]
     assert mixed == [ordered[1], ordered[0], ordered[1]]
+
+
+def test_width_curve_without_light_is_rejected(small_scan_scenario):
+    # a dark laser has no resonant rate to turn a scaled time into seconds
+    dark = small_scan_scenario.with_laser(intensity=0.0)
+    with pytest.raises(ValueError, match="resonant absorption rate"):
+        width_depth_curves([("dark", dark)], [1.0], SCAN_GRID)
 
 
 def test_width_curves_collapse_across_intensities(mg_scenario):
