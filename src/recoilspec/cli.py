@@ -180,7 +180,9 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                list: "a list", str: "a string"}
 _NULL_DEFAULT_TYPES = {"scenario.pattern": str, "scan.fit": str,
                        "widthcurve.intensities_sat_units": list,
-                       "widthcurve.laser_fwhms_hz": list}
+                       "widthcurve.laser_fwhms_hz": list,
+                       **dict.fromkeys(["scenario.n_ip_max", "scenario.n_op_max",
+                                        "scenario.s_ip_max", "scenario.s_op_max"], int)}
 
 # the range of a number, or of each item of a list
 _POSITIVE = (lambda v: v > 0, "be > 0")
@@ -572,7 +574,7 @@ def main(argv=None) -> int:
     except (FitError, QuadratureError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, TypeError) as exc:  # a value only the command checks
+    except ValueError as exc:  # a value only the command checks, or a failed width
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _write_json(prefix + "_config.json", cfg)

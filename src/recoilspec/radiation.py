@@ -10,7 +10,6 @@ coefficients D that weight spontaneous emission on each motional sideband.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import voigt_profile
 
 from .constants import C, HBAR
@@ -222,6 +221,9 @@ def composite_target_lineshape(gamma_t: float, doppler_fwhm: float = 0.0,
     detuning from the unshifted center to spectral density.  The FWHM is
     twice the outer half-maximum crossing of the numeric profile.
     """
+    # imported here, not at start-up: no command calls this function
+    from scipy.optimize import brentq, minimize_scalar
+
     if gamma_t <= 0:
         raise ValueError("gamma_t must be positive")
     if doppler_fwhm < 0 or zeeman_splitting < 0:

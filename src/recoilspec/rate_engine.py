@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm, lu_factor, lu_solve
 from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import splu
@@ -378,6 +377,13 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
         return None
     _log.debug("krylov: m = %d, min %.1e", m, p.min())
     return None if p.min() < -NEGATIVE_TOLERANCE else p
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: that import also
+    loads scipy.optimize, and only the LSODA fallback needs either."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _integrate(matrix: RateMatrix, p0: np.ndarray,

@@ -12,12 +12,10 @@ not Lorentzian, by direct numerical width/depth measurement.
 """
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import readout as ro
 from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
@@ -102,6 +100,7 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
     jobs = [(scenario, detunings[g[0]], times, tuple(pulses), leak_survival)
             for g in groups]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_propagate_group, jobs, chunksize=4))
     else:
@@ -187,6 +186,7 @@ def fit_lorentzian(records_or_x, y=None, p0=None) -> FitResult:
     if np.ptp(yv) == 0.0:
         raise FitError("flat data cannot constrain a Lorentzian dip")
     params = _initial_guess(x, yv) if p0 is None else np.asarray(p0, dtype=float)
+    from scipy.optimize import least_squares  # only a fit pays for its import
     sol = least_squares(lambda p: _lorentzian_dip(x, p) - yv, params,
                         jac=lambda p: _lorentzian_dip_jac(x, p), method="lm")
     if sol.status <= 0:

@@ -297,6 +297,10 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     ["spectrum", "-s", "readout.two_pulse=1"],
     ["spectrum", "-s", "scan.points=true"],
     ["modes", "-s", "readout.leak_survival=true"],
+    ["spectrum", "-s", "scenario.n_ip_max=2.5"],
+    ["modes", "-s", "scenario.n_op_max=2.5"],
+    ["spectrum", "-s", "scenario.s_ip_max=1.5"],
+    ["modes", "-s", "scenario.s_op_max=1.5"],
     # a value outside the accepted set
     ["spectrum", "-s", "scan.fit=gaussian"],
 ], ids=lambda argv: argv[-1])
@@ -306,6 +310,16 @@ def test_bad_run_time_value_is_a_config_error(argv, tmp_path, capsys):
     assert err.startswith("config error: ")
     # the config check names the key it rejects
     assert argv[-1].split("=")[0] in err
+
+
+def test_type_error_inside_a_command_is_not_a_config_error(monkeypatch, tmp_path):
+    # every config value is checked when it loads, so a TypeError in a
+    # command is a fault of the program and keeps its traceback
+    def broken(*args):
+        raise TypeError("a fault in the command")
+    monkeypatch.setitem(cli._COMMANDS, "modes", broken)
+    with pytest.raises(TypeError, match="a fault in the command"):
+        main(["modes", "-o", str(tmp_path / "m")])
 
 
 @pytest.mark.parametrize("argv", [
