@@ -22,6 +22,7 @@ import argparse
 import copy
 import ctypes
 import json
+import math
 import os
 import sys
 import warnings
@@ -161,6 +162,7 @@ def load_config(path=None, sets=()) -> dict:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        _require(isinstance(data, dict), f"config {path} must hold a JSON object")
         cfg = _merge(cfg, data)
     for expr in sets:
         cfg = _merge(cfg, _parse_set(expr))
@@ -175,7 +177,7 @@ def _require(cond, msg):
 
 # a key that is set takes its default's type, or for a null default the
 # type _NULL_DEFAULT_TYPES names, else a number; an int is also a float,
-# but a bool is no number
+# but a bool is no number, and a number (or a list item) must be finite
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                list: "a list", str: "a string"}
 _NULL_DEFAULT_TYPES = {"scenario.pattern": str, "scan.fit": str,
@@ -208,6 +210,10 @@ def _check_types(cfg: dict, default: dict, path: str = "") -> None:
             _require(isinstance(value, (int, float) if kind is float else kind)
                      and isinstance(value, bool) == (kind is bool),
                      f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+            items = value if kind is list else [value]
+            _require(not any(isinstance(v, float) and not math.isfinite(v)
+                             for v in items),
+                     f"{where} must be finite, got {value!r}")
 
 
 def _validate(cfg: dict) -> None:
@@ -349,7 +355,8 @@ def _cmd_modes(cfg, scenario, prefix, args):
     eta_t = scenario.laser_eta()
     eta_r = readout_lamb_dicke(sys_, cfg["readout"]["wavelength_m"])
     isat = effective_saturation_intensity(scenario.line, scenario.laser.sigma)
-    regime = "laser" if scenario.laser.fwhm else "transition"
+    # the saturation intensity is set by the wider of the two lines
+    regime = "laser" if scenario.laser.fwhm > scenario.line.gamma_t else "transition"
     report = {
         "mass_ratio": sys_.mass_ratio,
         "omega_ip_hz": sys_.omega_ip / (2 * np.pi),
@@ -562,7 +569,7 @@ def main(argv=None) -> int:
             sets.append(f"workers={args.workers}")
         cfg = load_config(args.config, sets)
         scenario = build_scenario(cfg)
-    except (ConfigError, ValueError, TypeError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.print_config:

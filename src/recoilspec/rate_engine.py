@@ -11,7 +11,6 @@ absorbing leak accumulator so probability stays exactly conserved.
 import logging
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -325,31 +324,32 @@ def _shift_invert_solver(gen: sp.csc_matrix, shift: float):
     return solve
 
 
-def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
-            times: np.ndarray) -> Optional[np.ndarray]:
+def _krylov(matrix: RateMatrix, p0: np.ndarray,
+            times: np.ndarray) -> np.ndarray:
     """Shift-and-invert Krylov propagation to every time from one basis.
 
-    gen is the in-grid block of the generator and p0 a nonzero in-grid
-    state.  One factorization of (I - shift G) with shift =
+    p0 is a nonzero in-grid state and G the in-grid block of the
+    generator.  One factorization of (I - shift G) with shift =
     KRYLOV_SHIFT * t_max, by elimination of the ground block
     (_shift_invert_solver); Arnoldi on its inverse (classical
     Gram-Schmidt, reorthogonalised) gives V_m and H_m, and G is
     approximated by V_m G_m V_m^T (van den Eshof & Hochbruck, SIAM J.
     Sci. Comput. 27 (2006) 1438).  The basis grows until the answers of
     two successive sizes are finite and agree to ATOL + RTOL sum(p0) at
-    every time, or the space becomes invariant.  Returns None when that
-    never happens within KRYLOV_M_MAX or when an entry falls below
-    -NEGATIVE_TOLERANCE.
+    every time, or the space becomes invariant.  Raises RuntimeError,
+    naming the check and the detuning, when that never happens within
+    KRYLOV_M_MAX or when an entry falls below -NEGATIVE_TOLERANCE.
     """
     n = p0.size
     m_max = min(KRYLOV_M_MAX, n)
     shift = KRYLOV_SHIFT * float(times[-1])
-    solve = _shift_invert_solver(gen, shift)
+    solve = _shift_invert_solver(matrix.generator[:n, :n], shift)
     beta = float(np.linalg.norm(p0))
     basis = np.zeros((n, m_max + 1))
     hess = np.zeros((m_max + 1, m_max))
     basis[:, 0] = p0 / beta
     tolerance = ATOL + RTOL * float(p0.sum())
+    where = f"at detuning {matrix.detuning / (2 * np.pi):.6g} Hz"
     previous = None
     for j in range(m_max):
         m = j + 1
@@ -370,18 +370,25 @@ def _krylov(gen: sp.csc_matrix, p0: np.ndarray,
                                and np.abs(p - previous).max() <= tolerance):
                 break
             if invariant:
-                return None
+                raise RuntimeError(f"Krylov answer on the invariant space of "
+                                   f"size {m} is not finite {where}")
             previous = p
         basis[:, m] = w / hess[m, j]
     else:
-        return None
+        raise RuntimeError(f"no two Krylov basis sizes up to {m_max} agreed "
+                           f"to the tolerance {where}")
     _log.debug("krylov: m = %d, min %.1e", m, p.min())
-    return None if p.min() < -NEGATIVE_TOLERANCE else p
+    if p.min() < -NEGATIVE_TOLERANCE:
+        raise RuntimeError(f"Krylov answer has a negative population "
+                           f"{p.min():.2e} {where}")
+    return p
 
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call: that import also
-    loads scipy.optimize, and only the LSODA fallback needs either."""
+    """scipy.integrate.solve_ivp, imported on the first call; nothing here
+    calls it.  It exists only because benchmarks/traced.py rebinds
+    rate_engine.solve_ivp to count solver work, and it goes when that
+    tracer changes with the per-solve record of ROADMAP item 5."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
@@ -390,37 +397,19 @@ def _integrate(matrix: RateMatrix, p0: np.ndarray,
                times: np.ndarray) -> np.ndarray:
     """Propagate p0 to each requested time; returns (n_states, len(times)).
 
-    Only the 2 n_mot in-grid states are propagated, by _krylov or, when
-    its answer is rejected, by LSODA with the exact Jacobian.  The leak
-    row is absorbing and every generator column sums to zero, so the
-    leak is the conserved total sum(p0) less the in-grid total, and it
-    never falls below its initial value: an in-grid total a tolerance
-    above sum(p0) would otherwise give a negative leak.
+    Only the 2 n_mot in-grid states are propagated, by _krylov, which
+    raises RuntimeError when its answer fails a check.  The leak row is
+    absorbing and every generator column sums to zero, so the leak is
+    the conserved total sum(p0) less the in-grid total, and it never
+    falls below its initial value: an in-grid total a tolerance above
+    sum(p0) would otherwise give a negative leak.
     """
     n = p0.size - 1
     p_in = p0[:n]
-    t_end = float(times[-1])
-    if t_end == 0.0 or not p_in.any():
+    if times[-1] == 0.0 or not p_in.any():
         return np.repeat(p0[:, None], len(times), axis=1)
-    gen = matrix.generator[:n, :n]
-    out = _krylov(gen, p_in, times)
-    if out is None:
-        _log.debug("krylov result rejected at detuning %g; using LSODA",
-                   matrix.detuning)
-        jac = gen.toarray()
-        sol = solve_ivp(lambda t, p: gen @ p, (0.0, t_end), p_in,
-                        method="LSODA", jac=lambda t, p: jac, rtol=RTOL,
-                        atol=ATOL, t_eval=times)
-        if not sol.success:  # pragma: no cover - scipy failure path
-            raise RuntimeError(f"integration failed: {sol.message}")
-        out = sol.y
+    out = _krylov(matrix, p_in, times)
     return np.vstack([out, np.maximum(p0.sum() - out.sum(axis=0), p0[n])])
-
-
-def _check_and_wrap(matrix: RateMatrix, vec: np.ndarray) -> PopulationState:
-    if vec.min() < -NEGATIVE_TOLERANCE:
-        raise RuntimeError(f"integration produced negative population {vec.min():.2e}")
-    return PopulationState.from_vector(np.clip(vec, 0.0, None), matrix.grid_shape)
 
 
 def evolve(matrix: RateMatrix, initial: PopulationState,
@@ -429,12 +418,12 @@ def evolve(matrix: RateMatrix, initial: PopulationState,
 
     The in-grid populations are propagated by the shift-and-invert
     Krylov method; when its answer does not converge to
-    ATOL + RTOL sum(p) or goes negative, LSODA with the exact Jacobian
-    takes over.  The leak is what the grid lost: the total probability
-    less the in-grid total.  The dense matrix exponential that judges
-    both paths lives in the test oracles (tests/oracles.py,
-    expm_populations), not here.  A LeakWarning is raised when the leaked
-    probability exceeds the configured threshold.
+    ATOL + RTOL sum(p) or goes negative, RuntimeError is raised.  The
+    leak is what the grid lost: the total probability less the in-grid
+    total.  The dense matrix exponential that judges the propagator
+    lives in the test oracles (tests/oracles.py, expm_populations), not
+    here.  A LeakWarning is raised when the leaked probability exceeds
+    the configured threshold.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -446,18 +435,20 @@ def evolve_series(matrix: RateMatrix, initial: PopulationState,
     """Evolve and sample the population at each time in an increasing list.
 
     One propagation of the in-grid states serves every time: one
-    factorization and one Krylov basis, or one LSODA run on fallback, as
-    in evolve; the leak at each time follows from conservation.  Tests
-    compare the result with a dense matrix exponential per time.  A
-    LeakWarning is raised when the leaked probability at the last time
-    exceeds the configured threshold.
+    factorization and one Krylov basis, checked as in evolve; the leak
+    at each time follows from conservation.  Entries within the
+    tolerance below zero are clipped to zero.  Tests compare the result
+    with a dense matrix exponential per time.  A LeakWarning is raised
+    when the leaked probability at the last time exceeds the configured
+    threshold.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
     initial.validate()
-    y = _integrate(matrix, initial.to_vector(), times)
-    states = [_check_and_wrap(matrix, y[:, k]) for k in range(times.size)]
+    y = np.clip(_integrate(matrix, initial.to_vector(), times), 0.0, None)
+    states = [PopulationState.from_vector(y[:, k], matrix.grid_shape)
+              for k in range(times.size)]
     if states[-1].leaked > matrix.leak_warn_fraction:
         warnings.warn(
             f"population outside the motional grid reaches {states[-1].leaked:.2%} "

@@ -7,7 +7,7 @@ trapezoid integration, split-line widths from a dense-grid half-maximum
 search, emission coefficients from the full dipole patterns integrated
 over the sphere in (theta, phi), time evolution from the dense matrix
 exponential of the generator (the reference for the library's Krylov
-and LSODA paths), laser-broadened dip widths from resonant dense matrix
+propagator), laser-broadened dip widths from resonant dense matrix
 exponentials instead of a detuning scan, the heating ladder from an
 explicit loop over grid states, and the whole rate generator from a loop
 over grid states and sidebands with every rate written out.

@@ -11,7 +11,6 @@ import warnings
 import numpy as np
 import pytest
 
-from recoilspec import rate_engine
 from recoilspec.coupling import xi_mode, xi_mode_table
 from recoilspec.ion_mechanics import BeamGeometry, lamb_dicke
 from recoilspec.presets import mg24_ca40, mgh24_ca40
@@ -299,7 +298,7 @@ def test_criterion_7d_two_pulse_contrast(mg_scenario):
 # 8. oracle equivalences
 # --------------------------------------------------------------------------
 
-def test_criterion_8_oracles(mg_scenario, monkeypatch):
+def test_criterion_8_oracles(mg_scenario):
     # coupling amplitudes: Laguerre polynomials vs factorial double sum
     worst = 0.0
     for eta in (0.30, 0.36, 0.204, 0.0917):
@@ -318,20 +317,16 @@ def test_criterion_8_oracles(mg_scenario, monkeypatch):
     d_err = max(abs(1.0 - d_table[i, j].sum())
                 for i in range(6) for j in range(6))
     ok &= d_err < 1e-5
-    # the Krylov propagator and its LSODA fallback (forced by capping the
-    # basis at its first size) vs dense matrix exponential on an 8x8 grid
+    # the Krylov propagator vs dense matrix exponential on an 8x8 grid
     from dataclasses import replace
     small = replace(mg_scenario, n_ip_max=7, n_op_max=7)
     matrix = build_rate_matrix(small, 2 * np.pi * 10e6)
     ground = PopulationState.ground(small)
     exact = expm_populations(matrix, ground.to_vector(), [1.3e-3])[:, 0]
-    int_err = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
-        for m_max in (rate_engine.KRYLOV_M_MAX, rate_engine.KRYLOV_M_START):
-            monkeypatch.setattr(rate_engine, "KRYLOV_M_MAX", m_max)
-            got = evolve(matrix, ground, 1.3e-3).to_vector()
-            int_err = max(int_err, np.abs(got - exact).max())
+        got = evolve(matrix, ground, 1.3e-3).to_vector()
+    int_err = np.abs(got - exact).max()
     ok &= int_err < 1e-8
     # probability conservation along a full-scenario trajectory
     times = np.linspace(5.3e-4, 5.3e-3, 6)

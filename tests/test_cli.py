@@ -49,6 +49,10 @@ def test_invalid_config_fields_rejected(tmp_path, capsys):
     assert "heating" in capsys.readouterr().err
     bad.write_text("{not json")
     assert main(["modes", "-c", str(bad)]) == EXIT_CONFIG
+    for top_level in ("[1, 2]", '"x"'):
+        bad.write_text(top_level)
+        assert main(["modes", "-c", str(bad)]) == EXIT_CONFIG
+        assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def test_unknown_preset_rejected(capsys):
@@ -301,6 +305,12 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     ["modes", "-s", "scenario.n_op_max=2.5"],
     ["spectrum", "-s", "scenario.s_ip_max=1.5"],
     ["modes", "-s", "scenario.s_op_max=1.5"],
+    # a number that is not finite
+    ["modes", "-s", "scenario.omega_z_hz=NaN"],
+    ["modes", "-s", "scenario.intensity_sat_units=Infinity"],
+    ["dynamics", "-s", "dynamics.detuning_hz=NaN"],
+    ["dynamics", "-s", "scenario.heat_ip=NaN"],
+    ["widthcurve", "-s", "widthcurve.tau_scaled=[1,Infinity]"],
     # a value outside the accepted set
     ["spectrum", "-s", "scan.fit=gaussian"],
 ], ids=lambda argv: argv[-1])
@@ -320,6 +330,30 @@ def test_type_error_inside_a_command_is_not_a_config_error(monkeypatch, tmp_path
     monkeypatch.setitem(cli._COMMANDS, "modes", broken)
     with pytest.raises(TypeError, match="a fault in the command"):
         main(["modes", "-o", str(tmp_path / "m")])
+
+
+def test_type_error_while_building_the_scenario_is_not_a_config_error(monkeypatch):
+    # a config that loads builds its scenario without a TypeError, so one
+    # raised there is a fault of the program and keeps its traceback
+    def broken(cfg):
+        raise TypeError("a fault in the builder")
+    monkeypatch.setattr(cli, "build_scenario", broken)
+    with pytest.raises(TypeError, match="a fault in the builder"):
+        main(["modes"])
+
+
+@pytest.mark.parametrize("argv, regime", [
+    (["-p", "mg24_ca40"], "transition"),
+    (["-p", "mg24_ca40", "-s", "scenario.laser_fwhm_hz=1e3"], "transition"),
+    (["-p", "mg24_ca40", "-s", "scenario.laser_fwhm_hz=100e6"], "laser"),
+    (["-p", "mgh24_ca40"], "laser"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_saturation_regime_is_the_wider_line(argv, regime, tmp_path, capsys):
+    # a laser narrower than the transition leaves the run transition-limited
+    assert main(["modes", *argv, "-o", str(tmp_path / "m")]) == EXIT_OK
+    assert f"saturation intensity ({regime}):" in capsys.readouterr().out
+    report = json.loads((tmp_path / "m.json").read_text())["report"]
+    assert report["saturation_regime"] == regime
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,10 @@
-import logging
+import json
 import os
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recoilspec
-from recoilspec import rate_engine
+from recoilspec import cli, rate_engine
 from recoilspec.coupling import xi_mode_table
 from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import TransitionLine, base_rate
@@ -263,27 +262,17 @@ def test_detuning_symmetry(mg_scenario):
     assert sp.p == pytest.approx(sm.p, abs=1e-12)
 
 
-@pytest.mark.parametrize("method", ["lsoda", "krylov"])
-def test_adaptive_integrators_match_matrix_exponential(method, monkeypatch):
+@pytest.mark.parametrize("method", ["krylov"])  # the one propagator
+def test_adaptive_integrators_match_matrix_exponential(method):
     sc = small_mg()  # 8 x 8 grid
     matrix = build_rate_matrix(sc, 2 * np.pi * 10e6)
     state = PopulationState.ground(sc)
     tau = 1.3e-3
-    if method == "lsoda":  # a basis that cannot converge forces the fallback
-        monkeypatch.setattr(rate_engine, "KRYLOV_M_MAX", rate_engine.KRYLOV_M_START)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
         adaptive = evolve(matrix, state, tau)
     exact = expm_populations(matrix, state.to_vector(), [tau])[:, 0]
     assert adaptive.to_vector() == pytest.approx(exact, abs=1e-8)
-
-
-def _krylov_only(matrix, p0, times):
-    """_integrate with a fallback to LSODA turned into a test failure."""
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("the Krylov basis did not converge")
-    with mock.patch.object(rate_engine, "solve_ivp", no_fallback):
-        return rate_engine._integrate(matrix, p0, times)
 
 
 # small grids of both presets; pulse times up to 20 scaled units for Mg+
@@ -308,7 +297,7 @@ def test_krylov_matches_matrix_exponential(name, detuning, t_max, fractions,
                        else fractions)
     matrix = build_rate_matrix(sc, detuning)
     p0 = PopulationState.ground(sc).to_vector()
-    got = _krylov_only(matrix, p0, times)
+    got = rate_engine._integrate(matrix, p0, times)
     exact = expm_populations(matrix, p0, times)
     assert np.abs(got - exact).max() <= 1e-9
     assert np.abs(got.sum(axis=0) - 1.0).max() <= 1e-9
@@ -334,12 +323,12 @@ _LEAKED_SPANS = {"0.01-1": (0.01, 0.1, 1.0), "0.25-1": (0.25, 0.5, 1.0)}
 def test_fully_leaked_runs_converge_on_krylov(name, tau_scaled, detuning_mhz,
                                               span):
     # the leak is taken by conservation, so a run that has lost almost all
-    # of its population to the leak row still converges without LSODA
+    # of its population to the leak row still converges on the Krylov basis
     sc = _LEAKED_GRIDS[name][0]
     times = (tau_scaled / scaled_time(1.0, sc)) * np.array(_LEAKED_SPANS[span])
     matrix = build_rate_matrix(sc, 2 * np.pi * detuning_mhz * 1e6)
     p0 = PopulationState.ground(sc).to_vector()
-    got = _krylov_only(matrix, p0, times)
+    got = rate_engine._integrate(matrix, p0, times)
     assert np.abs(got - expm_populations(matrix, p0, times)).max() <= 1e-9
 
 
@@ -381,26 +370,28 @@ def test_leak_never_below_its_initial_value():
     assert got.leaked >= 0.0
 
 
-def test_krylov_falls_back_to_lsoda(monkeypatch, caplog):
+def test_unconverged_krylov_basis_raises(monkeypatch, tmp_path, capsys):
     # with the cap at the first basis size no two sizes can be compared,
-    # so the estimate never converges and LSODA must take over
+    # so the estimate never converges
     sc = small_mg()
     matrix = build_rate_matrix(sc, 2 * np.pi * 10e6)
-    state = PopulationState.ground(sc)
-    times = [1.3e-4, 1.3e-3]
     monkeypatch.setattr(rate_engine, "KRYLOV_M_MAX", rate_engine.KRYLOV_M_START)
-    with caplog.at_level(logging.DEBUG, logger="recoilspec"):
-        got = evolve_series(matrix, state, times)
-    want = expm_populations(matrix, state.to_vector(), times)
-    for k, g in enumerate(got):
-        assert np.abs(g.to_vector() - want[:, k]).max() <= 1e-8
-    assert any("LSODA" in r.getMessage() for r in caplog.records
-               if r.levelno == logging.DEBUG)
+    with pytest.raises(RuntimeError,
+                       match="no two Krylov basis sizes .* at detuning 1e\\+07 Hz"):
+        evolve_series(matrix, PopulationState.ground(sc), [1.3e-4, 1.3e-3])
+    # through the command line the same failure is a numeric failure
+    code = cli.main(["dynamics", "-s", "scenario.n_ip_max=5",
+                     "-s", "scenario.n_op_max=4", "-s", "dynamics.detuning_hz=1e7",
+                     "-o", str(tmp_path / "d")])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: no two Krylov basis sizes")
+    assert "at detuning 1e+07 Hz" in err
 
 
-def test_krylov_negative_population_falls_back_to_lsoda(monkeypatch, caplog):
+def test_negative_krylov_population_raises(monkeypatch):
     # move 5e-10 of probability off an empty state: the result converges
-    # and conserves probability, but evolve would reject it as negative
+    # and conserves probability, but its check rejects it as negative
     sc = small_mg()
     matrix = build_rate_matrix(sc, 2 * np.pi * 10e6)
     state = PopulationState.ground(sc)
@@ -416,11 +407,24 @@ def test_krylov_negative_population_falls_back_to_lsoda(monkeypatch, caplog):
         return p
 
     monkeypatch.setattr(rate_engine, "_krylov_series", skewed)
-    with caplog.at_level(logging.DEBUG, logger="recoilspec"):
-        got = evolve(matrix, state, tau)
-    assert np.abs(got.to_vector() - exact).max() <= 1e-8
-    assert any("LSODA" in r.getMessage() for r in caplog.records
-               if r.levelno == logging.DEBUG)
+    with pytest.raises(RuntimeError,
+                       match="negative population -.* at detuning 1e\\+07 Hz"):
+        evolve(matrix, state, tau)
+
+
+def test_traced_run_counts_one_propagation(tmp_path):
+    # benchmarks/traced.py counts propagations through rate_engine._integrate
+    # and rebinds rate_engine.solve_ivp; a traced dynamics run makes one
+    traced = Path(__file__).resolve().parents[1] / "benchmarks" / "traced.py"
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(recoilspec.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, str(traced), "--mode", "full", "--spans", str(spans),
+         "--", "dynamics", "-p", "mg24_ca40", "-s", "dynamics.points=3",
+         "-s", "scenario.n_ip_max=4", "-s", "scenario.n_op_max=4",
+         "-o", str(tmp_path / "d")], env=env, capture_output=True, text=True)
+    assert out.returncode in (cli.EXIT_OK, cli.EXIT_LEAK), out.stderr
+    assert json.loads(spans.read_text())["counts"]["propagations"] == 1
 
 
 # --------------------------------------------------------------------------

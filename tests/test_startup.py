@@ -1,5 +1,5 @@
-"""What start-up loads: scipy.optimize, scipy.integrate and the process pool
-are imported only by the code paths that use them.
+"""What start-up loads: scipy.optimize and the process pool are imported
+only by the code paths that use them, and no path imports scipy.integrate.
 
 Each test runs in a new interpreter, so that no earlier test has imported
 the module it watches.
@@ -10,16 +10,12 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import expm_populations
-from recoilspec.presets import mg24_ca40
 from recoilspec.radiation import composite_target_lineshape
-from recoilspec.rate_engine import PopulationState, build_rate_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::UserWarning",
@@ -88,28 +84,18 @@ def test_composite_lineshape_first_call_imports_its_root_finder(tmp_path):
     assert fwhm == composite_target_lineshape(gamma, 0.0, zeeman)[1]
 
 
-def test_lsoda_fallback_first_call_imports_the_integrator(tmp_path):
-    # a basis that cannot converge forces the fallback, as in test_rate_engine
-    sc = replace(mg24_ca40(), n_ip_max=5, n_op_max=4)
-    tau = 1.3e-3
-    before, after, p = _fresh(f"""
-        import json, sys, warnings
-        from dataclasses import replace
-        from recoilspec import rate_engine
-        from recoilspec.presets import mg24_ca40
-        from recoilspec.rate_engine import (LeakWarning, PopulationState,
-                                            build_rate_matrix, evolve)
-        rate_engine.KRYLOV_M_MAX = rate_engine.KRYLOV_M_START
-        sc = replace(mg24_ca40(), n_ip_max=5, n_op_max=4)
-        before = "scipy.integrate" in sys.modules
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LeakWarning)
-            state = evolve(build_rate_matrix(sc, 0.0), PopulationState.ground(sc),
-                           {tau!r})
-        print(json.dumps([before, "scipy.integrate" in sys.modules,
-                          state.to_vector().tolist()]))
+def test_spectrum_with_its_fit_leaves_out_scipy_integrate(tmp_path):
+    # no path propagates with scipy.integrate; the Lorentzian fit loads
+    # scipy.optimize only
+    argv = ["spectrum", "-p", "mg24_ca40", "-w", "1", "-s", "scan.points=9",
+            "-o", str(tmp_path / "x")]
+    result = _fresh(f"""
+        import json, sys
+        from recoilspec import cli
+        code = cli.main({argv!r})
+        print(json.dumps([code, "scipy.optimize" in sys.modules,
+                          "scipy.integrate" in sys.modules]))
         """, tmp_path)
-    assert (before, after) == (False, True)
-    exact = expm_populations(build_rate_matrix(sc, 0.0),
-                             PopulationState.ground(sc).to_vector(), [tau])[:, 0]
-    assert p == pytest.approx(exact, abs=1e-8)
+    assert result == [0, True, False]
+    fit = json.loads((tmp_path / "x_fit.json").read_text())["fit"]
+    assert fit["mode"] == "lorentzian" and fit["fwhm_hz"] > 0
