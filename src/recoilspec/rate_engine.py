@@ -388,7 +388,7 @@ def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call; nothing here
     calls it.  It exists only because benchmarks/traced.py rebinds
     rate_engine.solve_ivp to count solver work, and it goes when that
-    tracer changes with the per-solve record of ROADMAP item 5."""
+    tracer changes with the per-solve record of ROADMAP item 6."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 

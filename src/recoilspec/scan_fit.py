@@ -1,25 +1,43 @@
 """Detuning scans, Lorentzian fits, and width/depth extraction.
 
-A scan builds one rate matrix per distinct |detuning|, evolves the
-initial state once through every requested pulse time, and converts each
-sampled population into the readout fluorescence signal.  The generator
-depends on the detuning only through the laser lineshape, which is even,
-so a detuning and its mirror image share one propagation; detunings whose
-magnitudes agree to a few ulps count as mirrors, since a linspace grid is
-not symmetric to the last bit.  Signal dips are characterized either by a
+The generator of a scan is r K + C at every detuning, with one scalar,
+the absorption base rate r(detuning), so every scan observable is a
+function of r.  A scan groups its detunings by rate; a detuning and its
+mirror image share one, since the laser lineshape is even.  It orders the
+distinct rates in discrete Leja order and propagates them in that order,
+each once through every requested pulse time, until the polynomial
+interpolant in r through the rates done so far has predicted two rates
+in a row to the propagator's own tolerance.  The other rates take the
+interpolant's populations, and each sampled population becomes the
+readout fluorescence signal.  Signal dips are characterized either by a
 free-baseline Lorentzian least-squares fit or, where the dip shape is
 not Lorentzian, by direct numerical width/depth measurement.
 """
 
+import contextlib
+import logging
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import readout as ro
-from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
-                          build_rate_matrix, evolve_series, scaled_time)
+from .radiation import base_rate
+from .rate_engine import (ATOL, RTOL, LeakWarning, PopulationState,
+                          SpectroscopyScenario, build_rate_matrix,
+                          evolve_series, scaled_time)
+
+
+_log = logging.getLogger(__name__)
+
+# detunings whose rates agree to this relative tolerance share one record.
+# A linspace grid is not symmetric to the last bit, and in a Gaussian
+# laser wing one ulp of detuning moves the rate by up to 160 ulps (MgH,
+# 51 points over 600 MHz), so a few ulps would split mirror images.  A
+# relative change e of the rate moves the populations by about e times
+# their log-derivative in the pulse time, far below RTOL.
+SAME_RATE = 1e-12
 
 
 class FitError(RuntimeError):
@@ -48,44 +66,126 @@ class FitResult:
     iterations: int
 
 
-def _mirror_groups(detunings: np.ndarray) -> list[list[int]]:
-    """Indices of the detunings grouped by |detuning| equal to a few ulps."""
-    mag = np.abs(detunings)
-    tol = 4.0 * np.spacing(mag.max(initial=0.0))
+def _rate_groups(rates: np.ndarray) -> list[list[int]]:
+    """Indices grouped by rate equal to SAME_RATE, in increasing rate."""
     groups = []
-    for i in np.argsort(mag, kind="stable"):
-        if groups and mag[i] - mag[groups[-1][0]] <= tol:
+    for i in np.argsort(rates, kind="stable"):
+        if groups and rates[i] - rates[groups[-1][0]] <= SAME_RATE * rates[i]:
             groups[-1].append(int(i))
         else:
             groups.append([int(i)])
     return groups
 
 
-def _propagate_group(args):
-    """Records at one detuning for each of an increasing list of pulse times."""
-    scenario, detuning, times, pulses, leak_survival = args
+def _leja_order(x: np.ndarray) -> list[int]:
+    """Indices of the points x in greedy discrete Leja order.
+
+    The largest point comes first; each next one maximises the product of
+    its distances to the points already chosen (L. Reichel, BIT 30 (1990)
+    332).  A point that coincides with a chosen one is never chosen.
+    """
+    order = [int(np.argmax(x))]
+    log_dist = np.zeros(x.size)
+    with np.errstate(divide="ignore"):
+        for _ in range(x.size - 1):
+            log_dist += np.log(np.abs(x - x[order[-1]]))
+            nxt = int(np.argmax(log_dist))
+            if log_dist[nxt] == -np.inf:
+                break
+            order.append(nxt)
+    return order
+
+
+def _barycentric(nodes: np.ndarray, values: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """Values at the points x of the polynomial through (nodes, values).
+
+    Second barycentric form, one row of values per node; the weights are
+    scaled to a largest magnitude of 1, and a point on a node takes that
+    node's values.
+    """
+    diff = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(diff, 1.0)
+    log_w = -np.log(np.abs(diff)).sum(axis=1)
+    weights = np.prod(np.sign(diff), axis=1) * np.exp(log_w - log_w.max())
+    offset = x[:, None] - nodes[None, :]
+    hit = offset == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeffs = np.where(hit.any(axis=1, keepdims=True), hit,
+                          weights / offset)
+    return (coeffs @ values) / coeffs.sum(axis=1, keepdims=True)
+
+
+def _propagate(args) -> np.ndarray:
+    """Motional marginal and leak after one propagation at one detuning,
+    flat: n_motional + 1 values per pulse time of an increasing list."""
+    scenario, detuning, times = args
     matrix = build_rate_matrix(scenario, detuning)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
         states = evolve_series(matrix, PopulationState.ground(scenario), times)
-    records = []
-    for state in states:
-        signal = ro.fluorescence_probability(state, *pulses,
-                                             leak_survival=leak_survival)
-        records.append(SpectrumRecord(
-            detuning=float(detuning), fluorescence=signal,
-            marginal=state.motional_marginal(), leaked=state.leaked,
-            leak_flag=state.leaked > scenario.leak_warn_fraction))
-    return records
+    return np.concatenate([np.append(s.motional_marginal().ravel(), s.leaked)
+                           for s in states])
+
+
+def _rate_values(scenario: SpectroscopyScenario, detunings: np.ndarray,
+                 rates: np.ndarray, times: np.ndarray,
+                 workers: int) -> np.ndarray:
+    """Marginal and leak at every pulse time, at each distinct rate.
+
+    detunings holds one detuning of each rate.  The rates are mapped
+    linearly onto [-1, 1] and propagated in Leja order.  Before each
+    propagation the barycentric interpolant through the rates done so
+    far predicts its values; once two predictions in a row agree with
+    their propagations to ATOL + RTOL at every value, propagation stops
+    and the other rates take the interpolant, clipped at zero as
+    evolve_series clips.  workers > 1 propagates the Leja order in
+    batches of that size and discards the nodes past the stopping index,
+    so the answer does not depend on the worker count.
+    """
+    lo, hi = rates.min(), rates.max()
+    x = ((2.0 * rates - (hi + lo)) / (hi - lo) if hi > lo
+         else np.zeros(rates.size))
+    order = _leja_order(x)
+    tolerance = ATOL + RTOL * PopulationState.ground(scenario).total()
+    nodes, values, errors, made = [], [], [], 0
+
+    def converged():
+        return len(errors) >= 2 and max(errors[-2:]) <= tolerance
+
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            run = pool.map
+        while len(nodes) < len(order) and not converged():
+            batch = order[len(nodes):len(nodes) + max(workers, 1)]
+            made += len(batch)
+            jobs = [(scenario, detunings[i], times) for i in batch]
+            for i, new in zip(batch, run(_propagate, jobs)):
+                if nodes:
+                    guess = _barycentric(x[nodes], np.array(values), x[[i]])[0]
+                    errors.append(float(np.abs(guess - new).max()))
+                nodes.append(i)
+                values.append(new)
+                if converged():
+                    break
+    _log.debug("scan: %d distinct rates, %d propagations, last prediction "
+               "error %.1e", rates.size, made, errors[-1] if errors else np.nan)
+    # a node, or a rate that maps onto one, takes the node's values
+    table = np.clip(_barycentric(x[nodes], np.array(values), x), 0.0, None)
+    return table.reshape(rates.size, times.size, -1)
 
 
 def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
           leak_survival, workers) -> list[list[SpectrumRecord]]:
     """Records for every pulse time (outer) and detuning (inner), in input order.
 
-    Each mirror group of detunings is propagated once, at one of its
-    members, through the sorted distinct pulse times; every member gets
-    its own signed detuning on the shared populations.
+    The detunings are grouped by base rate, and _rate_values gives each
+    group's marginal and leak at the sorted distinct pulse times, from a
+    propagation or from the interpolant in r.  Every member of a group
+    gets its own signed detuning on the shared populations.
     """
     if pulses is None:
         pulses = (ro.pi_pulse(scenario.system, (0, -1)),)
@@ -94,23 +194,30 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
                                   return_inverse=True)
     if times.size == 0:
         return []
-    groups = _mirror_groups(detunings)
+    if detunings.size == 0:
+        return [[] for _ in time_index]
+    rates = np.array([base_rate(scenario.laser, scenario.line, d)
+                      for d in detunings])
+    groups = _rate_groups(rates)
+    firsts = [g[0] for g in groups]
     scenario.laser_coupling()  # build shared tables once, not per worker
     scenario.d_table()
-    jobs = [(scenario, detunings[g[0]], times, tuple(pulses), leak_survival)
-            for g in groups]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_propagate_group, jobs, chunksize=4))
-    else:
-        solved = [_propagate_group(j) for j in jobs]
+    table = _rate_values(scenario, detunings[firsts], rates[firsts], times,
+                         workers)
     per_time = [[None] * detunings.size for _ in times]
-    for group, series in zip(groups, solved):
-        for k, record in enumerate(series):
+    for group, series in zip(groups, table):
+        for k, row in enumerate(series):
+            # the readout reads only the motional marginal and the leak, so
+            # a state whose one internal row is the marginal stands in
+            state = PopulationState(p=row[:-1].reshape((1,) + scenario.grid_shape),
+                                    leaked=float(row[-1]))
+            signal = ro.fluorescence_probability(state, *pulses,
+                                                 leak_survival=leak_survival)
             for i in group:
-                per_time[k][i] = replace(record, detuning=float(detunings[i]),
-                                         marginal=record.marginal.copy())
+                per_time[k][i] = SpectrumRecord(
+                    detuning=float(detunings[i]), fluorescence=signal,
+                    marginal=state.p[0].copy(), leaked=state.leaked,
+                    leak_flag=state.leaked > scenario.leak_warn_fraction)
     return [per_time[k] for k in time_index]
 
 
@@ -122,9 +229,12 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
 
     pulses is the readout sequence, applied in turn; it defaults to a
     pi-pulse on the out-of-phase red sideband, and two pulses give the
-    consecutive two-mode readout.  Each distinct |detuning| is solved once
-    and shared with its mirror image; the distinct magnitudes are
-    independent, so workers > 1 distributes them over processes.
+    consecutive two-mode readout.  Detunings with one base rate, such as
+    a detuning and its mirror image, share one record's populations.  The
+    distinct rates are propagated at Leja nodes until the interpolant in
+    the rate predicts them to the propagator's tolerance, and the others
+    are interpolated; workers > 1 propagates the nodes in batches over
+    processes, with the same records as one worker.
     """
     records = _scan(scenario, detunings, [tau_spec], pulses, leak_survival,
                     workers)[0]
@@ -258,10 +368,11 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
 
     Each (label, scenario) pair is scanned at every requested scaled
     time; pulse durations are converted through the scenario's resonant
-    absorption rate.  One propagation per distinct |detuning| serves all
-    pulse times of a scenario.  Rows follow the scenarios, then the
-    scaled times, in input order.  Points whose scans breach the leak
-    threshold are flagged rather than dropped.
+    absorption rate.  One scan serves all pulse times of a scenario: each
+    propagation at a Leja node in the base rate samples every pulse time,
+    and the interpolation stops only when it holds at all of them.  Rows
+    follow the scenarios, then the scaled times, in input order.  Points
+    whose scans breach the leak threshold are flagged rather than dropped.
     """
     if fit not in ("lorentzian", "numeric"):
         raise ValueError("fit must be 'lorentzian' or 'numeric'")

@@ -85,7 +85,7 @@ _MIRROR_SCENARIOS = {
 @settings(max_examples=25, deadline=None)
 @given(detuning=st.floats(0.0, 2 * np.pi * 500e6))
 def test_generator_even_in_detuning(name, detuning):
-    # scan_fit solves a detuning and its mirror image once; that is exact
+    # scan_fit gives a detuning and its mirror image one record; that is exact
     # only while the generator is even in the detuning, bit for bit
     sc = _MIRROR_SCENARIOS[name]
     plus = build_rate_matrix(sc, detuning).generator.toarray()

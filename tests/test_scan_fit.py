@@ -1,16 +1,24 @@
+import contextlib
+import logging
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recoilspec import rate_engine
-from recoilspec.presets import mg24_ca40
+from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import base_rate
-from recoilspec.rate_engine import LeakWarning
+from recoilspec.rate_engine import (LeakWarning, PopulationState,
+                                    build_rate_matrix, evolve_series,
+                                    scaled_time)
+from recoilspec.readout import fluorescence_probability, pi_pulse
 from recoilspec.scan_fit import (FitError, SpectrumRecord, _lorentzian_dip,
-                                 _lorentzian_dip_jac, _scan, fit_lorentzian,
-                                 numeric_fwhm_depth, readout_spectrum,
-                                 width_depth_curves)
+                                 _lorentzian_dip_jac, _rate_groups, _scan,
+                                 fit_lorentzian, numeric_fwhm_depth,
+                                 readout_spectrum, width_depth_curves)
 
 
 def lorentzian_dip(x, baseline, depth, center, w):
@@ -161,16 +169,17 @@ def test_worker_pool_matches_serial(small_scan_scenario):
 
 
 # --------------------------------------------------------------------------
-# the scan core: one propagation per |detuning| serves every pulse time
+# the scan core: Leja nodes in the rate, one propagation each, serve every
+# detuning and pulse time
 # --------------------------------------------------------------------------
 
 SCAN_GRID = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 21)
 SCAN_TAUS = [2e-4, 6.5e-4, 1.3e-3]
 
 
-@pytest.fixture
-def propagations(monkeypatch):
-    """Counts calls of the engine's propagator from here to the test's end."""
+@contextlib.contextmanager
+def counted_propagations():
+    """Counts calls of the engine's propagator, with their pulse times."""
     calls = []
     integrate = rate_engine._integrate
 
@@ -178,8 +187,18 @@ def propagations(monkeypatch):
         calls.append(args[2])
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(rate_engine, "_integrate", counting)
-    return calls
+    rate_engine._integrate = counting
+    try:
+        yield calls
+    finally:
+        rate_engine._integrate = integrate
+
+
+@pytest.fixture
+def propagations():
+    """Counts calls of the engine's propagator from here to the test's end."""
+    with counted_propagations() as calls:
+        yield calls
 
 
 def scan(scenario, detunings, tau_specs):
@@ -187,10 +206,40 @@ def scan(scenario, detunings, tau_specs):
                  workers=1)
 
 
+def distinct_rates(scenario, detunings):
+    return len(_rate_groups(np.array(
+        [base_rate(scenario.laser, scenario.line, d) for d in detunings])))
+
+
+def assert_direct(scenario, detunings, tau_specs, per_tau, tol=1e-9):
+    """Every record against build_rate_matrix + evolve_series at its detuning."""
+    times = np.unique(tau_specs)
+    pulses = (pi_pulse(scenario.system, (0, -1)),)
+    assert len(per_tau) == len(tau_specs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LeakWarning)
+        for i, detuning in enumerate(detunings):
+            states = evolve_series(build_rate_matrix(scenario, detuning),
+                                   PopulationState.ground(scenario), times)
+            for tau, records in zip(tau_specs, per_tau):
+                want = states[int(np.searchsorted(times, tau))]
+                got = records[i]
+                assert got.detuning == detuning
+                assert got.fluorescence == pytest.approx(
+                    fluorescence_probability(want, *pulses), abs=tol)
+                assert got.marginal == pytest.approx(want.motional_marginal(),
+                                                     abs=tol)
+                assert got.leaked == pytest.approx(want.leaked, abs=tol)
+                assert got.leak_flag == (got.leaked > scenario.leak_warn_fraction)
+
+
 def test_symmetric_grid_one_propagation_per_magnitude(small_scan_scenario,
-                                                     propagations):
-    per_tau = scan(small_scan_scenario, SCAN_GRID, SCAN_TAUS)
-    assert len(propagations) == 11
+                                                     propagations, caplog):
+    with caplog.at_level(logging.DEBUG, logger="recoilspec.scan_fit"):
+        per_tau = scan(small_scan_scenario, SCAN_GRID, SCAN_TAUS)
+    # 9 Leja nodes of the 11 distinct rates; the interpolant fills in 2
+    assert len(propagations) == 9
+    assert "11 distinct rates, 9 propagations" in caplog.text
     for times in propagations:
         assert list(times) == SCAN_TAUS
     assert len(per_tau) == len(SCAN_TAUS)
@@ -200,6 +249,7 @@ def test_symmetric_grid_one_propagation_per_magnitude(small_scan_scenario,
             assert left.fluorescence == right.fluorescence
             assert np.array_equal(left.marginal, right.marginal)
             assert left.leaked == right.leaked
+    assert_direct(small_scan_scenario, SCAN_GRID, SCAN_TAUS, per_tau)
 
 
 def test_asymmetric_grid_solves_every_magnitude(small_scan_scenario,
@@ -240,10 +290,59 @@ def test_width_curve_keeps_input_order_of_pulse_times(small_scan_scenario,
     entries = [("mg", small_scan_scenario)]
     mixed = width_depth_curves(entries, [4.0, 1.0, 4.0], SCAN_GRID,
                                fit="numeric")
-    assert len(propagations) == 11
+    # 10 Leja nodes of the 11 distinct rates at these two pulse times
+    assert len(propagations) == 10
     ordered = width_depth_curves(entries, [1.0, 4.0], SCAN_GRID, fit="numeric")
     assert [r.tau_scaled for r in mixed] == [4.0, 1.0, 4.0]
     assert mixed == [ordered[1], ordered[0], ordered[1]]
+    taus = [row.tau_spec for row in ordered]
+    assert_direct(small_scan_scenario, SCAN_GRID, taus, scan(
+        small_scan_scenario, SCAN_GRID, taus))
+
+
+def test_preset_scans_match_direct_propagation(mg_scenario, mgh_scenario,
+                                               propagations):
+    mg_grid = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 31)
+    mgh_grid = np.linspace(-2 * np.pi * 300e6, 2 * np.pi * 300e6, 51)
+    mgh_taus = list(np.array([500, 2000, 6000, 16400])
+                    / scaled_time(1.0, mgh_scenario))
+    for sc, grid, taus in ((mg_scenario, mg_grid, [1.3e-3]),
+                           (mgh_scenario, mgh_grid, mgh_taus)):
+        propagations.clear()
+        per_tau = scan(sc, grid, taus)
+        assert len(propagations) < distinct_rates(sc, grid)
+        assert_direct(sc, grid, taus, per_tau)
+
+
+@pytest.mark.parametrize("grid, made", [([], 0), ([1e8], 1), ([-1e8, 1e8], 1),
+                                        ([0.0], 1)])
+def test_scan_edge_cases(small_scan_scenario, propagations, grid, made):
+    per_tau = scan(small_scan_scenario, grid, SCAN_TAUS)
+    assert len(propagations) == made
+    assert [[r.detuning for r in records] for records in per_tau] == \
+        [list(grid)] * len(SCAN_TAUS)
+    assert_direct(small_scan_scenario, grid, SCAN_TAUS, per_tau)
+    if len(grid) == 2:
+        assert per_tau[0][0].fluorescence == per_tau[0][1].fluorescence
+
+
+_SMALL_GRIDS = {"mg": (replace(mg24_ca40(), n_ip_max=5, n_op_max=5), 20.0),
+                "mgh": (replace(mgh24_ca40(), n_ip_max=5, n_op_max=5), 2e4)}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_GRIDS))
+@settings(max_examples=15, deadline=None)
+@given(detunings=st.lists(st.floats(-2 * np.pi * 300e6, 2 * np.pi * 300e6),
+                          max_size=12),
+       fractions=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3))
+def test_scan_matches_direct_propagation_on_a_small_grid(name, detunings,
+                                                         fractions):
+    sc, scaled_max = _SMALL_GRIDS[name]
+    taus = list(np.array(fractions) * scaled_max / scaled_time(1.0, sc))
+    with counted_propagations() as calls:
+        per_tau = scan(sc, detunings, taus)
+    assert len(calls) <= distinct_rates(sc, detunings)
+    assert_direct(sc, detunings, taus, per_tau)
 
 
 def test_width_curve_without_light_is_rejected(small_scan_scenario):

@@ -20,7 +20,8 @@ from recoilspec.radiation import composite_target_lineshape
 ROOT = Path(__file__).resolve().parent.parent
 WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::UserWarning",
                       "-W", "error::DeprecationWarning"]
-LAZY = ("scipy.optimize", "scipy.integrate", "concurrent.futures.process")
+LAZY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
+        "concurrent.futures.process")
 
 
 def _fresh(code: str, cwd: Path):
