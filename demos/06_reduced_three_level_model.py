@@ -1,7 +1,9 @@
 """The fast three-level approximation against the full motional engine.
 
 Collapsing all motional excitation into one absorbing auxiliary level
-turns each detuning into a 3x3 linear problem.  The reduced spectrum
+turns each detuning into a 3x3 linear problem: the engine's generator
+r K + C kept on the two motional ground states, with everything that
+leaves them sent to the auxiliary level.  The reduced spectrum
 tracks the full simulation's width well and runs orders of magnitude
 faster, which makes it handy for scouting scan parameters.
 """
@@ -11,7 +13,7 @@ import warnings
 
 # recoilspec before numpy: importing it sets OpenBLAS to one thread
 from recoilspec import (LeakWarning, fit_lorentzian, readout_spectrum,
-                        reduced_rates, reduced_spectrum, scaled_time)
+                        reduced_kernels, reduced_spectrum, scaled_time)
 from recoilspec.presets import mg24_ca40
 
 import numpy as np
@@ -20,11 +22,13 @@ MHz = 2 * np.pi * 1e6
 scenario = mg24_ca40()
 rate = scaled_time(1.0, scenario)
 
-r = reduced_rates(scenario, detuning=0.0)
+# the three-level generator on resonance, over (g00, e00, aux)
+k3, c3 = reduced_kernels(scenario)
+g = rate * k3 + c3
 print("reduced rates on resonance (1/s):")
-print(f"  ground(0,0) <-> excited(0,0): {r.g_to_e:8.1f} / {r.e_to_g:.3g}")
-print(f"  into the auxiliary level:     {r.g_to_aux:8.1f} (from g), "
-      f"{r.e_to_aux:.3g} (from e)")
+print(f"  ground(0,0) <-> excited(0,0): {g[1, 0]:8.1f} / {g[0, 1]:.3g}")
+print(f"  into the auxiliary level:     {g[2, 0]:8.1f} (from g), "
+      f"{g[2, 1]:.3g} (from e)")
 
 grid = np.linspace(-150 * MHz, 150 * MHz, 41)
 tau = 2.23 / rate

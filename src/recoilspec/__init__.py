@@ -32,8 +32,8 @@ from .readout import (ReadoutPulse, fluorescence_probability, pi_pulse,
 from .scan_fit import (FitError, FitResult, SpectrumRecord, WidthDepthPoint,
                        fit_lorentzian, numeric_fwhm_depth, readout_spectrum,
                        width_depth_curves)
-from .reduced_model import (ReducedRates, ThreeLevelState, evolve_reduced,
-                            reduced_rates, reduced_signal, reduced_spectrum)
+from .reduced_model import (reduced_kernels, reduced_populations,
+                            reduced_signal, reduced_spectrum)
 from . import presets
 
 __version__ = "0.1.0"

@@ -9,8 +9,10 @@ over the sphere in (theta, phi), time evolution from the dense matrix
 exponential of the generator (the reference for the library's Krylov
 propagator), laser-broadened dip widths from resonant dense matrix
 exponentials instead of a detuning scan, the heating ladder from an
-explicit loop over grid states, and the whole rate generator from a loop
-over grid states and sidebands with every rate written out.
+explicit loop over grid states, the whole rate generator from a loop
+over grid states and sidebands with every rate written out, and the
+three-level reduced rates by hand from the carrier and completeness of
+the sideband sums.
 """
 
 import numpy as np
@@ -267,3 +269,25 @@ def generator_loop(scenario, detuning: float,
                         g[dest, src] += rate
                         g[src, src] -= rate
     return g
+
+
+def reduced_rates_completeness(scenario, detuning: float):
+    """Three-level rates (g->e, e->g, g->aux, e->aux) in 1/s, by hand.
+
+    The carrier keeps the pair (g00, e00) coupled; every sideband process
+    and heating feeds aux.  The sideband sums come from completeness:
+    the sum over s != 0 of |xi(0, s)|^2 is 1 - |xi(0, 0)|^2, and the
+    spontaneous weight off the carrier is 1 - D(0, 0, 0).  So these rates
+    hold no truncation of the sideband range.
+    """
+    x_ip, x_op = scenario.laser_coupling()
+    carrier = float(x_ip[0, scenario.s_ip_max] * x_op[0, scenario.s_op_max])
+    d00 = float(scenario.d_table()[0, 0, scenario.s_ip_max, scenario.s_op_max])
+    line = scenario.line
+    r_abs = base_rate(scenario.laser, line, detuning)
+    r_stim = r_abs * line.stimulated_scale / line.absorption_scale
+    heat = scenario.heat_ip + scenario.heat_op
+    return (r_abs * carrier,
+            r_stim * carrier + line.gamma_t * d00,
+            r_abs * (1.0 - carrier) + heat,
+            r_stim * (1.0 - carrier) + line.gamma_t * (1.0 - d00) + heat)
