@@ -52,21 +52,30 @@ def reduced_signal(p, contrast: float = 0.5) -> float:
     return float(p[0] + p[1] + (1.0 - contrast) * p[2])
 
 
+def evolve_three_level(generators, tau: float, initial=(1.0, 0.0, 0.0)) -> np.ndarray:
+    """Populations (g00, e00, aux) after tau under each 3x3 generator.
+
+    aux is absorbing (zero column), so the pair (g00, e00) evolves by the
+    matrix exponential of its own 2x2 block and aux holds the rest, as
+    the engine's leak row does: the 3x3 exponential gives the same pair,
+    but at the stiffness of the Mg+ line its populations sum to 1 only
+    within 8e-11.  generators may carry leading batch axes.
+    """
+    p0 = np.asarray(initial, dtype=float)
+    pair = expm(np.asarray(generators)[..., :2, :2] * tau) @ p0[:2]
+    return np.concatenate([pair, p0.sum() - pair.sum(axis=-1, keepdims=True)], axis=-1)
+
+
 def reduced_populations(scenario: SpectroscopyScenario, detunings,
                         tau_spec: float) -> np.ndarray:
     """Populations (g00, e00, aux) after tau_spec from g00, one row per detuning.
 
-    The pair (g00, e00) is propagated by one batched matrix exponential
-    of its block of base_rate(delta) K3 + C3.  aux is absorbing, so it
-    holds the rest, as the engine's leak row does: the 3x3 exponential
-    gives the same pair, but at the stiffness of the Mg+ line its
-    populations sum to 1 only within 8e-11.
+    One batched evolve_three_level of base_rate(delta) K3 + C3.
     """
     k3, c3 = reduced_kernels(scenario)
     rates = np.array([base_rate(scenario.laser, scenario.line, d)
                       for d in np.asarray(detunings, dtype=float)])
-    pair = expm((rates[:, None, None] * k3[:2, :2] + c3[:2, :2]) * tau_spec)[:, :, 0]
-    return np.column_stack([pair, 1.0 - pair.sum(axis=1)])
+    return evolve_three_level(rates[:, None, None] * k3 + c3, tau_spec)
 
 
 def reduced_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,

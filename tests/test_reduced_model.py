@@ -16,11 +16,20 @@ from recoilspec.radiation import base_rate
 from recoilspec.rate_engine import (LeakWarning, PopulationState,
                                     _scenario_kernels, build_rate_matrix,
                                     evolve, evolve_series, scaled_time)
-from recoilspec.reduced_model import (reduced_kernels, reduced_populations,
-                                      reduced_signal, reduced_spectrum)
+from recoilspec.reduced_model import (evolve_three_level, reduced_kernels,
+                                      reduced_populations, reduced_signal,
+                                      reduced_spectrum)
 from recoilspec.scan_fit import fit_lorentzian, readout_spectrum
 
 MHZ = 2 * np.pi * 1e6
+
+
+def rates_matrix(g_to_e, e_to_g, g_to_aux, e_to_aux) -> np.ndarray:
+    return np.array([
+        [-(g_to_e + g_to_aux), e_to_g, 0.0],
+        [g_to_e, -(e_to_g + e_to_aux), 0.0],
+        [g_to_aux, e_to_aux, 0.0],
+    ])
 
 
 def collapsed_rates(scenario, detuning):
@@ -101,6 +110,33 @@ def test_vanishing_recoil_reduces_to_two_levels():
 # --------------------------------------------------------------------------
 # propagation
 # --------------------------------------------------------------------------
+
+# four random rate sets, then a generator with a repeated eigenvalue
+_RATE_CASES = [pytest.param(np.exp(np.random.default_rng(seed).uniform(-2, 8, size=4)),
+                            id=str(seed)) for seed in range(4)]
+_RATE_CASES.append(pytest.param((0.0, 0.0, 5.0, 5.0), id="degenerate"))
+
+
+@pytest.mark.parametrize("r", _RATE_CASES)
+def test_closed_form_matches_matrix_exponential(r):
+    # the pair's 2x2 exponential with aux as the remainder, against the
+    # full 3x3 exponential
+    g = rates_matrix(*r)
+    for t in (1e-6, 1e-3, 0.3):
+        want = expm(g * t) @ np.array([1.0, 0.0, 0.0])
+        assert evolve_three_level(g, t) == pytest.approx(want, abs=1e-10)
+
+
+def test_aux_is_absorbing(mg_scenario, mgh_scenario):
+    st = evolve_three_level(rates_matrix(0.0, 0.0, 0.0, 0.0), 5.0, initial=(0.0, 0.0, 1.0))
+    assert st[2] == 1.0
+    # and under each preset's resonant generator from the collapsed kernels
+    for sc in (mg_scenario, mgh_scenario):
+        k3, c3 = reduced_kernels(sc)
+        g = base_rate(sc.laser, sc.line, 0.0) * k3 + c3
+        st = evolve_three_level(g, 1e-3, initial=(0.0, 0.0, 1.0))
+        assert st.tolist() == [0.0, 0.0, 1.0]
+
 
 @settings(max_examples=40, deadline=None)
 @given(detuning=st.floats(0.0, 300 * MHZ), tau_scaled=st.floats(0.1, 20.0),
