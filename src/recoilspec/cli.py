@@ -11,8 +11,10 @@ dtable      spontaneous-emission coefficient table
 
 Configs are JSON (nested key/value); CLI --set key=value flags override
 file values, and every run writes the merged config next to its outputs
-so results can be reproduced bit for bit.  A scenario.* or scan.* key
-left null takes the preset's value, else the built-in default.
+so results can be reproduced bit for bit.  SCHEMA holds one row per
+key.  A scenario.* key, scan.span_hz or scan.fit left null takes the
+preset's value, else the built-in default; a null scan.tau_scaled means
+scan.tau_spec_s is used.
 
 Exit codes: 0 ok, 1 usage/config error, 2 numeric failure, 3 leak
 threshold exceeded (outputs still written).
@@ -26,6 +28,7 @@ import math
 import os
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,75 +52,71 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_CONFIG = {
-    "preset": presets.DEFAULT_PRESET,
-    "scenario": {
-        # null = the preset's value, else presets.build's default
-        "omega_z_hz": None,
-        "heat_ip": None,
-        "heat_op": None,
-        "axial_projection": None,
-        "intensity_sat_units": None,
-        "intensity_w_m2": None,
-        "laser_fwhm_hz": None,
-        "n_ip_max": None,
-        "n_op_max": None,
-        "s_ip_max": None,
-        "s_op_max": None,
-        "leak_warn_fraction": None,
-        "absorption_scale": None,
-        "stimulated_scale": None,
-        # required when preset is null
-        "target_mass_u": None,
-        "readout_mass_u": None,
-        "transition_wavelength_m": None,
-        "gamma_t_hz": None,
-        "pattern": None,
-    },
-    "readout": {
-        "wavelength_m": 729e-9,
-        "omega_0_hz": 10e3,
-        "two_pulse": False,
-        "leak_survival": 0.5,
-    },
-    "scan": {
-        "span_hz": None,          # null = the preset's value, else 300 MHz
-        "points": 101,
-        "tau_spec_s": 1.3e-3,
-        "tau_scaled": None,       # overrides tau_spec_s when set
-        "fit": None,              # null = the preset's value, else lorentzian
-    },
-    "dynamics": {
-        "t_max_s": 5.3e-3,
-        "points": 60,
-        "detuning_hz": 0.0,
-    },
-    "widthcurve": {
-        "tau_scaled": [1.0, 2.23, 4.0, 6.2, 9.1],
-        "intensities_sat_units": None,   # null = just the scenario intensity
-        "laser_fwhms_hz": None,
-    },
-    "reduced": {
-        "contrast": 0.5,
-    },
-    "workers": 0,                 # 0 = all logical cores
-}
+class Key(NamedTuple):
+    """One config key: its default, the checks of a set value, how it is read."""
+    default: object = None
+    kind: type | None = float   # a set value's type; None: only check applies
+    check: tuple | None = None  # (holds, "be > 0, got {!r}"): the value or each item
+    build: tuple | None = None  # scenario.*: presets.build keyword and conversion
+    fallback: object = None     # scan.*: used when neither the key nor the preset is set
+    nonempty: bool = False      # a list that must hold an item
 
 
 def _angular(hz: float) -> float:
     return 2 * np.pi * hz
 
 
-# scenario.* keys whose presets.build keyword differs, with the conversion
-# from config units (Hz, u) to SI and rad/s
-_BUILD_KEYWORDS = {
-    "omega_z_hz": ("omega_z", _angular),
-    "laser_fwhm_hz": ("laser_fwhm", _angular),
-    "gamma_t_hz": ("gamma_t", _angular),
-    "intensity_w_m2": ("intensity", None),
-    "target_mass_u": ("target_mass", ion_mass_kg),
-    "readout_mass_u": ("readout_mass", ion_mass_kg),
-    "transition_wavelength_m": ("wavelength", None),
+_POSITIVE = (lambda v: v > 0, "be > 0, got {!r}")
+_UNIT = (lambda v: 0 <= v <= 1, "lie in [0, 1], got {!r}")
+
+# a scenario.* key left null takes the preset's value, else presets.build's
+# default; build converts config units (Hz, u) to SI and rad/s
+SCHEMA = {
+    "preset": Key(presets.DEFAULT_PRESET, None,
+                  (lambda v: v in tuple(presets.PRESETS),
+                   f"be one of {sorted(presets.PRESETS)} or null")),
+    "scenario.omega_z_hz": Key(build=("omega_z", _angular)),
+    "scenario.heat_ip": Key(),
+    "scenario.heat_op": Key(),
+    "scenario.axial_projection": Key(),
+    "scenario.intensity_sat_units": Key(),
+    "scenario.intensity_w_m2": Key(build=("intensity", None)),
+    "scenario.laser_fwhm_hz": Key(build=("laser_fwhm", _angular)),
+    "scenario.n_ip_max": Key(kind=int),
+    "scenario.n_op_max": Key(kind=int),
+    "scenario.s_ip_max": Key(kind=int),
+    "scenario.s_op_max": Key(kind=int),
+    "scenario.leak_warn_fraction": Key(),
+    "scenario.absorption_scale": Key(),
+    "scenario.stimulated_scale": Key(),
+    # required when preset is null
+    "scenario.target_mass_u": Key(build=("target_mass", ion_mass_kg)),
+    "scenario.readout_mass_u": Key(build=("readout_mass", ion_mass_kg)),
+    "scenario.transition_wavelength_m": Key(build=("wavelength", None)),
+    "scenario.gamma_t_hz": Key(build=("gamma_t", _angular)),
+    "scenario.pattern": Key(kind=str),
+    "readout.wavelength_m": Key(729e-9, check=_POSITIVE),
+    "readout.omega_0_hz": Key(10e3, check=_POSITIVE),
+    "readout.two_pulse": Key(False, bool),
+    "readout.leak_survival": Key(0.5, check=_UNIT),
+    "scan.span_hz": Key(check=_POSITIVE, fallback=300e6),
+    "scan.points": Key(101, int, (lambda v: v >= 8, "be >= 8, got {!r}")),
+    "scan.tau_spec_s": Key(1.3e-3, check=_POSITIVE),
+    "scan.tau_scaled": Key(check=_POSITIVE),      # overrides tau_spec_s when set
+    "scan.fit": Key(kind=str, check=(lambda v: v in ("lorentzian", "numeric"),
+                                     "be null, lorentzian or numeric"),
+                    fallback="lorentzian"),
+    "dynamics.t_max_s": Key(5.3e-3, check=_POSITIVE),
+    "dynamics.points": Key(60, int, (lambda v: v >= 1, "be >= 1, got {!r}")),
+    "dynamics.detuning_hz": Key(0.0),
+    "widthcurve.tau_scaled": Key([1.0, 2.23, 4.0, 6.2, 9.1], list, _POSITIVE,
+                                 nonempty=True),
+    # null = just the scenario intensity
+    "widthcurve.intensities_sat_units": Key(kind=list, check=_POSITIVE),
+    "widthcurve.laser_fwhms_hz": Key(kind=list,
+                                     check=(lambda v: v >= 0, "be >= 0, got {!r}")),
+    "reduced.contrast": Key(0.5, check=_UNIT),
+    "workers": Key(0, int, (lambda v: v >= 0, "be >= 0, got {!r}")),  # 0 = all cores
 }
 
 
@@ -125,19 +124,30 @@ _BUILD_KEYWORDS = {
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{where} must be a mapping")
-            out[key] = _merge(base[key], val, where)
-        else:
-            out[key] = val
+def _nest(flat: dict) -> dict:
+    """{"a.b": 1} -> {"a": {"b": 1}}"""
+    out = {}
+    for where, value in flat.items():
+        *sections, key = where.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
     return out
+
+
+def _override(flat: dict, data: dict, path: str = "") -> None:
+    """Set the values of a nested mapping in a config keyed by dotted keys."""
+    for key, val in data.items():
+        where = path + key
+        if where in SCHEMA:
+            flat[where] = val
+        elif not any(name.startswith(where + ".") for name in SCHEMA):
+            raise ConfigError(f"unknown config key: {where}")
+        elif not isinstance(val, dict):
+            raise ConfigError(f"{where} must be a mapping")
+        else:
+            _override(flat, val, where + ".")
 
 
 def _parse_set(expr: str):
@@ -148,14 +158,11 @@ def _parse_set(expr: str):
         val = json.loads(raw)
     except json.JSONDecodeError:
         val = raw  # bare strings are fine
-    node = val
-    for part in reversed(key.strip().split(".")):
-        node = {part: node}
-    return node
+    return _nest({key.strip(): val})
 
 
 def load_config(path=None, sets=()) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    flat = {where: key.default for where, key in SCHEMA.items()}
     if path is not None:
         with open(path) as fh:
             try:
@@ -163,11 +170,11 @@ def load_config(path=None, sets=()) -> dict:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config {path} is not valid JSON: {exc}")
         _require(isinstance(data, dict), f"config {path} must hold a JSON object")
-        cfg = _merge(cfg, data)
+        _override(flat, data)
     for expr in sets:
-        cfg = _merge(cfg, _parse_set(expr))
-    _validate(cfg)
-    return cfg
+        _override(flat, _parse_set(expr))
+    _validate(flat)
+    return copy.deepcopy(_nest(flat))
 
 
 def _require(cond, msg):
@@ -175,38 +182,17 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-# a key that is set takes its default's type, or for a null default the
-# type _NULL_DEFAULT_TYPES names, else a number; an int is also a float,
-# but a bool is no number, and a number (or a list item) must be finite
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                list: "a list", str: "a string"}
-_NULL_DEFAULT_TYPES = {"scenario.pattern": str, "scan.fit": str,
-                       "widthcurve.intensities_sat_units": list,
-                       "widthcurve.laser_fwhms_hz": list,
-                       **dict.fromkeys(["scenario.n_ip_max", "scenario.n_op_max",
-                                        "scenario.s_ip_max", "scenario.s_op_max"], int)}
-
-# the range of a number, or of each item of a list
-_POSITIVE = (lambda v: v > 0, "be > 0")
-_UNIT = (lambda v: 0 <= v <= 1, "lie in [0, 1]")
-_RANGES = {"scan.points": (lambda v: v >= 8, "be >= 8"),
-           "dynamics.points": (lambda v: v >= 1, "be >= 1"),
-           "workers": (lambda v: v >= 0, "be >= 0"),
-           "widthcurve.laser_fwhms_hz": (lambda v: v >= 0, "be >= 0"),
-           "readout.leak_survival": _UNIT, "reduced.contrast": _UNIT,
-           **dict.fromkeys(["scan.span_hz", "scan.tau_spec_s", "scan.tau_scaled",
-                            "dynamics.t_max_s", "widthcurve.tau_scaled",
-                            "widthcurve.intensities_sat_units",
-                            "readout.omega_0_hz", "readout.wavelength_m"], _POSITIVE)}
 
 
-def _check_types(cfg: dict, default: dict, path: str = "") -> None:
-    for key, dflt in default.items():
-        where, value = path + key, cfg[key]
-        if isinstance(dflt, dict):
-            _check_types(value, dflt, where + ".")
-        elif where != "preset" and (value, dflt) != (None, None):
-            kind = _NULL_DEFAULT_TYPES.get(where, float) if dflt is None else type(dflt)
+def _validate(flat: dict) -> None:
+    # a key that is set takes its row's type (an int is also a float, but a
+    # bool is no number), and a number or a list item must be finite
+    for where, key in SCHEMA.items():
+        value = flat[where]
+        if key.kind and (value, key.default) != (None, None):
+            kind = key.kind
             _require(isinstance(value, (int, float) if kind is float else kind)
                      and isinstance(value, bool) == (kind is bool),
                      f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
@@ -214,33 +200,25 @@ def _check_types(cfg: dict, default: dict, path: str = "") -> None:
             _require(not any(isinstance(v, float) and not math.isfinite(v)
                              for v in items),
                      f"{where} must be finite, got {value!r}")
-
-
-def _validate(cfg: dict) -> None:
-    _check_types(cfg, DEFAULT_CONFIG)
-    _require(cfg["preset"] in (None, *presets.PRESETS),
-             f"preset must be one of {sorted(presets.PRESETS)} or null")
-    for where, (holds, condition) in _RANGES.items():
-        section, _, key = where.rpartition(".")
-        value = (cfg[section] if section else cfg)[key]
-        for v in value if isinstance(value, list) else [value]:
-            number = isinstance(v, (int, float)) and not isinstance(v, bool)
-            _require(value is None or number and holds(v),
-                     f"{where} must {condition}, got {v!r}")
-    sc = cfg["scenario"]
-    _require(not (sc["intensity_sat_units"] is not None
-                  and sc["intensity_w_m2"] is not None),
+            _require(items or not key.nonempty, f"{where} must not be empty")
+        if key.check and value is not None:
+            holds, says = key.check
+            for v in value if key.kind is list else [value]:
+                # a list item must be a number, which the type check left open
+                number = isinstance(v, (int, float)) and not isinstance(v, bool)
+                _require((number or key.kind is not list) and holds(v),
+                         f"{where} must " + says.format(v))
+    _require(flat["scenario.intensity_sat_units"] is None
+             or flat["scenario.intensity_w_m2"] is None,
              "set intensity_sat_units or intensity_w_m2, not both")
-    wc = cfg["widthcurve"]
-    _require(not (wc["intensities_sat_units"] and wc["laser_fwhms_hz"]),
+    _require(not (flat["widthcurve.intensities_sat_units"]
+                  and flat["widthcurve.laser_fwhms_hz"]),
              "set widthcurve.intensities_sat_units or laser_fwhms_hz, not both")
-    if cfg["preset"] is None:
+    if flat["preset"] is None:
         for key in ("target_mass_u", "readout_mass_u", "transition_wavelength_m",
                     "gamma_t_hz", "pattern"):
-            _require(sc[key] is not None,
+            _require(flat["scenario." + key] is not None,
                      f"scenario.{key} is required when preset is null")
-    _require(cfg["scan"]["fit"] in (None, "lorentzian", "numeric"),
-             "scan.fit must be null, lorentzian or numeric")
 
 
 def build_scenario(cfg: dict) -> SpectroscopyScenario:
@@ -249,16 +227,17 @@ def build_scenario(cfg: dict) -> SpectroscopyScenario:
     kwargs = dict(presets.ROWS.get(cfg["preset"], {}))
     for key, value in cfg["scenario"].items():
         if value is not None:
-            name, convert = _BUILD_KEYWORDS.get(key, (key, None))
+            name, convert = SCHEMA["scenario." + key].build or (key, None)
             kwargs[name] = convert(value) if convert else value
     return presets.build(**kwargs)
 
 
-def _scan_setting(cfg: dict, key: str, default):
-    """scan.<key> if set, else the preset's value, else default."""
+def _scan_setting(cfg: dict, key: str):
+    """scan.<key> if set, else the preset's value, else the row's fallback."""
     value = cfg["scan"][key]
     if value is None:
-        value = presets.SCAN_ROWS.get(cfg["preset"], {}).get(key, default)
+        value = presets.SCAN_ROWS.get(cfg["preset"], {}).get(
+            key, SCHEMA["scan." + key].fallback)
     return value
 
 
@@ -272,7 +251,7 @@ def _resolve_tau_spec(cfg: dict, scenario: SpectroscopyScenario) -> float:
 
 
 def _detuning_grid(cfg: dict) -> np.ndarray:
-    span = _scan_setting(cfg, "span_hz", 300e6)
+    span = _scan_setting(cfg, "span_hz")
     half = 2 * np.pi * span / 2.0
     return np.linspace(-half, half, cfg["scan"]["points"])
 
@@ -422,7 +401,7 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
                 workers=_workers(cfg))
     csv_path = prefix + ".csv"
     _write_csv(csv_path, _SPECTRUM_HEADER, _spectrum_rows(records, model))
-    fit_mode = _scan_setting(cfg, "fit", "lorentzian")
+    fit_mode = _scan_setting(cfg, "fit")
     fit_payload = {"fit": None, "fit_error": None, "tau_spec_s": tau_spec,
                    "tau_scaled": scaled_time(tau_spec, scenario), "model": model,
                    "config": cfg}
@@ -469,7 +448,7 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
             entries.append((f"GammaL={f / 1e6:g}MHz", build_scenario(sub)))
     else:
         entries.append(("scan", scenario))
-    fit_mode = _scan_setting(cfg, "fit", "lorentzian")
+    fit_mode = _scan_setting(cfg, "fit")
     rows = width_depth_curves(entries, wc["tau_scaled"], _detuning_grid(cfg),
                               fit=fit_mode,
                               pulses=_readout_pulses(cfg, scenario),

@@ -77,6 +77,8 @@ class SpectroscopyScenario:
             raise ValueError("sideband truncations must be >= 1")
         if self.heat_ip < 0 or self.heat_op < 0:
             raise ValueError("heating rates must be >= 0")
+        if not 0 <= self.leak_warn_fraction <= 1:
+            raise ValueError("leak_warn_fraction must lie in [0, 1]")
 
     # -- index bookkeeping ---------------------------------------------------
     @property

@@ -1,7 +1,9 @@
 import csv
 import json
 import os
+import re
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +32,52 @@ def test_modes_reports_known_frequencies(tmp_path, capsys):
     assert report["omega_op_hz"] == pytest.approx(300.2e3, rel=1e-3)
 
 
+# the merged config with nothing set, as the command line prints it
+DEFAULT = {
+    "preset": "mg24_ca40",
+    "scenario": dict.fromkeys([
+        "omega_z_hz", "heat_ip", "heat_op", "axial_projection",
+        "intensity_sat_units", "intensity_w_m2", "laser_fwhm_hz", "n_ip_max",
+        "n_op_max", "s_ip_max", "s_op_max", "leak_warn_fraction",
+        "absorption_scale", "stimulated_scale", "target_mass_u", "readout_mass_u",
+        "transition_wavelength_m", "gamma_t_hz", "pattern"]),
+    "readout": {"wavelength_m": 7.29e-07, "omega_0_hz": 10000.0,
+                "two_pulse": False, "leak_survival": 0.5},
+    "scan": {"span_hz": None, "points": 101, "tau_spec_s": 0.0013,
+             "tau_scaled": None, "fit": None},
+    "dynamics": {"t_max_s": 0.0053, "points": 60, "detuning_hz": 0.0},
+    "widthcurve": {"tau_scaled": [1.0, 2.23, 4.0, 6.2, 9.1],
+                   "intensities_sat_units": None, "laser_fwhms_hz": None},
+    "reduced": {"contrast": 0.5},
+    "workers": 0,
+}
+
+
+def flat_keys(cfg, path=""):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from flat_keys(value, path + key + ".")
+        else:
+            yield path + key
+
+
 def test_print_config_roundtrip(capsys):
     assert main(["spectrum", "--print-config", "-s", "scan.points=11"]) == EXIT_OK
     cfg = json.loads(capsys.readouterr().out)
-    assert cfg["scan"]["points"] == 11
-    assert cfg["preset"] == "mg24_ca40"
+    assert cfg == {**DEFAULT, "scan": {**DEFAULT["scan"], "points": 11}}
+
+
+@pytest.mark.parametrize("key", list(flat_keys(DEFAULT)))
+def test_value_of_the_wrong_type_names_its_key(key):
+    # a string where a number, flag or list belongs; a number where a name does
+    wrong = "5" if key in ("preset", "scenario.pattern", "scan.fit") else "abc"
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(None, [f"{key}={wrong}"])
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [key for key in flat_keys(load_config()) if f"`{key}`" not in readme] == []
 
 
 def test_invalid_config_fields_rejected(tmp_path, capsys):
@@ -47,6 +90,10 @@ def test_invalid_config_fields_rejected(tmp_path, capsys):
     assert "typo_section" in capsys.readouterr().err
     assert main(["modes", "-s", "scenario.heat_ip=-1"]) == EXIT_CONFIG
     assert "heating" in capsys.readouterr().err
+    for fraction in ("2", "-1"):
+        assert main(["modes", "-s", f"scenario.leak_warn_fraction={fraction}"]) \
+            == EXIT_CONFIG
+        assert "leak_warn_fraction" in capsys.readouterr().err
     bad.write_text("{not json")
     assert main(["modes", "-c", str(bad)]) == EXIT_CONFIG
     for top_level in ("[1, 2]", '"x"'):
@@ -231,6 +278,20 @@ def test_set_scenario_key_wins_over_preset(sets, attr, expected):
     assert attrgetter(attr)(build_scenario(load_config(None, sets))) == expected
 
 
+@pytest.mark.parametrize("sets, span_hz, fit", [
+    (["preset=mg24_ca40"], 300e6, "lorentzian"),
+    (["preset=mgh24_ca40"], 600e6, "numeric"),
+    (MG_EXPLICIT, 300e6, "lorentzian"),
+    (["preset=mgh24_ca40", "scan.span_hz=50e6", "scan.fit=lorentzian"], 50e6,
+     "lorentzian"),
+], ids=["mg", "mgh", "explicit", "set"])
+def test_null_scan_key_takes_the_preset_value_else_the_fallback(sets, span_hz, fit):
+    cfg = load_config(None, sets)
+    grid = cli._detuning_grid(cfg)
+    assert grid[-1] - grid[0] == pytest.approx(2 * np.pi * span_hz, rel=1e-15)
+    assert cli._scan_setting(cfg, "fit") == fit
+
+
 def test_widthcurve_laser_widths_under_mg_preset(tmp_path):
     out = tmp_path / "wcl"
     code = main(["widthcurve", "-p", "mg24_ca40", "-o", str(out), *FAST,
@@ -283,6 +344,7 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     ["dynamics", "-s", "dynamics.points=0"],
     ["spectrum", "-s", "scan.span_hz=0"],
     ["widthcurve", "-s", "widthcurve.tau_scaled=[0]"],
+    ["widthcurve", "-s", "widthcurve.tau_scaled=[]"],
     ["reduced", "-s", "reduced.contrast=2"],
     # a value of the wrong type
     ["spectrum", "-s", "scan.points=abc"],
@@ -313,6 +375,7 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     ["widthcurve", "-s", "widthcurve.tau_scaled=[1,Infinity]"],
     # a value outside the accepted set
     ["spectrum", "-s", "scan.fit=gaussian"],
+    ["modes", "-s", "preset=[\"mg24_ca40\"]"],
 ], ids=lambda argv: argv[-1])
 def test_bad_run_time_value_is_a_config_error(argv, tmp_path, capsys):
     assert main([*argv, "-w", "1", "-o", str(tmp_path / "x")]) == EXIT_CONFIG
