@@ -67,7 +67,10 @@ def _angular(hz: float) -> float:
 
 
 _POSITIVE = (lambda v: v > 0, "be > 0, got {!r}")
+_NONNEGATIVE = (lambda v: v >= 0, "be >= 0, got {!r}")
+_AT_LEAST_1 = (lambda v: v >= 1, "be >= 1, got {!r}")
 _UNIT = (lambda v: 0 <= v <= 1, "lie in [0, 1], got {!r}")
+_SCALE = (lambda v: 0 < v <= 1, "lie in (0, 1], got {!r}")
 
 # a scenario.* key left null takes the preset's value, else presets.build's
 # default; build converts config units (Hz, u) to SI and rad/s
@@ -75,25 +78,25 @@ SCHEMA = {
     "preset": Key(presets.DEFAULT_PRESET, None,
                   (lambda v: v in tuple(presets.PRESETS),
                    f"be one of {sorted(presets.PRESETS)} or null")),
-    "scenario.omega_z_hz": Key(build=("omega_z", _angular)),
-    "scenario.heat_ip": Key(),
-    "scenario.heat_op": Key(),
-    "scenario.axial_projection": Key(),
-    "scenario.intensity_sat_units": Key(),
-    "scenario.intensity_w_m2": Key(build=("intensity", None)),
-    "scenario.laser_fwhm_hz": Key(build=("laser_fwhm", _angular)),
-    "scenario.n_ip_max": Key(kind=int),
-    "scenario.n_op_max": Key(kind=int),
-    "scenario.s_ip_max": Key(kind=int),
-    "scenario.s_op_max": Key(kind=int),
-    "scenario.leak_warn_fraction": Key(),
-    "scenario.absorption_scale": Key(),
-    "scenario.stimulated_scale": Key(),
+    "scenario.omega_z_hz": Key(check=_POSITIVE, build=("omega_z", _angular)),
+    "scenario.heat_ip": Key(check=_NONNEGATIVE),
+    "scenario.heat_op": Key(check=_NONNEGATIVE),
+    "scenario.axial_projection": Key(check=_UNIT),
+    "scenario.intensity_sat_units": Key(check=_NONNEGATIVE),
+    "scenario.intensity_w_m2": Key(check=_NONNEGATIVE, build=("intensity", None)),
+    "scenario.laser_fwhm_hz": Key(check=_NONNEGATIVE, build=("laser_fwhm", _angular)),
+    "scenario.n_ip_max": Key(kind=int, check=_AT_LEAST_1),
+    "scenario.n_op_max": Key(kind=int, check=_AT_LEAST_1),
+    "scenario.s_ip_max": Key(kind=int, check=_AT_LEAST_1),
+    "scenario.s_op_max": Key(kind=int, check=_AT_LEAST_1),
+    "scenario.leak_warn_fraction": Key(check=_UNIT),
+    "scenario.absorption_scale": Key(check=_SCALE),
+    "scenario.stimulated_scale": Key(check=_SCALE),
     # required when preset is null
-    "scenario.target_mass_u": Key(build=("target_mass", ion_mass_kg)),
-    "scenario.readout_mass_u": Key(build=("readout_mass", ion_mass_kg)),
-    "scenario.transition_wavelength_m": Key(build=("wavelength", None)),
-    "scenario.gamma_t_hz": Key(build=("gamma_t", _angular)),
+    "scenario.target_mass_u": Key(check=_POSITIVE, build=("target_mass", ion_mass_kg)),
+    "scenario.readout_mass_u": Key(check=_POSITIVE, build=("readout_mass", ion_mass_kg)),
+    "scenario.transition_wavelength_m": Key(check=_POSITIVE, build=("wavelength", None)),
+    "scenario.gamma_t_hz": Key(check=_POSITIVE, build=("gamma_t", _angular)),
     "scenario.pattern": Key(kind=str),
     "readout.wavelength_m": Key(729e-9, check=_POSITIVE),
     "readout.omega_0_hz": Key(10e3, check=_POSITIVE),
@@ -107,16 +110,15 @@ SCHEMA = {
                                      "be null, lorentzian or numeric"),
                     fallback="lorentzian"),
     "dynamics.t_max_s": Key(5.3e-3, check=_POSITIVE),
-    "dynamics.points": Key(60, int, (lambda v: v >= 1, "be >= 1, got {!r}")),
+    "dynamics.points": Key(60, int, _AT_LEAST_1),
     "dynamics.detuning_hz": Key(0.0),
     "widthcurve.tau_scaled": Key([1.0, 2.23, 4.0, 6.2, 9.1], list, _POSITIVE,
                                  nonempty=True),
     # null = just the scenario intensity
     "widthcurve.intensities_sat_units": Key(kind=list, check=_POSITIVE),
-    "widthcurve.laser_fwhms_hz": Key(kind=list,
-                                     check=(lambda v: v >= 0, "be >= 0, got {!r}")),
+    "widthcurve.laser_fwhms_hz": Key(kind=list, check=_NONNEGATIVE),
     "reduced.contrast": Key(0.5, check=_UNIT),
-    "workers": Key(0, int, (lambda v: v >= 0, "be >= 0, got {!r}")),  # 0 = all cores
+    "workers": Key(0, int, _NONNEGATIVE),  # 0 = all cores
 }
 
 

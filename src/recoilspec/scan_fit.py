@@ -39,6 +39,8 @@ _log = logging.getLogger(__name__)
 # their log-derivative in the pulse time, far below RTOL.
 SAME_RATE = 1e-12
 
+FIT_XTOL, MAX_FIT_EVALS = 1e-10, 400   # Lorentzian fit: relative step, cap
+
 
 class FitError(RuntimeError):
     """Least-squares fit failed (degenerate data or no convergence)."""
@@ -275,42 +277,67 @@ def _initial_guess(x, y):
     center = float(x[np.argmin(y)])
     half = baseline - depth / 2.0
     below = np.where(y < half)[0]
-    if below.size >= 2:
-        w = abs(x[below[-1]] - x[below[0]])
-    else:
-        w = 4.0 * abs(x[1] - x[0])
+    w = abs(x[below[-1]] - x[below[0]]) if below.size >= 2 else 4.0 * abs(x[1] - x[0])
     return np.array([baseline, depth, center, max(w, abs(x[1] - x[0]))])
+
+
+def _levenberg_marquardt(x, y, params):
+    """Least-squares dip parameters, residuals and residual evaluations.
+
+    Marquardt (1963): each step solves (J^T J + lam diag(J^T J)) step =
+    -J^T r; lam falls tenfold after a step that does not raise the cost,
+    else rises tenfold with the step undone.  The loop converges at a
+    step of at most FIT_XTOL of the parameters in the diag(J^T J) norm.
+    """
+    r = _lorentzian_dip(x, params) - y
+    lam, accepted = 1e-3, True
+    for evals in range(2, MAX_FIT_EVALS + 1):
+        if accepted:
+            jac = _lorentzian_dip_jac(x, params)
+            normal, grad = jac.T @ jac, jac.T @ r
+            scale = np.sqrt(np.diag(normal))
+        step = np.linalg.solve(normal + lam * np.diag(scale ** 2), -grad)
+        trial = _lorentzian_dip(x, params + step) - y
+        if accepted := bool(trial @ trial <= r @ r):
+            params, r = params + step, trial
+        lam = lam / 10.0 if accepted else lam * 10.0
+        if np.linalg.norm(scale * step) <= FIT_XTOL * np.linalg.norm(scale * params):
+            return params, r, evals
+    raise FitError(f"no convergence in {MAX_FIT_EVALS} residual evaluations")
 
 
 def fit_lorentzian(records_or_x, y=None, p0=None) -> FitResult:
     """Fit a free-baseline Lorentzian dip by Levenberg-Marquardt.
 
     Accepts a list of SpectrumRecord or explicit (x, y) arrays.  The
-    solver is scipy's MINPACK least_squares with the analytic Jacobian;
-    iterations reports its residual evaluations.  p0 overrides the
-    data-driven initial guess (baseline, depth, center, fwhm).
+    solver is _levenberg_marquardt, numpy on the analytic Jacobian, which
+    stops at a relative step of FIT_XTOL; iterations counts its residual
+    evaluations.  p0 overrides the data-driven initial guess (baseline,
+    depth, center, fwhm).
     """
     x, yv = _records_to_xy(records_or_x, y)
     if x.size < 8:
         raise FitError("need at least 8 points spanning the dip")
+    if not (np.isfinite(x).all() and np.isfinite(yv).all()):
+        raise FitError("data must be finite")
     if np.ptp(yv) == 0.0:
         raise FitError("flat data cannot constrain a Lorentzian dip")
     params = _initial_guess(x, yv) if p0 is None else np.asarray(p0, dtype=float)
-    from scipy.optimize import least_squares  # only a fit pays for its import
-    sol = least_squares(lambda p: _lorentzian_dip(x, p) - yv, params,
-                        jac=lambda p: _lorentzian_dip_jac(x, p), method="lm")
-    if sol.status <= 0:
-        raise FitError(f"no convergence: {sol.message}")
-    baseline, depth, center, w = sol.x
-    chi2 = float(sol.fun @ sol.fun)
+    try:
+        params, resid, evals = _levenberg_marquardt(x, yv, params)
+    except np.linalg.LinAlgError as exc:
+        raise FitError(f"singular normal equations: {exc}")
+    baseline, depth, center, w = params
+    chi2 = float(resid @ resid)
+    jac = _lorentzian_dip_jac(x, params)  # covariance at the solution
     dof = max(x.size - 4, 1)
     try:
-        cov_diag = np.diag(np.linalg.inv(sol.jac.T @ sol.jac)) * (chi2 / dof)
+        cov_diag = np.diag(np.linalg.inv(jac.T @ jac)) * (chi2 / dof)
     except np.linalg.LinAlgError:  # pragma: no cover - degenerate geometry
         cov_diag = np.full(4, np.nan)
     return FitResult(center=float(center), fwhm=float(abs(w)), depth=float(depth),
                      baseline=float(baseline), residual_norm=float(np.sqrt(chi2)),
-                     covariance=cov_diag, iterations=sol.nfev)
+                     covariance=cov_diag, iterations=evals)
 
 
 def numeric_fwhm_depth(records_or_x, y=None) -> tuple[float, float]:

@@ -10,15 +10,16 @@ exponential of the generator (the reference for the library's Krylov
 propagator), laser-broadened dip widths from resonant dense matrix
 exponentials instead of a detuning scan, the heating ladder from an
 explicit loop over grid states, the whole rate generator from a loop
-over grid states and sidebands with every rate written out, and the
+over grid states and sidebands with every rate written out, the
 three-level reduced rates by hand from the carrier and completeness of
-the sideband sums.
+the sideband sums, and Lorentzian dip fits from scipy's MINPACK
+Levenberg-Marquardt on a Jacobian written in the Lorentzian itself.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.optimize import brentq
+from scipy.optimize import brentq, least_squares
 from scipy.special import gammaln, voigt_profile
 
 from recoilspec.constants import C, HBAR
@@ -291,3 +292,28 @@ def reduced_rates_completeness(scenario, detuning: float):
             r_stim * carrier + line.gamma_t * d00,
             r_abs * (1.0 - carrier) + heat,
             r_stim * (1.0 - carrier) + line.gamma_t * (1.0 - d00) + heat)
+
+
+def lorentzian_least_squares(x, y, p0):
+    """Dip parameters (baseline, depth, center, fwhm) and residual norm by
+    scipy's least_squares(method="lm") at tolerances near machine epsilon.
+
+    The model is b - a L with L = h^2 / ((x - c)^2 + h^2), h = fwhm / 2;
+    the Jacobian columns are 1, -L, -2 a (x - c) L^2 / h^2 and
+    -2 a L (1 - L) / fwhm.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+
+    def shape(p):
+        return (p[3] / 2.0) ** 2 / ((x - p[2]) ** 2 + (p[3] / 2.0) ** 2)
+
+    def jacobian(p):
+        lor = shape(p)
+        return np.column_stack([np.ones_like(x), -lor,
+                                -2.0 * p[1] * (x - p[2]) * lor ** 2 / (p[3] / 2.0) ** 2,
+                                -2.0 * p[1] * lor * (1.0 - lor) / p[3]])
+
+    sol = least_squares(lambda p: p[0] - p[1] * shape(p) - y, p0, jac=jacobian,
+                        method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15)
+    params = sol.x * [1.0, 1.0, 1.0, np.sign(sol.x[3])]
+    return params, float(np.linalg.norm(sol.fun))

@@ -89,7 +89,7 @@ def test_invalid_config_fields_rejected(tmp_path, capsys):
     assert main(["modes", "-c", str(bad)]) == EXIT_CONFIG
     assert "typo_section" in capsys.readouterr().err
     assert main(["modes", "-s", "scenario.heat_ip=-1"]) == EXIT_CONFIG
-    assert "heating" in capsys.readouterr().err
+    assert "scenario.heat_ip" in capsys.readouterr().err
     for fraction in ("2", "-1"):
         assert main(["modes", "-s", f"scenario.leak_warn_fraction={fraction}"]) \
             == EXIT_CONFIG
@@ -100,6 +100,23 @@ def test_invalid_config_fields_rejected(tmp_path, capsys):
         bad.write_text(top_level)
         assert main(["modes", "-c", str(bad)]) == EXIT_CONFIG
         assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("omega_z_hz", -5), ("heat_ip", -1), ("heat_op", -0.5),
+    ("axial_projection", 2), ("axial_projection", -0.1),
+    ("intensity_sat_units", -1), ("intensity_w_m2", -1), ("laser_fwhm_hz", -1),
+    ("n_ip_max", 0), ("n_op_max", -1), ("s_ip_max", 0), ("s_op_max", 0),
+    ("leak_warn_fraction", 2), ("absorption_scale", -1), ("absorption_scale", 0),
+    ("stimulated_scale", 1.5), ("target_mass_u", -1), ("readout_mass_u", 0),
+    ("transition_wavelength_m", -1), ("gamma_t_hz", -1),
+])
+def test_scenario_value_out_of_range_names_its_key(key, value, tmp_path, capsys):
+    # the schema checks the range, before a physics constructor sees the
+    # value in its own units
+    argv = ["modes", "-s", f"scenario.{key}={value}", "-o", str(tmp_path / "x")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: scenario.{key} must ")
 
 
 def test_unknown_preset_rejected(capsys):

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recoilspec import rate_engine
+from oracles import lorentzian_least_squares
+from recoilspec import rate_engine, scan_fit
 from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import base_rate
 from recoilspec.rate_engine import (LeakWarning, PopulationState,
                                     build_rate_matrix, evolve_series,
                                     scaled_time)
 from recoilspec.readout import fluorescence_probability, pi_pulse
-from recoilspec.scan_fit import (FitError, SpectrumRecord, _lorentzian_dip,
-                                 _lorentzian_dip_jac, _rate_groups, _scan,
+from recoilspec.scan_fit import (FitError, SpectrumRecord, _initial_guess,
+                                 _lorentzian_dip, _lorentzian_dip_jac,
+                                 _rate_groups, _scan,
                                  fit_lorentzian, numeric_fwhm_depth,
                                  readout_spectrum, width_depth_curves)
 
@@ -93,6 +95,85 @@ def test_fit_rejects_degenerate_input():
         fit_lorentzian(GRID, np.ones_like(GRID))
     with pytest.raises(FitError):
         fit_lorentzian(GRID[:5], np.zeros(5))
+
+
+def test_fit_rejects_non_finite_data():
+    y = lorentzian_dip(GRID, 1.0, 0.4, 0.0, W_TRUE)
+    for bad in (np.where(GRID == GRID[40], np.nan, y), np.where(GRID > 0, np.inf, y)):
+        with pytest.raises(FitError, match="finite"):
+            fit_lorentzian(GRID, bad)
+    with pytest.raises(FitError, match="finite"):
+        fit_lorentzian(np.append(GRID[:-1], np.nan), y)
+
+
+def test_fit_from_a_flat_start_raises():
+    # depth 0 leaves the centre and width columns of the Jacobian at zero
+    y = lorentzian_dip(GRID, 1.0, 0.4, 0.0, W_TRUE)
+    with pytest.raises(FitError, match="singular"):
+        fit_lorentzian(GRID, y, p0=[1.0, 0.0, 0.0, W_TRUE])
+
+
+def test_fit_raises_at_its_evaluation_cap(monkeypatch):
+    # iterations counts residual evaluations: a cap of exactly that many
+    # still converges, one fewer raises
+    rng = np.random.default_rng(42)
+    y = lorentzian_dip(GRID, 1.0, 0.4, 0.0, W_TRUE) + rng.uniform(-0.01, 0.01, GRID.size)
+    res = fit_lorentzian(GRID, y)
+    assert 1 < res.iterations <= scan_fit.MAX_FIT_EVALS
+    monkeypatch.setattr(scan_fit, "MAX_FIT_EVALS", res.iterations)
+    assert fit_lorentzian(GRID, y).center == res.center
+    monkeypatch.setattr(scan_fit, "MAX_FIT_EVALS", res.iterations - 1)
+    with pytest.raises(FitError, match=f"no convergence in {res.iterations - 1} "):
+        fit_lorentzian(GRID, y)
+
+
+def assert_fit_matches_oracle(x, y):
+    res = fit_lorentzian(x, y)
+    want, oracle_norm = lorentzian_least_squares(x, y, _initial_guess(x, y))
+    got = np.array([res.baseline, res.depth, res.center, res.fwhm])
+    # centre and FWHM are measured against the FWHM
+    assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want[[0, 1, 3, 3]]))
+    # a norm at the roundoff of the data has no relative digits to compare
+    floor = 4 * np.finfo(float).eps * np.linalg.norm(y)
+    assert res.residual_norm <= oracle_norm * (1 + 1e-10) + floor
+
+
+def _synthetic_dips():
+    rng = np.random.default_rng(42)
+    exact = lorentzian_dip(GRID, 1.0, 0.4, 0.0, W_TRUE)
+    return ([exact, lorentzian_dip(GRID, 0.93, 0.21, 2 * np.pi * 23e6, 0.7 * W_TRUE)]
+            + [exact + rng.uniform(-0.01, 0.01, size=GRID.size) for _ in range(5)])
+
+
+@pytest.mark.parametrize("y", _synthetic_dips(),
+                         ids=["exact", "offcenter"] + [f"noisy{k}" for k in range(5)])
+def test_fit_matches_least_squares_oracle_on_synthetic_dips(y):
+    assert_fit_matches_oracle(GRID, y)
+
+
+def test_fit_matches_least_squares_oracle_on_mg_spectra(mg_scenario):
+    grid = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 31)
+    for records in _scan(mg_scenario, grid, [0.2e-3, 1.3e-3, 5e-3, 13e-3],
+                         None, 0.5, 1):
+        assert_fit_matches_oracle(grid, np.array([r.fluorescence for r in records]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(12, 81), baseline=st.floats(0.5, 1.0),
+       depth=st.floats(0.05, 0.5), noise=st.floats(0.0, 0.1),
+       width=st.floats(0.0, 1.0), center=st.floats(-0.25, 0.25),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_matches_least_squares_oracle_on_well_posed_dips(
+        points, baseline, depth, noise, width, center, seed):
+    # depth at least 10x the noise amplitude, FWHM from 2 grid spacings to
+    # half the span, centre in the middle half of the span
+    span = GRID[-1] - GRID[0]
+    x = np.linspace(GRID[0], GRID[-1], points)
+    fwhm = 2 * (x[1] - x[0]) + width * (span / 2 - 2 * (x[1] - x[0]))
+    amplitude = noise * depth
+    y = (lorentzian_dip(x, baseline, depth, center * span, fwhm)
+         + np.random.default_rng(seed).uniform(-amplitude, amplitude, points))
+    assert_fit_matches_oracle(x, y)
 
 
 def test_numeric_matches_fit_on_lorentzian():

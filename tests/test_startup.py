@@ -1,5 +1,6 @@
-"""What start-up loads: scipy.optimize and the process pool are imported
-only by the code paths that use them, and no path imports scipy.integrate.
+"""What start-up loads: scipy.optimize is imported only by
+composite_target_lineshape, the process pool only by a parallel scan, and
+no path imports scipy.integrate.  The Lorentzian fit is numpy alone.
 
 Each test runs in a new interpreter, so that no earlier test has imported
 the module it watches.
@@ -46,8 +47,11 @@ def test_cli_import_leaves_out_lazy_modules(tmp_path):
     ["dynamics", "-p", "mg24_ca40"],
     ["widthcurve", "-p", "mgh24_ca40", "-w", "1", "-s", "scan.points=9",
      "-s", "widthcurve.tau_scaled=[500]", "-s", "scan.fit=numeric"],
-], ids=lambda argv: argv[0])
-def test_command_without_a_fit_leaves_out_scipy_optimize(argv, tmp_path):
+    ["spectrum", "-p", "mg24_ca40", "-w", "1", "-s", "scan.points=9"],
+    ["widthcurve", "-p", "mg24_ca40", "-w", "1", "-s", "scan.points=9",
+     "-s", "widthcurve.tau_scaled=[2.23]", "-s", "scan.fit=lorentzian"],
+], ids=["dynamics", "widthcurve", "spectrum", "widthcurve-lorentzian"])
+def test_command_leaves_out_scipy_optimize(argv, tmp_path):
     result = _fresh(f"""
         import json, sys
         from recoilspec import cli
@@ -57,7 +61,7 @@ def test_command_without_a_fit_leaves_out_scipy_optimize(argv, tmp_path):
     assert result == [0, False]
 
 
-def test_fit_lorentzian_first_call_imports_its_solver(tmp_path):
+def test_fit_lorentzian_leaves_out_scipy_optimize(tmp_path):
     before, after, fit = _fresh("""
         import json, sys
         import numpy as np
@@ -68,7 +72,7 @@ def test_fit_lorentzian_first_call_imports_its_solver(tmp_path):
         print(json.dumps([before, "scipy.optimize" in sys.modules,
                           [res.baseline, res.depth, res.center, res.fwhm]]))
         """, tmp_path)
-    assert (before, after) == (False, True)
+    assert (before, after) == (False, False)
     assert fit == pytest.approx([1.0, 0.4, 0.3, 1.5], abs=1e-9)
 
 
@@ -86,8 +90,8 @@ def test_composite_lineshape_first_call_imports_its_root_finder(tmp_path):
 
 
 def test_spectrum_with_its_fit_leaves_out_scipy_integrate(tmp_path):
-    # no path propagates with scipy.integrate; the Lorentzian fit loads
-    # scipy.optimize only
+    # no path propagates with scipy.integrate, and the Lorentzian fit is
+    # numpy alone
     argv = ["spectrum", "-p", "mg24_ca40", "-w", "1", "-s", "scan.points=9",
             "-o", str(tmp_path / "x")]
     result = _fresh(f"""
@@ -97,6 +101,6 @@ def test_spectrum_with_its_fit_leaves_out_scipy_integrate(tmp_path):
         print(json.dumps([code, "scipy.optimize" in sys.modules,
                           "scipy.integrate" in sys.modules]))
         """, tmp_path)
-    assert result == [0, True, False]
+    assert result == [0, False, False]
     fit = json.loads((tmp_path / "x_fit.json").read_text())["fit"]
     assert fit["mode"] == "lorentzian" and fit["fwhm_hz"] > 0
