@@ -14,9 +14,9 @@ from recoilspec.presets import CA40, MG24, MGH24, OMEGA_Z_DEFAULT
 kHz = 2 * np.pi * 1e3
 
 # ---- mode frequencies for both crystals -----------------------------------
-for target in (MG24, MGH24):
+for name, target in (("Mg24+", MG24), ("MgH24+", MGH24)):
     system = TwoIonSystem(target=target, readout=CA40, omega_z=OMEGA_Z_DEFAULT)
-    print(f"{target.label} + {CA40.label}  (mass ratio {system.mass_ratio:.4f})")
+    print(f"{name} + Ca40+  (mass ratio {system.mass_ratio:.4f})")
     print(f"  in-phase     {system.omega_ip / kHz:8.1f} kHz")
     print(f"  out-of-phase {system.omega_op / kHz:8.1f} kHz")
     print(f"  eigenvectors |b_ip| = ({abs(system.b_ip_r):.3f}, {abs(system.b_ip_t):.3f})"

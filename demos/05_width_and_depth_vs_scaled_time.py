@@ -6,10 +6,8 @@ while the depth saturates below one.  Curves taken at different laser
 intensities nearly collapse when plotted against scaled time.
 """
 
-import warnings
-
 # recoilspec before numpy: importing it sets OpenBLAS to one thread
-from recoilspec import LeakWarning, width_depth_curves
+from recoilspec import width_depth_curves
 from recoilspec.presets import mg24_ca40, mgh24_ca40
 
 import numpy as np
@@ -36,11 +34,9 @@ for tau, widths in sorted(by_tau.items()):
 
 # ---- MgH: numeric widths (the dips are not Lorentzian) ------------------------
 grid = np.linspace(-300 * MHz, 300 * MHz, 41)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", LeakWarning)
-    rows = width_depth_curves([("50 MHz laser", mgh24_ca40())],
-                              [500.0, 2000.0, 6000.0, 16400.0], grid,
-                              fit="numeric", workers=2)
+rows = width_depth_curves([("50 MHz laser", mgh24_ca40())],
+                          [500.0, 2000.0, 6000.0, 16400.0], grid,
+                          fit="numeric", workers=2)
 print("\nMgH: numeric width/depth of the readout dip")
 print("  tau_scaled  FWHM/MHz  depth   max leak")
 for r in rows:

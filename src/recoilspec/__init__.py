@@ -25,10 +25,9 @@ from .radiation import (EmissionPattern, LaserField, QuadratureError,
                         effective_spectral_density, emission_coefficients,
                         saturation_intensity)
 from .rate_engine import (LeakWarning, PopulationState, RateMatrix,
-                          SpectroscopyScenario, build_rate_matrix, evolve,
+                          SpectroscopyScenario, build_rate_matrix,
                           evolve_series, scaled_time)
-from .readout import (ReadoutPulse, fluorescence_probability, pi_pulse,
-                      pi_time, readout_lamb_dicke)
+from .readout import ReadoutPulse, fluorescence_probability, pi_pulse, pi_time
 from .scan_fit import (FitError, FitResult, SpectrumRecord, WidthDepthPoint,
                        fit_lorentzian, numeric_fwhm_depth, readout_spectrum,
                        width_depth_curves)

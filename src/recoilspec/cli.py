@@ -34,10 +34,11 @@ import numpy as np
 
 from . import presets
 from .constants import ion_mass_kg
+from .ion_mechanics import BeamGeometry, lamb_dicke
 from .radiation import QuadratureError, effective_saturation_intensity
 from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
                           build_rate_matrix, evolve_series, scaled_time)
-from .readout import pi_pulse, readout_lamb_dicke
+from .readout import pi_pulse
 from .reduced_model import reduced_spectrum
 from .scan_fit import (FitError, fit_lorentzian, numeric_fwhm_depth,
                        readout_spectrum, width_depth_curves)
@@ -333,8 +334,8 @@ plot '{os.path.basename(csv_path)}' using {xcol}:{ycol} with linespoints
 
 def _cmd_modes(cfg, scenario, prefix, args):
     sys_ = scenario.system
-    eta_t = scenario.laser_eta()
-    eta_r = readout_lamb_dicke(sys_, cfg["readout"]["wavelength_m"])
+    eta_t = lamb_dicke(sys_, scenario.beam, "target")
+    eta_r = lamb_dicke(sys_, BeamGeometry(cfg["readout"]["wavelength_m"]), "readout")
     isat = effective_saturation_intensity(scenario.line, scenario.laser.sigma)
     # the saturation intensity is set by the wider of the two lines
     regime = "laser" if scenario.laser.fwhm > scenario.line.gamma_t else "transition"

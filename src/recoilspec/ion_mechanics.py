@@ -17,9 +17,8 @@ from .constants import HBAR
 
 @dataclass(frozen=True)
 class IonSpecies:
-    """A single ion: mass in kg plus a short label for reports."""
+    """A single ion: mass in kg."""
     mass: float
-    label: str = ""
 
     def __post_init__(self):
         if self.mass <= 0:

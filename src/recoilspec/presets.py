@@ -22,9 +22,9 @@ from .radiation import (EmissionPattern, LaserField, TransitionLine,
                         effective_saturation_intensity)
 from .rate_engine import SpectroscopyScenario
 
-MG24 = IonSpecies(mass=ion_mass_kg(MG24_U), label="Mg24+")
-CA40 = IonSpecies(mass=ion_mass_kg(CA40_U), label="Ca40+")
-MGH24 = IonSpecies(mass=ion_mass_kg(MG24_U + H1_U), label="MgH24+")
+MG24 = IonSpecies(mass=ion_mass_kg(MG24_U))
+CA40 = IonSpecies(mass=ion_mass_kg(CA40_U))
+MGH24 = IonSpecies(mass=ion_mass_kg(MG24_U + H1_U))
 
 OMEGA_Z_DEFAULT = 2.0 * np.pi * 147.9e3   # lone Ca+ axial frequency, rad/s
 

@@ -99,14 +99,10 @@ class SpectroscopyScenario:
         return 2 * self.n_motional
 
     # -- cached tables ---------------------------------------------------------
-    def laser_eta(self) -> tuple[float, float]:
-        """Target Lamb-Dicke parameters for the spectroscopy beam."""
-        return lamb_dicke(self.system, self.beam, "target")
-
     def laser_coupling(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-mode |xi|^2 tables (ip, op) for the spectroscopy beam."""
         if "xi2" not in self._cache:
-            eta_ip, eta_op = self.laser_eta()
+            eta_ip, eta_op = lamb_dicke(self.system, self.beam, "target")
             self._cache["xi2"] = (
                 xi_mode_table(eta_ip, self.n_ip_max, self.s_ip_max) ** 2,
                 xi_mode_table(eta_op, self.n_op_max, self.s_op_max) ** 2,
@@ -121,6 +117,23 @@ class SpectroscopyScenario:
                 n_max=(self.n_ip_max, self.n_op_max),
                 s_max=(self.s_ip_max, self.s_op_max))
         return self._cache["d"]
+
+    def kernels(self) -> tuple[sp.csc_matrix, sp.csc_matrix, sp.csc_matrix]:
+        """Laser-independent pieces of the generator (K, C, K_heat):
+        K = K_abs + rho K_stim with rho = stimulated_scale / absorption_scale,
+        C = K_heat + Gamma_t K_spon, and K_heat alone."""
+        if "kernels" not in self._cache:
+            line = self.line
+            x_ip, x_op = self.laser_coupling()
+            xi2 = np.einsum("au,bv->abuv", x_ip, x_op)
+            rho = line.stimulated_scale / line.absorption_scale
+            k_laser = _transition_kernel(self, xi2, src_block=0, dest_block=1)
+            k_laser += rho * _transition_kernel(self, xi2, src_block=1, dest_block=0)
+            k_heat = _heating_kernel(self)
+            k_const = k_heat + line.gamma_t * _transition_kernel(
+                self, self.d_table(), src_block=1, dest_block=0)
+            self._cache["kernels"] = (k_laser, k_const, k_heat)
+        return self._cache["kernels"]
 
     def with_laser(self, **kw) -> "SpectroscopyScenario":
         """Copy of this scenario with laser fields replaced (tables kept)."""
@@ -236,24 +249,6 @@ def _heating_kernel(scenario: SpectroscopyScenario) -> sp.csc_matrix:
             + _transition_kernel(scenario, weights, src_block=1, dest_block=1))
 
 
-def _scenario_kernels(scenario: SpectroscopyScenario):
-    """Laser-independent pieces of the generator, cached on the scenario:
-    K = K_abs + rho K_stim with rho = stimulated_scale / absorption_scale,
-    C = K_heat + Gamma_t K_spon, and K_heat alone."""
-    if "kernels" not in scenario._cache:
-        line = scenario.line
-        x_ip, x_op = scenario.laser_coupling()
-        xi2 = np.einsum("au,bv->abuv", x_ip, x_op)
-        rho = line.stimulated_scale / line.absorption_scale
-        k_laser = _transition_kernel(scenario, xi2, src_block=0, dest_block=1)
-        k_laser += rho * _transition_kernel(scenario, xi2, src_block=1, dest_block=0)
-        k_heat = _heating_kernel(scenario)
-        k_const = k_heat + line.gamma_t * _transition_kernel(
-            scenario, scenario.d_table(), src_block=1, dest_block=0)
-        scenario._cache["kernels"] = (k_laser, k_const, k_heat)
-    return scenario._cache["kernels"]
-
-
 def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
                       include_spontaneous: bool = True) -> RateMatrix:
     """Assemble the linear rate generator r K + C at one detuning (rad/s).
@@ -264,7 +259,7 @@ def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
     emission at Gamma_t D and the heating ladder; include_spontaneous=False
     keeps only the ladder.  Off-grid destinations feed the leak row.
     """
-    k_laser, k_const, k_heat = _scenario_kernels(scenario)
+    k_laser, k_const, k_heat = scenario.kernels()
     rate = base_rate(scenario.laser, scenario.line, detuning)
     gen = rate * k_laser + (k_const if include_spontaneous else k_heat)
     return RateMatrix(generator=gen.tocsc(), detuning=detuning,
@@ -414,39 +409,27 @@ def _integrate(matrix: RateMatrix, p0: np.ndarray,
     return np.vstack([out, np.maximum(p0.sum() - out.sum(axis=0), p0[n])])
 
 
-def evolve(matrix: RateMatrix, initial: PopulationState,
-           duration: float) -> PopulationState:
-    """Evolve a population for `duration` seconds under a fixed generator.
-
-    The in-grid populations are propagated by the shift-and-invert
-    Krylov method; when its answer does not converge to
-    ATOL + RTOL sum(p) or goes negative, RuntimeError is raised.  The
-    leak is what the grid lost: the total probability less the in-grid
-    total.  The dense matrix exponential that judges the propagator
-    lives in the test oracles (tests/oracles.py, expm_populations), not
-    here.  A LeakWarning is raised when the leaked probability exceeds
-    the configured threshold.
-    """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    return evolve_series(matrix, initial, [duration])[0]
-
-
 def evolve_series(matrix: RateMatrix, initial: PopulationState,
                   times) -> list[PopulationState]:
     """Evolve and sample the population at each time in an increasing list.
 
     One propagation of the in-grid states serves every time: one
-    factorization and one Krylov basis, checked as in evolve; the leak
-    at each time follows from conservation.  Entries within the
-    tolerance below zero are clipped to zero.  Tests compare the result
-    with a dense matrix exponential per time.  A LeakWarning is raised
-    when the leaked probability at the last time exceeds the configured
-    threshold.
+    factorization and one shift-and-invert Krylov basis.  When its answer
+    does not converge to ATOL + RTOL sum(p) or goes negative,
+    RuntimeError is raised; entries within the tolerance below zero are
+    clipped to zero.  The leak at each time is what the grid lost: the
+    total probability less the in-grid total.  The dense matrix
+    exponential that judges the propagator lives in the test oracles
+    (tests/oracles.py, expm_populations), not here.  A LeakWarning is
+    raised when the leaked probability at the last time exceeds the
+    configured threshold.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be strictly increasing and >= 0")
+    if initial.p.shape != (2,) + matrix.grid_shape:
+        raise ValueError(f"initial state has shape {initial.p.shape}, the "
+                         f"generator needs {(2,) + matrix.grid_shape}")
     initial.validate()
     y = np.clip(_integrate(matrix, initial.to_vector(), times), 0.0, None)
     states = [PopulationState.from_vector(y[:, k], matrix.grid_shape)

@@ -41,12 +41,6 @@ class ReadoutPulse:
             raise ValueError("carrier Rabi frequency must be >= 0")
 
 
-def readout_lamb_dicke(system: TwoIonSystem, wavelength: float = 729e-9,
-                       axial_projection: float = 1.0) -> tuple[float, float]:
-    """Readout-ion Lamb-Dicke parameters for the shelving beam."""
-    return lamb_dicke(system, BeamGeometry(wavelength, axial_projection), "readout")
-
-
 def pi_time(pulse: ReadoutPulse) -> float:
     """Duration of a pi-pulse on the pulse's reference transition.
 
@@ -66,7 +60,7 @@ def pi_pulse(system: TwoIonSystem, sideband: tuple[int, int] = (0, -1),
              omega_0: float = 2.0 * np.pi * 10e3,
              wavelength: float = 729e-9) -> ReadoutPulse:
     """Resonant readout pulse with its duration set to the pi-time."""
-    eta_ip, eta_op = readout_lamb_dicke(system, wavelength)
+    eta_ip, eta_op = lamb_dicke(system, BeamGeometry(wavelength), "readout")
     pulse = ReadoutPulse(sideband=sideband, omega_0=omega_0, duration=0.0,
                          eta_ip=eta_ip, eta_op=eta_op)
     return replace(pulse, duration=pi_time(pulse))

@@ -14,7 +14,7 @@ faster than the full engine and reproduces the gross spectral features.
 import numpy as np
 from scipy.linalg import expm
 
-from .rate_engine import SpectroscopyScenario, _scenario_kernels
+from .rate_engine import SpectroscopyScenario
 from .radiation import base_rate
 from .scan_fit import SpectrumRecord
 
@@ -36,7 +36,7 @@ def reduced_kernels(scenario: SpectroscopyScenario) -> tuple[np.ndarray, np.ndar
         out[2, :2] = -out[:2, :2].sum(axis=0)
         return out
 
-    k_laser, k_const, _ = _scenario_kernels(scenario)
+    k_laser, k_const, _ = scenario.kernels()
     return collapse(k_laser), collapse(k_const)
 
 

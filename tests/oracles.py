@@ -243,7 +243,7 @@ def generator_loop(scenario, detuning: float,
                                                          line.gamma_t / 2.0)
     r_abs = b_coef * rho_eff * line.absorption_scale
     r_stim = b_coef * rho_eff * line.stimulated_scale
-    eta_ip, eta_op = scenario.laser_eta()
+    eta_ip, eta_op = lamb_dicke(scenario.system, scenario.beam, "target")
     d = None
     if include_spontaneous:
         eta_z = lamb_dicke(scenario.system, BeamGeometry(line.wavelength, 1.0),

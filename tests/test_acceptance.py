@@ -17,7 +17,7 @@ from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import (composite_target_lineshape,
                                   effective_saturation_intensity)
 from recoilspec.rate_engine import (LeakWarning, PopulationState,
-                                    build_rate_matrix, evolve, evolve_series,
+                                    build_rate_matrix, evolve_series,
                                     scaled_time)
 from recoilspec.readout import pi_pulse
 from recoilspec.scan_fit import (fit_lorentzian, numeric_fwhm_depth,
@@ -222,10 +222,8 @@ def mg_width_curve(mg_scenario):
 def mgh_width_curve(mgh_scenario):
     grid = np.linspace(-2 * np.pi * 300e6, 2 * np.pi * 300e6, 51)
     taus = [500.0, 2000.0, 6000.0, 16400.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        rows = width_depth_curves([("mgh", mgh_scenario)], taus, grid,
-                                  fit="numeric", workers=WORKERS)
+    rows = width_depth_curves([("mgh", mgh_scenario)], taus, grid,
+                              fit="numeric", workers=WORKERS)
     return np.array(taus), rows
 
 
@@ -268,9 +266,7 @@ def test_criterion_7c_mgh_curve(mgh_scenario, mgh_width_curve):
     # the depth 0.3995 -> 0.3991, so the truncation does not shape the curve.
     taus, rows = mgh_width_curve
     ok, fwhm, depth = _curve_checks(taus, rows)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        exact = np.array([gaussian_profile_fwhm(mgh_scenario, t) for t in taus])
+    exact = np.array([gaussian_profile_fwhm(mgh_scenario, t) for t in taus])
     worst = np.abs(fwhm - exact).max()
     ok = ok and worst < 2.0 * MHZ
     points = ", ".join(f"{w / MHZ:.1f}/{e / MHZ:.1f} MHz leak {r.max_leaked:.3f}"
@@ -323,9 +319,7 @@ def test_criterion_8_oracles(mg_scenario):
     matrix = build_rate_matrix(small, 2 * np.pi * 10e6)
     ground = PopulationState.ground(small)
     exact = expm_populations(matrix, ground.to_vector(), [1.3e-3])[:, 0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        got = evolve(matrix, ground, 1.3e-3).to_vector()
+    got = evolve_series(matrix, ground, [1.3e-3])[0].to_vector()
     int_err = np.abs(got - exact).max()
     ok &= int_err < 1e-8
     # probability conservation along a full-scenario trajectory
@@ -347,10 +341,10 @@ def test_criterion_9_scaled_time_collapse():
     base = mg24_ca40(intensity_sat_units=6.54e-6, heat_ip=0.0, heat_op=0.0)
     double = mg24_ca40(intensity_sat_units=2 * 6.54e-6, heat_ip=0.0, heat_op=0.0)
     tau = 1.3e-3
-    s1 = evolve(build_rate_matrix(base, 0.0, include_spontaneous=False),
-                PopulationState.ground(base), tau)
-    s2 = evolve(build_rate_matrix(double, 0.0, include_spontaneous=False),
-                PopulationState.ground(double), tau / 2)
+    s1 = evolve_series(build_rate_matrix(base, 0.0, include_spontaneous=False),
+                       PopulationState.ground(base), [tau])[0]
+    s2 = evolve_series(build_rate_matrix(double, 0.0, include_spontaneous=False),
+                       PopulationState.ground(double), [tau / 2])[0]
     err = max(np.abs(s1.p - s2.p).max(), abs(s1.leaked - s2.leaked))
     report("9 (scaled-time collapse)", err < 1e-6,
            f"max state difference {err:.2e}")

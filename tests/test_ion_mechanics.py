@@ -112,7 +112,7 @@ def test_mg_lamb_dicke_values(mg_ca_system):
     assert eta45[1] == pytest.approx(0.36, rel=0.02)
 
 
-def test_readout_lamb_dicke_values(mg_ca_system, mgh_ca_system):
+def test_readout_ion_lamb_dicke_values(mg_ca_system, mgh_ca_system):
     beam = BeamGeometry(729e-9, 1.0)
     eta = lamb_dicke(mg_ca_system, beam, "readout")
     assert eta[0] == pytest.approx(0.204, rel=0.02)

@@ -1,8 +1,8 @@
 import json
 import os
+import re
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,8 +17,9 @@ from recoilspec.coupling import xi_mode_table
 from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import TransitionLine, base_rate
 from recoilspec.rate_engine import (LeakWarning, PopulationState,
-                                    _heating_kernel, build_rate_matrix, evolve,
+                                    _heating_kernel, build_rate_matrix,
                                     evolve_series, scaled_time)
+from recoilspec.scan_fit import readout_spectrum
 
 from oracles import (expm_populations, generator_loop, heating_kernel_loop,
                      xi_double_sum_mode)
@@ -196,7 +197,7 @@ def test_zero_generator_keeps_state():
     sc = small_mg(intensity_sat_units=0.0, heat_ip=0.0, heat_op=0.0)
     matrix = build_rate_matrix(sc, 0.0, include_spontaneous=False)
     state = PopulationState.ground(sc)
-    out = evolve(matrix, state, 1.0)
+    out = evolve_series(matrix, state, [1.0])[0]
     assert out.p == pytest.approx(state.p, abs=1e-12)
     assert out.leaked == 0.0
 
@@ -205,11 +206,11 @@ def test_heating_ladder_first_order():
     sc = small_mg(intensity_sat_units=0.0, heat_ip=0.0, heat_op=1.7)
     matrix = build_rate_matrix(sc, 0.0, include_spontaneous=False)
     t = 1e-4
-    out = evolve(matrix, PopulationState.ground(sc), t)
+    out = evolve_series(matrix, PopulationState.ground(sc), [t])[0]
     assert out.p[0, 0, 1] == pytest.approx(1.7 * t, rel=1e-3)
     sc2 = small_mg(intensity_sat_units=0.0, heat_ip=14.0, heat_op=0.0)
-    out2 = evolve(build_rate_matrix(sc2, 0.0, include_spontaneous=False),
-                  PopulationState.ground(sc2), t)
+    out2 = evolve_series(build_rate_matrix(sc2, 0.0, include_spontaneous=False),
+                         PopulationState.ground(sc2), [t])[0]
     assert out2.p[0, 1, 0] == pytest.approx(14.0 * t, rel=1e-2)
 
 
@@ -245,20 +246,20 @@ def test_scaled_time_collapse():
     sc1 = small_mg(intensity_sat_units=6.54e-6, heat_ip=0.0, heat_op=0.0)
     sc2 = small_mg(intensity_sat_units=2 * 6.54e-6, heat_ip=0.0, heat_op=0.0)
     tau = 1.3e-3
-    s1 = evolve(build_rate_matrix(sc1, 0.0, include_spontaneous=False),
-                PopulationState.ground(sc1), tau)
-    s2 = evolve(build_rate_matrix(sc2, 0.0, include_spontaneous=False),
-                PopulationState.ground(sc2), tau / 2)
+    s1 = evolve_series(build_rate_matrix(sc1, 0.0, include_spontaneous=False),
+                       PopulationState.ground(sc1), [tau])[0]
+    s2 = evolve_series(build_rate_matrix(sc2, 0.0, include_spontaneous=False),
+                       PopulationState.ground(sc2), [tau / 2])[0]
     assert s2.p == pytest.approx(s1.p, abs=1e-6)
     assert s2.leaked == pytest.approx(s1.leaked, abs=1e-6)
 
 
 def test_detuning_symmetry(mg_scenario):
     delta = 2 * np.pi * 30e6
-    sp = evolve(build_rate_matrix(mg_scenario, delta),
-                PopulationState.ground(mg_scenario), 1.3e-3)
-    sm = evolve(build_rate_matrix(mg_scenario, -delta),
-                PopulationState.ground(mg_scenario), 1.3e-3)
+    sp = evolve_series(build_rate_matrix(mg_scenario, delta),
+                       PopulationState.ground(mg_scenario), [1.3e-3])[0]
+    sm = evolve_series(build_rate_matrix(mg_scenario, -delta),
+                       PopulationState.ground(mg_scenario), [1.3e-3])[0]
     assert sp.p == pytest.approx(sm.p, abs=1e-12)
 
 
@@ -267,9 +268,7 @@ def test_krylov_matches_dense_expm_on_small_mg_grid():
     matrix = build_rate_matrix(sc, 2 * np.pi * 10e6)
     state = PopulationState.ground(sc)
     tau = 1.3e-3
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        krylov = evolve(matrix, state, tau)
+    krylov = evolve_series(matrix, state, [tau])[0]
     exact = expm_populations(matrix, state.to_vector(), [tau])[:, 0]
     assert krylov.to_vector() == pytest.approx(exact, abs=1e-8)
 
@@ -363,7 +362,7 @@ def test_leak_never_below_its_initial_value():
     matrix = build_rate_matrix(sc, 2 * np.pi * 127.5e6)
     state = PopulationState.ground(sc)
     tau = 9.1 / scaled_time(1.0, sc)
-    got = evolve(matrix, state, tau)
+    got = evolve_series(matrix, state, [tau])[0]
     want = expm_populations(matrix, state.to_vector(), [tau])[:, 0]
     assert np.abs(got.to_vector() - want).max() <= 1e-9
     assert got.leaked >= 0.0
@@ -408,7 +407,7 @@ def test_negative_krylov_population_raises(monkeypatch):
     monkeypatch.setattr(rate_engine, "_krylov_series", skewed)
     with pytest.raises(RuntimeError,
                        match="negative population -.* at detuning 1e\\+07 Hz"):
-        evolve(matrix, state, tau)
+        evolve_series(matrix, state, [tau])
 
 
 def test_traced_run_counts_one_propagation(tmp_path):
@@ -490,20 +489,32 @@ def test_import_pins_openblas_to_one_thread(preset, expected):
 def test_leak_warning_raised():
     sc = small_mg(n_max=3)
     matrix = build_rate_matrix(sc, 0.0)
-    with pytest.warns(LeakWarning):
-        evolve(matrix, PopulationState.ground(sc), 5.3e-3)
+    with pytest.warns(LeakWarning) as caught:
+        evolve_series(matrix, PopulationState.ground(sc), [5.3e-3])
+        readout_spectrum(sc, 2 * np.pi * np.linspace(-50e6, 50e6, 5), 5.3e-3)
+    # a filter keyed on the calling module matches only if each warning
+    # is attributed to the line that called the library
+    assert [w.filename for w in caught] == [__file__, __file__]
 
 
 def test_evolve_input_validation(mg_scenario):
     matrix = build_rate_matrix(mg_scenario, 0.0)
     good = PopulationState.ground(mg_scenario)
     with pytest.raises(ValueError):
-        evolve(matrix, good, -1.0)
+        evolve_series(matrix, good, [-1.0])
     bad = PopulationState(p=good.p * 0.5)
     with pytest.raises(ValueError):
-        evolve(matrix, bad, 1e-4)
+        evolve_series(matrix, bad, [1e-4])
     with pytest.raises(ValueError):
         evolve_series(matrix, good, [2e-3, 1e-3])
+    # a state on another grid fails before anything is propagated
+    small, large = small_mg(n_max=2), small_mg(n_max=4)
+    for sc, other in ((large, small), (small, large)):
+        shapes = (re.escape(str((2,) + other.grid_shape)) + ".*"
+                  + re.escape(str((2,) + sc.grid_shape)))
+        with pytest.raises(ValueError, match=shapes):
+            evolve_series(build_rate_matrix(sc, 0.0),
+                          PopulationState.ground(other), [1e-4])
 
 
 def test_initial_internal_state_nearly_irrelevant(mgh_scenario):
@@ -513,8 +524,8 @@ def test_initial_internal_state_nearly_irrelevant(mgh_scenario):
     matrix = build_rate_matrix(mgh_scenario, 0.0)
     p = np.zeros((2,) + mgh_scenario.grid_shape)
     p[1, 0, 0] = 1.0  # start excited instead of ground
-    from_excited = evolve(matrix, PopulationState(p=p), tau)
-    from_ground = evolve(matrix, PopulationState.ground(mgh_scenario), tau)
+    from_excited = evolve_series(matrix, PopulationState(p=p), [tau])[0]
+    from_ground = evolve_series(matrix, PopulationState.ground(mgh_scenario), [tau])[0]
     assert from_excited.motional_marginal()[0, 0] == pytest.approx(
         from_ground.motional_marginal()[0, 0], rel=0.02)
 

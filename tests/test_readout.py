@@ -5,9 +5,10 @@ import pytest
 
 from recoilspec import readout
 from recoilspec.coupling import xi_mode_table
+from recoilspec.ion_mechanics import BeamGeometry, lamb_dicke
 from recoilspec.rate_engine import PopulationState
 from recoilspec.readout import (ReadoutPulse, fluorescence_probability,
-                                pi_pulse, pi_time, readout_lamb_dicke)
+                                pi_pulse, pi_time)
 
 from oracles import xi_double_sum
 
@@ -224,7 +225,7 @@ def test_signal_independent_of_carrier_rabi(op_pulse):
 
 def test_pi_pulse_factory(mg_scenario):
     pulse = pi_pulse(mg_scenario.system, (0, -1))
-    eta = readout_lamb_dicke(mg_scenario.system)
+    eta = lamb_dicke(mg_scenario.system, BeamGeometry(729e-9), "readout")
     assert pulse.eta_ip == pytest.approx(0.204, rel=0.02)
     assert pulse.eta_op == pytest.approx(0.0917, rel=0.02)
     assert pulse.eta_ip == eta[0] and pulse.eta_op == eta[1]

@@ -133,6 +133,11 @@ def assert_fit_matches_oracle(x, y):
     got = np.array([res.baseline, res.depth, res.center, res.fwhm])
     # centre and FWHM are measured against the FWHM
     assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want[[0, 1, 3, 3]]))
+    # stationarity, free of the oracle's own stopping error: the cost
+    # gradient J^T r in parameter units, the Gauss-Newton step (J^T J)^-1 J^T r
+    step = np.linalg.lstsq(_lorentzian_dip_jac(x, got), _lorentzian_dip(x, got) - y,
+                           rcond=None)[0]
+    assert np.all(np.abs(step) <= 1e-7 * np.abs(got[[0, 1, 3, 3]]))
     # a norm at the roundoff of the data has no relative digits to compare
     floor = 4 * np.finfo(float).eps * np.linalg.norm(y)
     assert res.residual_norm <= oracle_norm * (1 + 1e-10) + floor
