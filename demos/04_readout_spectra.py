@@ -35,7 +35,7 @@ spectra = {}
 for tau_scaled in (2.23, 9.10):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
-        records = readout_spectrum(scenario, grid, tau_scaled / rate, workers=2)
+        records = readout_spectrum(scenario, grid, tau_scaled / rate)
     fit = fit_lorentzian(records)
     spectra[tau_scaled] = records
     print(f"tau_scaled = {tau_scaled}: FWHM {fit.fwhm / MHz:6.1f} MHz "
@@ -56,10 +56,8 @@ pulse_op = pi_pulse(strong.system, (0, -1))
 pulse_ip = pi_pulse(strong.system, (-1, 0))
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", LeakWarning)
-    single = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op,),
-                              workers=2)
-    double = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op, pulse_ip),
-                              workers=2)
+    single = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op,))
+    double = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op, pulse_ip))
 d1 = fit_lorentzian(single).depth
 d2 = fit_lorentzian(double).depth
 print(f"\ntwo-pulse readout: depth {d1:.3f} -> {d2:.3f} "

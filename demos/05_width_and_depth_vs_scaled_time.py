@@ -19,7 +19,7 @@ grid = np.linspace(-150 * MHz, 150 * MHz, 41)
 entries = [(f"{sat:g} Isat", mg24_ca40(intensity_sat_units=sat))
            for sat in (1.34e-6, 6.68e-6, 2.00e-5)]
 rows = width_depth_curves(entries, [1.0, 2.23, 4.0, 9.1], grid,
-                          fit="lorentzian", workers=2)
+                          fit="lorentzian")
 print("Mg: Lorentzian fit of the readout dip")
 print("  intensity     tau_scaled  FWHM/MHz  depth")
 for r in rows:
@@ -36,7 +36,7 @@ for tau, widths in sorted(by_tau.items()):
 grid = np.linspace(-300 * MHz, 300 * MHz, 41)
 rows = width_depth_curves([("50 MHz laser", mgh24_ca40())],
                           [500.0, 2000.0, 6000.0, 16400.0], grid,
-                          fit="numeric", workers=2)
+                          fit="numeric")
 print("\nMgH: numeric width/depth of the readout dip")
 print("  tau_scaled  FWHM/MHz  depth   max leak")
 for r in rows:

@@ -36,7 +36,7 @@ tau = 2.23 / rate
 t0 = time.perf_counter()
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", LeakWarning)
-    full = readout_spectrum(scenario, grid, tau, workers=2)
+    full = readout_spectrum(scenario, grid, tau)
 t_full = time.perf_counter() - t0
 
 t0 = time.perf_counter()

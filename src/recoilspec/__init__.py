@@ -9,10 +9,9 @@ the co-trapped readout ion.
 import os
 
 # The dense solves are small (a few hundred states): a second OpenBLAS
-# thread only contends for the cores, and forked pool workers would each
-# start their own.  OpenBLAS reads this once, when numpy is first imported:
-# a value already set wins, and importing numpy before recoilspec leaves
-# OpenBLAS at its own default.
+# thread only contends for the cores.  OpenBLAS reads this once, when numpy
+# is first imported: a value already set wins, and importing numpy before
+# recoilspec leaves OpenBLAS at its own default.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .constants import ATOMIC_MASS, C, HBAR, ion_mass_kg

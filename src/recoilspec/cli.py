@@ -119,7 +119,6 @@ SCHEMA = {
     "widthcurve.intensities_sat_units": Key(kind=list, check=_POSITIVE),
     "widthcurve.laser_fwhms_hz": Key(kind=list, check=_NONNEGATIVE),
     "reduced.contrast": Key(0.5, check=_UNIT),
-    "workers": Key(0, int, _NONNEGATIVE),  # 0 = all cores
 }
 
 
@@ -259,10 +258,6 @@ def _detuning_grid(cfg: dict) -> np.ndarray:
     return np.linspace(-half, half, cfg["scan"]["points"])
 
 
-def _workers(cfg: dict) -> int:
-    return cfg["workers"] or (os.cpu_count() or 1)
-
-
 def _readout_pulses(cfg: dict, scenario: SpectroscopyScenario):
     ro = cfg["readout"]
     omega_0 = 2 * np.pi * ro["omega_0_hz"]
@@ -400,8 +395,7 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
             records = readout_spectrum(
                 scenario, detunings, tau_spec,
                 pulses=_readout_pulses(cfg, scenario),
-                leak_survival=cfg["readout"]["leak_survival"],
-                workers=_workers(cfg))
+                leak_survival=cfg["readout"]["leak_survival"])
     csv_path = prefix + ".csv"
     _write_csv(csv_path, _SPECTRUM_HEADER, _spectrum_rows(records, model))
     fit_mode = _scan_setting(cfg, "fit")
@@ -455,8 +449,7 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
     rows = width_depth_curves(entries, wc["tau_scaled"], _detuning_grid(cfg),
                               fit=fit_mode,
                               pulses=_readout_pulses(cfg, scenario),
-                              leak_survival=cfg["readout"]["leak_survival"],
-                              workers=_workers(cfg))
+                              leak_survival=cfg["readout"]["leak_survival"])
     csv_path = prefix + ".csv"
     _write_csv(csv_path,
                ["label", "tau_scaled", "tau_spec_s", "fwhm_hz", "depth",
@@ -503,8 +496,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="override a config entry (dotted keys, JSON values)")
     parser.add_argument("-o", "--output", default=None,
                         help="output path prefix (default out/<command>)")
-    parser.add_argument("-w", "--workers", type=int, default=None,
-                        help="worker processes for detuning scans")
+    # accepted and ignored for benchmarks/workloads.py; goes with ROADMAP item 6
+    parser.add_argument("-w", "--workers", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--plot-script", action="store_true",
                         help="also emit a gnuplot script next to the CSV")
     parser.add_argument("--print-config", action="store_true",
@@ -522,12 +515,11 @@ def _keep_freed_memory() -> None:
 
     Every propagation allocates and frees dense blocks of about 1.3 MB.
     glibc's dynamic thresholds hand them back to the OS and the next
-    propagation faults them in again: `spectrum -p mg24_ca40 -w 1` at 31
+    propagation faults them in again: `spectrum -p mg24_ca40` at 31
     points took 50k minor page faults, whose cost varies with the load on
     the host.  Fixed thresholds keep blocks under 32 MB on the heap and
-    trim it only past 128 MB free.  Forked workers inherit them.  A malloc
-    setting in the environment wins; without glibc's mallopt this does
-    nothing.
+    trim it only past 128 MB free.  A malloc setting in the environment
+    wins; without glibc's mallopt this does nothing.
     """
     if "GLIBC_TUNABLES" in os.environ or any(k.startswith("MALLOC_")
                                              for k in os.environ):
@@ -547,8 +539,6 @@ def main(argv=None) -> int:
         sets = list(args.set)
         if args.preset:
             sets.insert(0, f"preset={args.preset}")
-        if args.workers is not None:
-            sets.append(f"workers={args.workers}")
         cfg = load_config(args.config, sets)
         scenario = build_scenario(cfg)
     except (ConfigError, ValueError, OSError) as exc:

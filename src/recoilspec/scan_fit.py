@@ -14,7 +14,6 @@ free-baseline Lorentzian least-squares fit or, where the dip shape is
 not Lorentzian, by direct numerical width/depth measurement.
 """
 
-import contextlib
 import logging
 import warnings
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ _log = logging.getLogger(__name__)
 # their log-derivative in the pulse time, far below RTOL.
 SAME_RATE = 1e-12
 
-FIT_XTOL, MAX_FIT_EVALS = 1e-10, 400   # Lorentzian fit: relative step, cap
+FIT_XTOL, MAX_FIT_EVALS = 1e-10, 400   # Lorentzian fit: relative Gauss-Newton step, cap
 
 
 class FitError(RuntimeError):
@@ -118,10 +117,10 @@ def _barycentric(nodes: np.ndarray, values: np.ndarray,
     return (coeffs @ values) / coeffs.sum(axis=1, keepdims=True)
 
 
-def _propagate(args) -> np.ndarray:
+def _propagate(scenario: SpectroscopyScenario, detuning: float,
+               times: np.ndarray) -> np.ndarray:
     """Motional marginal and leak after one propagation at one detuning,
     flat: n_motional + 1 values per pulse time of an increasing list."""
-    scenario, detuning, times = args
     matrix = build_rate_matrix(scenario, detuning)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
@@ -131,8 +130,7 @@ def _propagate(args) -> np.ndarray:
 
 
 def _rate_values(scenario: SpectroscopyScenario, detunings: np.ndarray,
-                 rates: np.ndarray, times: np.ndarray,
-                 workers: int) -> np.ndarray:
+                 rates: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Marginal and leak at every pulse time, at each distinct rate.
 
     detunings holds one detuning of each rate.  The rates are mapped
@@ -141,47 +139,32 @@ def _rate_values(scenario: SpectroscopyScenario, detunings: np.ndarray,
     far predicts its values; once two predictions in a row agree with
     their propagations to ATOL + RTOL at every value, propagation stops
     and the other rates take the interpolant, clipped at zero as
-    evolve_series clips.  workers > 1 propagates the Leja order in
-    batches of that size and discards the nodes past the stopping index,
-    so the answer does not depend on the worker count.
+    evolve_series clips.
     """
     lo, hi = rates.min(), rates.max()
     x = ((2.0 * rates - (hi + lo)) / (hi - lo) if hi > lo
          else np.zeros(rates.size))
-    order = _leja_order(x)
     tolerance = ATOL + RTOL * PopulationState.ground(scenario).total()
-    nodes, values, errors, made = [], [], [], 0
-
-    def converged():
-        return len(errors) >= 2 and max(errors[-2:]) <= tolerance
-
-    with contextlib.ExitStack() as stack:
-        run = map
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            run = pool.map
-        while len(nodes) < len(order) and not converged():
-            batch = order[len(nodes):len(nodes) + max(workers, 1)]
-            made += len(batch)
-            jobs = [(scenario, detunings[i], times) for i in batch]
-            for i, new in zip(batch, run(_propagate, jobs)):
-                if nodes:
-                    guess = _barycentric(x[nodes], np.array(values), x[[i]])[0]
-                    errors.append(float(np.abs(guess - new).max()))
-                nodes.append(i)
-                values.append(new)
-                if converged():
-                    break
+    nodes, values, good, error = [], [], 0, np.nan
+    for i in _leja_order(x):
+        new = _propagate(scenario, detunings[i], times)
+        if nodes:
+            guess = _barycentric(x[nodes], np.array(values), x[[i]])[0]
+            error = float(np.abs(guess - new).max())
+            good = good + 1 if error <= tolerance else 0
+        nodes.append(i)
+        values.append(new)
+        if good == 2:
+            break
     _log.debug("scan: %d distinct rates, %d propagations, last prediction "
-               "error %.1e", rates.size, made, errors[-1] if errors else np.nan)
+               "error %.1e", rates.size, len(nodes), error)
     # a node, or a rate that maps onto one, takes the node's values
     table = np.clip(_barycentric(x[nodes], np.array(values), x), 0.0, None)
     return table.reshape(rates.size, times.size, -1)
 
 
 def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
-          leak_survival, workers) -> list[list[SpectrumRecord]]:
+          leak_survival) -> list[list[SpectrumRecord]]:
     """Records for every pulse time (outer) and detuning (inner), in input order.
 
     The detunings are grouped by base rate, and _rate_values gives each
@@ -202,10 +185,7 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
                       for d in detunings])
     groups = _rate_groups(rates)
     firsts = [g[0] for g in groups]
-    scenario.laser_coupling()  # build shared tables once, not per worker
-    scenario.d_table()
-    table = _rate_values(scenario, detunings[firsts], rates[firsts], times,
-                         workers)
+    table = _rate_values(scenario, detunings[firsts], rates[firsts], times)
     per_time = [[None] * detunings.size for _ in times]
     for group, series in zip(groups, table):
         for k, row in enumerate(series):
@@ -225,8 +205,7 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
 
 def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
                      pulses: Optional[tuple[ro.ReadoutPulse, ...]] = None,
-                     leak_survival: float = 0.5,
-                     workers: int = 1) -> list[SpectrumRecord]:
+                     leak_survival: float = 0.5) -> list[SpectrumRecord]:
     """Fluorescence signal and motional populations across a detuning grid.
 
     pulses is the readout sequence, applied in turn; it defaults to a
@@ -235,11 +214,9 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
     a detuning and its mirror image, share one record's populations.  The
     distinct rates are propagated at Leja nodes until the interpolant in
     the rate predicts them to the propagator's tolerance, and the others
-    are interpolated; workers > 1 propagates the nodes in batches over
-    processes, with the same records as one worker.
+    are interpolated.
     """
-    records = _scan(scenario, detunings, [tau_spec], pulses, leak_survival,
-                    workers)[0]
+    records = _scan(scenario, detunings, [tau_spec], pulses, leak_survival)[0]
     if any(r.leak_flag for r in records):
         worst = max(r.leaked for r in records)
         warnings.warn(f"leaked population reaches {worst:.2%} on the scan",
@@ -285,24 +262,33 @@ def _levenberg_marquardt(x, y, params):
     """Least-squares dip parameters, residuals and residual evaluations.
 
     Marquardt (1963): each step solves (J^T J + lam diag(J^T J)) step =
-    -J^T r; lam falls tenfold after a step that does not raise the cost,
-    else rises tenfold with the step undone.  The loop converges at a
-    step of at most FIT_XTOL of the parameters in the diag(J^T J) norm.
+    -J^T r; lam falls tenfold after a step that does not raise the cost
+    beyond roundoff, else rises tenfold with the step undone.  The loop
+    converges where the undamped Gauss-Newton step, the solve at lam = 0,
+    is at most FIT_XTOL of the parameters in the diag(J^T J) norm: it
+    takes that step as its last, and so judges stationarity, not a step
+    that a large lam has made small.
     """
     r = _lorentzian_dip(x, params) - y
+    # a cost change within the roundoff of the residuals is no change
+    roundoff = 4 * np.finfo(float).eps * (y @ y)
     lam, accepted = 1e-3, True
     for evals in range(2, MAX_FIT_EVALS + 1):
         if accepted:
             jac = _lorentzian_dip_jac(x, params)
             normal, grad = jac.T @ jac, jac.T @ r
             scale = np.sqrt(np.diag(normal))
-        step = np.linalg.solve(normal + lam * np.diag(scale ** 2), -grad)
+            step = np.linalg.solve(normal, -grad)
+            done = (np.linalg.norm(scale * step)
+                    <= FIT_XTOL * np.linalg.norm(scale * params))
+        if not done:
+            step = np.linalg.solve(normal + lam * np.diag(scale ** 2), -grad)
         trial = _lorentzian_dip(x, params + step) - y
-        if accepted := bool(trial @ trial <= r @ r):
+        if accepted := bool(trial @ trial <= r @ r + roundoff):
             params, r = params + step, trial
-        lam = lam / 10.0 if accepted else lam * 10.0
-        if np.linalg.norm(scale * step) <= FIT_XTOL * np.linalg.norm(scale * params):
+        if done:
             return params, r, evals
+        lam = lam / 10.0 if accepted else lam * 10.0
     raise FitError(f"no convergence in {MAX_FIT_EVALS} residual evaluations")
 
 
@@ -311,9 +297,9 @@ def fit_lorentzian(records_or_x, y=None, p0=None) -> FitResult:
 
     Accepts a list of SpectrumRecord or explicit (x, y) arrays.  The
     solver is _levenberg_marquardt, numpy on the analytic Jacobian, which
-    stops at a relative step of FIT_XTOL; iterations counts its residual
-    evaluations.  p0 overrides the data-driven initial guess (baseline,
-    depth, center, fwhm).
+    stops where the Gauss-Newton step is FIT_XTOL of the parameters;
+    iterations counts its residual evaluations.  p0 overrides the
+    data-driven initial guess (baseline, depth, center, fwhm).
     """
     x, yv = _records_to_xy(records_or_x, y)
     if x.size < 8:
@@ -389,8 +375,7 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
                        tau_scaled_values, detunings,
                        fit: str = "lorentzian",
                        pulses: Optional[tuple[ro.ReadoutPulse, ...]] = None,
-                       leak_survival: float = 0.5,
-                       workers: int = 1) -> list[WidthDepthPoint]:
+                       leak_survival: float = 0.5) -> list[WidthDepthPoint]:
     """Signal FWHM and depth versus scaled time for several scenarios.
 
     Each (label, scenario) pair is scanned at every requested scaled
@@ -409,8 +394,7 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
         if not (rate := scaled_time(1.0, scenario)) > 0:
             raise ValueError(f"{label}: resonant absorption rate {rate!r} must be > 0")
         tau_specs = tau_scaled / rate
-        scans = _scan(scenario, detunings, tau_specs, pulses, leak_survival,
-                      workers)
+        scans = _scan(scenario, detunings, tau_specs, pulses, leak_survival)
         for ts, tau_spec, records in zip(tau_scaled, tau_specs, scans):
             if fit == "lorentzian":
                 res = fit_lorentzian(records)

@@ -25,7 +25,6 @@ from recoilspec.scan_fit import (fit_lorentzian, numeric_fwhm_depth,
 
 from oracles import expm_populations, gaussian_profile_fwhm, xi_double_sum_mode
 
-WORKERS = 2
 GAMMA_MG = 2 * np.pi * 41.8e6
 MHZ = 2 * np.pi * 1e6
 
@@ -38,8 +37,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def spectrum(scenario, detunings, tau_spec, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LeakWarning)
-        return readout_spectrum(scenario, detunings, tau_spec,
-                                workers=WORKERS, **kw)
+        return readout_spectrum(scenario, detunings, tau_spec, **kw)
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +212,7 @@ def mg_width_curve(mg_scenario):
     grid = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 51)
     taus = [1.0, 2.23, 4.0, 6.2, 9.1]
     rows = width_depth_curves([("mg", mg_scenario)], taus, grid,
-                              fit="lorentzian", workers=WORKERS)
+                              fit="lorentzian")
     return np.array(taus), rows
 
 
@@ -223,7 +221,7 @@ def mgh_width_curve(mgh_scenario):
     grid = np.linspace(-2 * np.pi * 300e6, 2 * np.pi * 300e6, 51)
     taus = [500.0, 2000.0, 6000.0, 16400.0]
     rows = width_depth_curves([("mgh", mgh_scenario)], taus, grid,
-                              fit="numeric", workers=WORKERS)
+                              fit="numeric")
     return np.array(taus), rows
 
 

@@ -15,7 +15,7 @@ from recoilspec.constants import CA40_U, H1_U, MG24_U
 
 FAST = ["-s", "scenario.n_ip_max=7", "-s", "scenario.n_op_max=7",
         "-s", "scan.points=9", "-s", "scan.span_hz=250e6",
-        "-s", "scan.tau_spec_s=2e-4", "-w", "1"]
+        "-s", "scan.tau_spec_s=2e-4"]
 
 
 def read_csv(path):
@@ -49,7 +49,6 @@ DEFAULT = {
     "widthcurve": {"tau_scaled": [1.0, 2.23, 4.0, 6.2, 9.1],
                    "intensities_sat_units": None, "laser_fwhms_hz": None},
     "reduced": {"contrast": 0.5},
-    "workers": 0,
 }
 
 
@@ -76,8 +75,10 @@ def test_value_of_the_wrong_type_names_its_key(key):
 
 
 def test_readme_names_every_config_key():
+    # the README's key table has one row per config key, in schema order
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    assert [key for key in flat_keys(load_config()) if f"`{key}`" not in readme] == []
+    table = re.findall(r"^\| `([^`]+)` \|", readme, flags=re.MULTILINE)
+    assert table == list(flat_keys(load_config()))
 
 
 def test_invalid_config_fields_rejected(tmp_path, capsys):
@@ -161,8 +162,7 @@ def test_leak_breach_returns_status_but_writes_data(tmp_path):
     out = tmp_path / "leaky"
     code = main(["spectrum", "-o", str(out),
                  "-s", "scenario.n_ip_max=3", "-s", "scenario.n_op_max=3",
-                 "-s", "scan.points=9", "-s", "scan.tau_spec_s=5.3e-3",
-                 "-w", "1"])
+                 "-s", "scan.points=9", "-s", "scan.tau_spec_s=5.3e-3"])
     assert code == EXIT_LEAK
     rows = read_csv(out.with_suffix(".csv"))
     assert any(row["leak_flag"] == "1" for row in rows)
@@ -321,21 +321,18 @@ def test_widthcurve_laser_widths_under_mg_preset(tmp_path):
     assert broad > 1.5 * narrow
 
 
-def test_workers_flag_propagates():
-    cfg = load_config(None, ["workers=3"])
-    assert cfg["workers"] == 3
-    with pytest.raises(ConfigError):
-        load_config(None, ["workers=-1"])
-
-
-def test_integrator_is_not_a_config_key(tmp_path, capsys):
-    # rate_engine has one propagation path; the solver is not a user setting
-    assert "integrator" not in load_config()
-    with pytest.raises(ConfigError, match="unknown config key: integrator"):
-        load_config(None, ["integrator=lsoda"])
+@pytest.mark.parametrize("setting", ["integrator=lsoda", "workers=3"],
+                         ids=["integrator", "workers"])
+def test_integrator_is_not_a_config_key(setting, tmp_path, capsys):
+    # rate_engine has one propagation path and a scan runs in one process:
+    # neither the solver nor a worker count is a user setting
+    key = setting.split("=")[0]
+    assert key not in load_config()
+    with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+        load_config(None, [setting])
     assert main(["spectrum", "-o", str(tmp_path / "s"), *FAST,
-                 "-s", "integrator=lsoda"]) == EXIT_CONFIG
-    assert "integrator" in capsys.readouterr().err
+                 "-s", setting]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
 
 
 def test_widthcurve_sweeps_one_key(tmp_path, capsys):
@@ -395,7 +392,7 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     ["modes", "-s", "preset=[\"mg24_ca40\"]"],
 ], ids=lambda argv: argv[-1])
 def test_bad_run_time_value_is_a_config_error(argv, tmp_path, capsys):
-    assert main([*argv, "-w", "1", "-o", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert main([*argv, "-o", str(tmp_path / "x")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     # the config check names the key it rejects
@@ -442,7 +439,7 @@ def test_saturation_regime_is_the_wider_line(argv, regime, tmp_path, capsys):
 ], ids=lambda argv: argv[0])
 def test_scaled_time_without_light_is_a_config_error(argv, tmp_path, capsys):
     # a dark laser has no resonant rate to turn a scaled time into seconds
-    assert main([*argv, "-s", "scenario.intensity_sat_units=0", "-w", "1",
+    assert main([*argv, "-s", "scenario.intensity_sat_units=0",
                  "-o", str(tmp_path / "x")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "resonant absorption rate" in err

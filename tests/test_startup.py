@@ -1,6 +1,6 @@
 """What start-up loads: scipy.optimize is imported only by
-composite_target_lineshape, the process pool only by a parallel scan, and
-no path imports scipy.integrate.  The Lorentzian fit is numpy alone.
+composite_target_lineshape, and no path imports scipy.integrate or starts
+a process pool.  The Lorentzian fit is numpy alone.
 
 Each test runs in a new interpreter, so that no earlier test has imported
 the module it watches.
@@ -21,8 +21,8 @@ from recoilspec.radiation import composite_target_lineshape
 ROOT = Path(__file__).resolve().parent.parent
 WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::UserWarning",
                       "-W", "error::DeprecationWarning"]
-LAZY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
-        "concurrent.futures.process")
+LAZY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+POOL = ("multiprocessing", "concurrent.futures.process")
 
 
 def _fresh(code: str, cwd: Path):
@@ -45,20 +45,27 @@ def test_cli_import_leaves_out_lazy_modules(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["dynamics", "-p", "mg24_ca40"],
-    ["widthcurve", "-p", "mgh24_ca40", "-w", "1", "-s", "scan.points=9",
+    ["widthcurve", "-p", "mgh24_ca40", "-s", "scan.points=9",
      "-s", "widthcurve.tau_scaled=[500]", "-s", "scan.fit=numeric"],
-    ["spectrum", "-p", "mg24_ca40", "-w", "1", "-s", "scan.points=9"],
-    ["widthcurve", "-p", "mg24_ca40", "-w", "1", "-s", "scan.points=9",
+    ["spectrum", "-p", "mg24_ca40", "-s", "scan.points=9"],
+    ["widthcurve", "-p", "mg24_ca40", "-s", "scan.points=9",
      "-s", "widthcurve.tau_scaled=[2.23]", "-s", "scan.fit=lorentzian"],
-], ids=["dynamics", "widthcurve", "spectrum", "widthcurve-lorentzian"])
+    ["spectrum", "-p", "mg24_ca40", "-w", "3", "-s", "scan.points=9"],
+    ["widthcurve", "-p", "mgh24_ca40", "-w", "3", "-s", "scan.points=9",
+     "-s", "widthcurve.tau_scaled=[500]", "-s", "scan.fit=numeric"],
+], ids=["dynamics", "widthcurve", "spectrum", "widthcurve-lorentzian",
+        "spectrum-w3", "widthcurve-w3"])
 def test_command_leaves_out_scipy_optimize(argv, tmp_path):
+    # and starts no process pool: every scan runs in this process, and -w
+    # is accepted and has no effect
     result = _fresh(f"""
         import json, sys
         from recoilspec import cli
         code = cli.main({[*argv, "-o", str(tmp_path / "x")]!r})
-        print(json.dumps([code, "scipy.optimize" in sys.modules]))
+        print(json.dumps([code, "scipy.optimize" in sys.modules,
+                          [m for m in {POOL!r} if m in sys.modules]]))
         """, tmp_path)
-    assert result == [0, False]
+    assert result == [0, False, []]
 
 
 def test_fit_lorentzian_leaves_out_scipy_optimize(tmp_path):
@@ -92,7 +99,7 @@ def test_composite_lineshape_first_call_imports_its_root_finder(tmp_path):
 def test_spectrum_with_its_fit_leaves_out_scipy_integrate(tmp_path):
     # no path propagates with scipy.integrate, and the Lorentzian fit is
     # numpy alone
-    argv = ["spectrum", "-p", "mg24_ca40", "-w", "1", "-s", "scan.points=9",
+    argv = ["spectrum", "-p", "mg24_ca40", "-s", "scan.points=9",
             "-o", str(tmp_path / "x")]
     result = _fresh(f"""
         import json, sys
