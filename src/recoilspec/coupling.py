@@ -8,13 +8,13 @@ built from a generalized Laguerre polynomial:
 
 with n_< = min(n, n+s), n_> = max(n, n+s).  Rate computations use
 |xi|^2 only; the i^|s| phase is carried for completeness.  The Laguerre
-polynomials come from scipy.special.eval_genlaguerre, which for an
-integer degree runs the three-term recurrence; it stays stable for the
-n <= 40 range used here, where factorial sums overflow and cancel badly.
+polynomials come from their three-term recurrence in the degree, the
+one scipy.special.eval_genlaguerre runs for an integer degree; it stays
+stable for the n <= 40 range used here, where factorial sums overflow
+and cancel badly.
 """
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 
 def xi_mode(eta: float, n: int, s: int) -> complex:
@@ -78,6 +78,19 @@ def xi_mode_table(eta, n_max: int, s_max: int) -> np.ndarray:
     n_lo = np.minimum(n, n + s)
     ok = n_lo >= 0
     n_lo = np.where(ok, n_lo, 0)
-    fac = np.exp(0.5 * (gammaln(n_lo + 1) - gammaln(n_lo + a + 1)))
-    table = np.exp(-x / 2.0) * eta**a * fac * eval_genlaguerre(n_lo, a, x)
+    # q[..., k, alpha] = L_k^alpha(x) / binom(k + alpha, k), by the
+    # three-term recurrence in the form scipy's eval_genlaguerre runs
+    alpha = np.arange(s_max + 1)
+    d = -x[..., 0] / (alpha + 1.0)
+    q = [np.ones_like(d), 1.0 + d]
+    for k in range(1, n_max):
+        d = (k * d - x[..., 0] * q[k]) / (k + alpha + 1.0)
+        q.append(q[k] + d)
+    q = np.stack(q[:n_max + 1], axis=-2)[..., n_lo, a]
+    # sqrt(n_lo! / (n_lo + a)!) binom(n_lo + a, n_lo) = sqrt(rising) / a!,
+    # with rising = (n_lo + 1) ... (n_lo + a), exact below 2**53
+    j = np.arange(1, s_max + 1)
+    rising = np.prod(np.where(j <= a[:, None], n_lo[..., None] + j, 1.0), axis=-1)
+    a_fact = np.cumprod(np.maximum(alpha, 1.0))
+    table = np.exp(-x / 2.0) * eta**a * np.sqrt(rising) / a_fact[a] * q
     return np.where(ok, table, 0.0)

@@ -10,7 +10,6 @@ coefficients D that weight spontaneous emission on each motional sideband.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import voigt_profile
 
 from .constants import C, HBAR
 from .coupling import xi_mode_table
@@ -81,6 +80,17 @@ class LaserField:
 # lineshapes and spectral overlap
 # ---------------------------------------------------------------------------
 
+def _voigt(delta, sigma, gamma):
+    """Voigt profile: a Lorentzian of HWHM gamma convolved with a Gaussian
+    of rms width sigma.  sigma = 0 leaves the Lorentzian, in the expression
+    scipy.special.voigt_profile evaluates for it, so that a delta laser
+    never imports scipy."""
+    if sigma == 0:
+        return gamma / np.pi / (delta * delta + gamma * gamma)
+    from scipy.special import voigt_profile
+    return voigt_profile(delta, sigma, gamma)
+
+
 def effective_spectral_density(laser: LaserField, line: TransitionLine,
                                detuning: float = 0.0) -> float:
     """Spectral energy density (J s / m^3) the transition sees.
@@ -90,7 +100,7 @@ def effective_spectral_density(laser: LaserField, line: TransitionLine,
     That overlap is the Voigt profile; a delta laser (sigma_L = 0) gives
     the bare Lorentzian.
     """
-    overlap = voigt_profile(detuning, laser.sigma, line.gamma_t / 2.0)
+    overlap = _voigt(detuning, laser.sigma, line.gamma_t / 2.0)
     return float(3.0 * laser.intensity / C * overlap)
 
 
@@ -106,7 +116,7 @@ def saturation_intensity(line: TransitionLine, sigma_L: float = 0.0) -> float:
     """
     if sigma_L < 0:
         raise ValueError(f"sigma_L must be >= 0, got {sigma_L}")
-    peak = voigt_profile(0.0, sigma_L, line.gamma_t / 2.0)
+    peak = _voigt(0.0, sigma_L, line.gamma_t / 2.0)
     return float(HBAR * line.omega_t**3 / (3.0 * np.pi**2 * C**2 * peak))
 
 
@@ -232,8 +242,8 @@ def composite_target_lineshape(gamma_t: float, doppler_fwhm: float = 0.0,
     half = zeeman_splitting / 2.0
 
     def profile(delta):
-        return 0.5 * (voigt_profile(delta - half, sigma_d, gamma_t / 2.0)
-                      + voigt_profile(delta + half, sigma_d, gamma_t / 2.0))
+        return 0.5 * (_voigt(delta - half, sigma_d, gamma_t / 2.0)
+                      + _voigt(delta + half, sigma_d, gamma_t / 2.0))
 
     # the peak lies in [0, half]: at 0 for a small splitting, near half
     # for a large one and strictly between them when the splitting is

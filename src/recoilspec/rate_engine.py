@@ -13,10 +13,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm, lu_factor, lu_solve
-from scipy.linalg.blas import dgemm
-from scipy.sparse.linalg import splu
 
 from .coupling import xi_mode_table
 from .ion_mechanics import BeamGeometry, TwoIonSystem, lamb_dicke
@@ -41,6 +37,19 @@ KRYLOV_M_MAX = 80
 # most negative population entry a propagation may return; smaller ones
 # are integration error, not roundoff
 NEGATIVE_TOLERANCE = 1e-10
+
+# diagonal Pade approximant of degree 13 to exp: numerator coefficients,
+# and the largest 1-norm it takes unscaled to double precision
+PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0,
+          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+          960960.0, 16380.0, 182.0, 1.0)
+PADE13_THETA = 5.371920351148152
+# 1 / |c_27| of the Pade-13 backward-error series (Al-Mohy & Higham 2009)
+PADE13_ERROR = 113250775606021113483283660800000000.0
+
+# the Schur complement is inverted by halves down to blocks of this size
+BLOCK_INVERSE_LEAF = 64
 
 
 class LeakWarning(UserWarning):
@@ -118,21 +127,26 @@ class SpectroscopyScenario:
                 s_max=(self.s_ip_max, self.s_op_max))
         return self._cache["d"]
 
-    def kernels(self) -> tuple[sp.csc_matrix, sp.csc_matrix, sp.csc_matrix]:
-        """Laser-independent pieces of the generator (K, C, K_heat):
+    def kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Laser-independent pieces of the generator (K, C, K_heat), dense:
         K = K_abs + rho K_stim with rho = stimulated_scale / absorption_scale,
-        C = K_heat + Gamma_t K_spon, and K_heat alone."""
+        C = K_heat + Gamma_t K_spon, and K_heat alone.  They are assembled
+        anew on each call from the cached _kernel_entries()."""
+        return tuple(_assemble(self, *e) for e in self._kernel_entries())
+
+    def _kernel_entries(self) -> tuple:
+        """Nonzero entries (flat index row * n_states + column, value) of
+        K, C and K_heat; an index may repeat, and its values add up."""
         if "kernels" not in self._cache:
             line = self.line
             x_ip, x_op = self.laser_coupling()
             xi2 = np.einsum("au,bv->abuv", x_ip, x_op)
             rho = line.stimulated_scale / line.absorption_scale
-            k_laser = _transition_kernel(self, xi2, src_block=0, dest_block=1)
-            k_laser += rho * _transition_kernel(self, xi2, src_block=1, dest_block=0)
-            k_heat = _heating_kernel(self)
-            k_const = k_heat + line.gamma_t * _transition_kernel(
-                self, self.d_table(), src_block=1, dest_block=0)
-            self._cache["kernels"] = (k_laser, k_const, k_heat)
+            heat = _heating_families(self)
+            self._cache["kernels"] = (
+                _transition_entries(self, (xi2, 0, 1, 1.0), (xi2, 1, 0, rho)),
+                _transition_entries(self, *heat, (self.d_table(), 1, 0, line.gamma_t)),
+                _transition_entries(self, *heat))
         return self._cache["kernels"]
 
     def with_laser(self, **kw) -> "SpectroscopyScenario":
@@ -183,70 +197,79 @@ class PopulationState:
 
 @dataclass
 class RateMatrix:
-    """Sparse generator G of dP/dt = G P for one laser detuning.
+    """Generator G of dP/dt = G P for one laser detuning, a dense array.
 
     Column sums vanish (the leak row absorbs anything leaving the grid),
     so total probability is conserved exactly.
     """
-    generator: sp.csc_matrix
+    generator: np.ndarray
     detuning: float
     grid_shape: tuple[int, int]
     leak_warn_fraction: float = 0.01
 
     def dense(self) -> np.ndarray:
-        return self.generator.toarray()
+        """The generator itself, not a copy."""
+        return self.generator
 
 
-def _transition_kernel(scenario: SpectroscopyScenario, weights: np.ndarray,
-                       src_block: int, dest_block: int) -> sp.csc_matrix:
-    """Unit-rate kernel for one transition family on the motional grid.
+def _transition_entries(scenario: SpectroscopyScenario,
+                        *families) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel entries (flat index, value) of transition families on the grid.
 
+    Each family is (weights, src_block, dest_block, scale):
     weights[n_ip, n_op, s_ip_max+u_ip, s_op_max+u_op] is the relative rate
     for the motional jump n -> n+u while the internal state goes
-    src_block -> dest_block; the sideband range is read from its shape.
-    Jumps leaving the grid route to the leak row; the diagonal balances
-    every column to zero.
+    src_block -> dest_block, and scale multiplies it; the sideband range
+    is read from the shape of weights.  Jumps leaving the grid route to
+    the leak row; the diagonal balances every column to zero.
     """
     n_ip = scenario.n_ip_max + 1
     n_op = scenario.n_op_max + 1
     n_mot = n_ip * n_op
-    leak = scenario.leak_index
-    s_ip_max, s_op_max = (weights.shape[2] - 1) // 2, (weights.shape[3] - 1) // 2
-
-    nip = np.arange(n_ip)[:, None, None, None]
-    nop = np.arange(n_op)[None, :, None, None]
-    uip = np.arange(-s_ip_max, s_ip_max + 1)[None, None, :, None]
-    uop = np.arange(-s_op_max, s_op_max + 1)[None, None, None, :]
-    mip = nip + uip
-    mop = nop + uop
-    # weights are exactly zero below the grid; mask anyway to keep indices legal
-    valid = (mip >= 0) & (mop >= 0)
-    in_grid = valid & (mip <= scenario.n_ip_max) & (mop <= scenario.n_op_max)
-
-    src = np.broadcast_to((nip * n_op + nop), weights.shape) + src_block * n_mot
-    dest = np.where(in_grid, mip * n_op + mop + dest_block * n_mot, leak)
-
-    active = valid & (weights != 0.0)
-    rows = dest[active]
-    cols = src[active]
-    data = weights[active]
-    # diagonal: minus the total outgoing rate of each source column
-    out_rate = np.where(active, weights, 0.0).sum(axis=(2, 3)).ravel()
-    diag_idx = np.arange(n_mot) + src_block * n_mot
-    rows = np.concatenate([rows, diag_idx])
-    cols = np.concatenate([cols, diag_idx])
-    data = np.concatenate([data, -out_rate])
     n = scenario.n_states
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+    index, data = [], []
+    for weights, src_block, dest_block, scale in families:
+        s_ip_max, s_op_max = (weights.shape[2] - 1) // 2, (weights.shape[3] - 1) // 2
+        nip = np.arange(n_ip)[:, None, None, None]
+        nop = np.arange(n_op)[None, :, None, None]
+        uip = np.arange(-s_ip_max, s_ip_max + 1)[None, None, :, None]
+        uop = np.arange(-s_op_max, s_op_max + 1)[None, None, None, :]
+        mip = nip + uip
+        mop = nop + uop
+        # weights are exactly zero below the grid; mask anyway to keep indices legal
+        valid = (mip >= 0) & (mop >= 0)
+        in_grid = valid & (mip <= scenario.n_ip_max) & (mop <= scenario.n_op_max)
+
+        src = np.broadcast_to((nip * n_op + nop), weights.shape) + src_block * n_mot
+        dest = np.where(in_grid, mip * n_op + mop + dest_block * n_mot,
+                        scenario.leak_index)
+        active = valid & (weights != 0.0)
+        # diagonal: minus the total outgoing rate of each source column
+        out_rate = np.where(active, weights, 0.0).sum(axis=(2, 3)).ravel()
+        diag_idx = np.arange(n_mot) + src_block * n_mot
+        index += [dest[active] * n + src[active], diag_idx * (n + 1)]
+        data += [scale * weights[active], -scale * out_rate]
+    return np.concatenate(index), np.concatenate(data)
 
 
-def _heating_kernel(scenario: SpectroscopyScenario) -> sp.csc_matrix:
+def _assemble(scenario: SpectroscopyScenario, index: np.ndarray,
+              data: np.ndarray) -> np.ndarray:
+    """Dense n_states x n_states array of the entries, repeats summed in order."""
+    n = scenario.n_states
+    return np.bincount(index, data, minlength=n * n).reshape(n, n)
+
+
+def _heating_families(scenario: SpectroscopyScenario) -> tuple:
     """Uniform upward ladder at heat_ip / heat_op for both internal states."""
     weights = np.zeros(scenario.grid_shape + (3, 3))
     weights[:, :, 2, 1] = scenario.heat_ip     # n_ip -> n_ip + 1
     weights[:, :, 1, 2] = scenario.heat_op     # n_op -> n_op + 1
-    return (_transition_kernel(scenario, weights, src_block=0, dest_block=0)
-            + _transition_kernel(scenario, weights, src_block=1, dest_block=1))
+    return (weights, 0, 0, 1.0), (weights, 1, 1, 1.0)
+
+
+def _heating_kernel(scenario: SpectroscopyScenario) -> np.ndarray:
+    """The heating ladder alone as a dense kernel."""
+    return _assemble(scenario, *_transition_entries(scenario, *_heating_families(scenario)))
 
 
 def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
@@ -259,10 +282,12 @@ def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
     emission at Gamma_t D and the heating ladder; include_spontaneous=False
     keeps only the ladder.  Off-grid destinations feed the leak row.
     """
-    k_laser, k_const, k_heat = scenario.kernels()
+    (k_index, k_data), const, heat = scenario._kernel_entries()
+    c_index, c_data = const if include_spontaneous else heat
     rate = base_rate(scenario.laser, scenario.line, detuning)
-    gen = rate * k_laser + (k_const if include_spontaneous else k_heat)
-    return RateMatrix(generator=gen.tocsc(), detuning=detuning,
+    gen = _assemble(scenario, np.concatenate([k_index, c_index]),
+                    np.concatenate([rate * k_data, c_data]))
+    return RateMatrix(generator=gen, detuning=detuning,
                       grid_shape=scenario.grid_shape,
                       leak_warn_fraction=scenario.leak_warn_fraction)
 
@@ -270,6 +295,67 @@ def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
 # ---------------------------------------------------------------------------
 # time evolution
 # ---------------------------------------------------------------------------
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of a square matrix, or of each in a stack (..., m, m).
+
+    Pade approximant of degree 13 with scaling and squaring: each matrix
+    is scaled by 2^-s and the approximant squared s times (Higham, SIAM
+    J. Matrix Anal. Appl. 26 (2005) 1179).  s follows from the norms of
+    the powers A^6 ... A^10 and the backward-error correction of Al-Mohy
+    and Higham (SIAM J. Matrix Anal. Appl. 31 (2009) 970), which is what
+    scipy.linalg.expm does for this degree.  A matrix with a non-finite
+    entry, or whose exponential overflows, gives non-finite entries,
+    never an exception or a warning.
+    """
+    a = np.asarray(a, dtype=float)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    b = PADE13
+    with np.errstate(all="ignore"):
+        norm = np.abs(stack).sum(axis=1).max(axis=1)
+        finite = np.isfinite(norm)
+        stack = np.where(finite[:, None, None], stack, 0.0)
+        norm = np.where(finite, norm, 0.0)
+        # ||A^k||^(1/k) from the powers of A / ||A||, which cannot overflow
+        unit = stack / np.maximum(norm, np.finfo(float).tiny)[:, None, None]
+        u2 = unit @ unit
+        u4 = u2 @ u2
+        u6 = u4 @ u2
+        d = [np.abs(p).sum(axis=1).max(axis=1) ** (1.0 / k)
+             for k, p in ((6, u6), (8, u4 @ u4), (10, u4 @ u6))]
+        eta = norm * np.minimum(np.maximum(d[0], d[1]), np.maximum(d[1], d[2]))
+        s = np.ceil(np.log2(np.maximum(eta / PADE13_THETA, 1.0))).astype(int)
+        s += _pade13_extra_squarings(np.ldexp(stack, -s[:, None, None]))
+        x = np.ldexp(stack, -s[:, None, None])
+        eye = np.eye(a.shape[-1])
+        x2 = x @ x
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+        v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+             + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+        r = np.linalg.solve(v - u, v + u)
+        for k in range(s.max(initial=0)):
+            r = np.where((k < s)[:, None, None], r @ r, r)
+    r[~finite] = np.nan
+    return r.reshape(a.shape)
+
+
+def _pade13_extra_squarings(x: np.ndarray) -> np.ndarray:
+    """Further halvings of each scaled matrix x that the Pade-13 error bound
+    asks for: ell(x, 13) of Al-Mohy and Higham (2009), from || |x|^27 ||_1."""
+    p1 = np.abs(x)
+    p2 = p1 @ p1
+    p8 = p2 @ p2
+    p8 = p8 @ p8
+    # 1^T |x|^27 = 1^T |x| |x|^2 |x|^8 |x|^16
+    w = p1.sum(axis=1)[:, None, :] @ p2 @ p8 @ (p8 @ p8)
+    with np.errstate(all="ignore"):
+        alpha = w.max(axis=(1, 2)) / (p1.sum(axis=1).max(axis=1) * PADE13_ERROR)
+        extra = np.ceil(np.log2(alpha / 2.0**-53) / 26.0)
+    return np.where(np.isfinite(extra) & (extra > 0), extra, 0.0).astype(int)
+
 
 def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
                    shift: float, times: np.ndarray) -> np.ndarray:
@@ -284,39 +370,90 @@ def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
             g_m = (np.eye(m) - np.linalg.inv(hess)) / shift
         except np.linalg.LinAlgError:
             return np.full((basis.shape[0], times.size), np.nan)
-        coeffs = np.column_stack([expm(g_m * float(t))[:, 0] for t in times])
-        return beta * (basis @ coeffs)
+        coeffs = expm(times[:, None, None] * g_m)[:, :, 0]
+        return beta * (basis @ coeffs.T)
 
 
-def _shift_invert_solver(gen: sp.csc_matrix, shift: float):
+def _ladder_solve(a_gg: np.ndarray, grid_shape: tuple[int, int],
+                  rhs: np.ndarray) -> np.ndarray:
+    """A_gg^-1 rhs for the ground block A_gg = I - shift G_gg, in place.
+
+    A_gg is its diagonal plus the upward heating ladder.  In blocks of
+    one n_ip row of the grid, it is lower block-bidiagonal: the n_op
+    ladder stays within a row, and the n_ip ladder feeds row i from the
+    same n_op in row i - 1.  Substitution runs down the rows, each by the
+    inverse of its own bidiagonal block.
+    """
+    n_ip, n_op = grid_shape
+    blocks = a_gg.reshape(n_ip, n_op, n_ip, n_op)
+    rows = np.arange(n_ip)
+    inv_diag = np.linalg.inv(blocks[rows, :, rows, :])
+    # the n_ip ladder into each row, -A_gg[(i, j), (i - 1, j)]
+    feed = -np.diagonal(blocks[rows[1:], :, rows[:-1], :], axis1=1, axis2=2)
+    x = rhs.reshape(n_ip, n_op, -1)
+    x[0] = inv_diag[0] @ x[0]
+    for i in range(1, n_ip):
+        x[i] = inv_diag[i] @ (x[i] + feed[i - 1, :, None] * x[i - 1])
+    return rhs
+
+
+def _block_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a by 2x2 block elimination on halves, without pivoting.
+
+    Valid when every leading block and its Schur complement is
+    nonsingular, as for a column-diagonally-dominant M-matrix: its
+    leading blocks and Schur complements are again such matrices.
+    """
+    n = a.shape[0]
+    if n <= BLOCK_INVERSE_LEAF:
+        return np.linalg.inv(a)
+    h = n // 2
+    inv_tl = _block_inverse(a[:h, :h])
+    right = inv_tl @ a[:h, h:]
+    below = a[h:, :h] @ inv_tl
+    inv_br = _block_inverse(a[h:, h:] - a[h:, :h] @ right)
+    out = np.empty_like(a)
+    out[:h, h:] = -right @ inv_br
+    out[h:, :h] = -inv_br @ below
+    out[:h, :h] = inv_tl - out[:h, h:] @ below
+    out[h:, h:] = inv_br
+    return out
+
+
+def _shift_invert_solver(gen: np.ndarray, shift: float,
+                         grid_shape: tuple[int, int]):
     """Solver for (I - shift G) x = b by elimination of the ground block.
 
-    G is the in-grid block, ordered as _transition_kernel lays it out:
+    G is the in-grid block, ordered as _transition_entries lays it out:
     ground grid, then excited grid (n = 2 n_mot).  Only heating keeps
     the internal state, so the ground block A_gg is the diagonal plus the
-    upward heating ladder; in the grid order it is lower triangular, and
-    its sparse LU fills in nothing.  The excited block is eliminated
-    densely: one dense LU of the Schur complement
-    S = A_ee - A_eg A_gg^-1 A_ge on n_mot states.  I - shift G is a
-    nonsingular M-matrix, so A_gg and S are nonsingular and this is exact
-    block LU.  Each solve makes two ground-block solves and one dense one.
+    upward heating ladder, lower triangular in the grid order;
+    _ladder_solve gives A_gg^-1 and A_gg^-1 A_ge in one pass.  The excited
+    block is eliminated densely: S = A_ee - A_eg A_gg^-1 A_ge on n_mot
+    states.  I - shift G is a column-diagonally-dominant M-matrix
+    (off-diagonals <= 0, column sums >= 1), and so is S, which
+    _block_inverse therefore inverts without pivoting.  Each solve is four
+    matrix-vector products.
     """
     n_g = gen.shape[0] // 2
-    a = sp.identity(gen.shape[0], format="csc") - shift * gen
-    a_ge = a[:n_g, n_g:]
-    # dense: a BLAS product with the dense A_gg^-1 A_ge beats a sparse one
-    a_eg = a[n_g:, :n_g].toarray()
-    lu_g = splu(a[:n_g, :n_g], permc_spec="NATURAL")
-    # S is formed and factored in one Fortran-ordered array: A_eg^T is
-    # Fortran-ordered as stored, so the product copies nothing either
-    schur = dgemm(-1.0, a_eg.T, lu_g.solve(a_ge.toarray(order="F")), 1.0,
-                  a[n_g:, n_g:].toarray(order="F"), trans_a=1, overwrite_c=1)
-    lu_s = lu_factor(schur, overwrite_a=True)
+    a_eg = -shift * gen[n_g:, :n_g]
+    a_gg = -shift * gen[:n_g, :n_g]
+    a_gg.flat[::n_g + 1] += 1.0
+    # [I | A_ge] -> [A_gg^-1 | A_gg^-1 A_ge]
+    rhs = np.zeros((n_g, 2 * n_g))
+    rhs.flat[::2 * n_g + 1] = 1.0
+    np.multiply(gen[:n_g, n_g:], -shift, out=rhs[:, n_g:])
+    ladder = _ladder_solve(a_gg, grid_shape, rhs)
+    inv_gg, right = ladder[:, :n_g], ladder[:, n_g:]
+    schur = -shift * gen[n_g:, n_g:]
+    schur.flat[::n_g + 1] += 1.0
+    schur -= a_eg @ right
+    inv_s = _block_inverse(schur)
 
     def solve(b: np.ndarray) -> np.ndarray:
-        b_g = b[:n_g]
-        x_e = lu_solve(lu_s, b[n_g:] - a_eg @ lu_g.solve(b_g))
-        return np.concatenate([lu_g.solve(b_g - a_ge @ x_e), x_e])
+        y = inv_gg @ b[:n_g]
+        x_e = inv_s @ (b[n_g:] - a_eg @ y)
+        return np.concatenate([y - right @ x_e, x_e])
 
     return solve
 
@@ -340,7 +477,8 @@ def _krylov(matrix: RateMatrix, p0: np.ndarray,
     n = p0.size
     m_max = min(KRYLOV_M_MAX, n)
     shift = KRYLOV_SHIFT * float(times[-1])
-    solve = _shift_invert_solver(matrix.generator[:n, :n], shift)
+    solve = _shift_invert_solver(matrix.generator[:n, :n], shift,
+                                 matrix.grid_shape)
     beta = float(np.linalg.norm(p0))
     basis = np.zeros((n, m_max + 1))
     hess = np.zeros((m_max + 1, m_max))

@@ -12,9 +12,8 @@ faster than the full engine and reproduces the gross spectral features.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
-from .rate_engine import SpectroscopyScenario
+from .rate_engine import SpectroscopyScenario, expm
 from .radiation import base_rate
 from .scan_fit import SpectrumRecord
 
@@ -23,7 +22,7 @@ def reduced_kernels(scenario: SpectroscopyScenario) -> tuple[np.ndarray, np.ndar
     """The scenario's kernels K and C collapsed onto (g00, e00, aux).
 
     Entries between the two motional ground states (index 0 and
-    n_motional in the layout of rate_engine._transition_kernel) are kept;
+    n_motional in the layout of the kernels) are kept;
     the aux row takes each column's remainder, so every column sums to
     zero, and the aux column is zero, so aux is absorbing.  The
     three-level generator at a detuning is base_rate(delta) K3 + C3.
@@ -32,7 +31,7 @@ def reduced_kernels(scenario: SpectroscopyScenario) -> tuple[np.ndarray, np.ndar
 
     def collapse(kernel):
         out = np.zeros((3, 3))
-        out[:2, :2] = kernel[:, ground].toarray()[ground]
+        out[:2, :2] = kernel[np.ix_(ground, ground)]
         out[2, :2] = -out[:2, :2].sum(axis=0)
         return out
 

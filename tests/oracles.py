@@ -1,7 +1,7 @@
 """Independent reference implementations used to pin expected test values.
 
 These deliberately avoid the code paths they check: couplings come from
-the explicit factorial double sum, mode data from direct diagonalization
+the explicit factorial double sum and from scipy's Laguerre polynomials, mode data from direct diagonalization
 of the mass-weighted Hessian, spectral overlaps from fine-grid
 trapezoid integration, split-line widths from a dense-grid half-maximum
 search, emission coefficients from the full dipole patterns integrated
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.optimize import brentq, least_squares
-from scipy.special import gammaln, voigt_profile
+from scipy.special import eval_genlaguerre, gammaln, voigt_profile
 
 from recoilspec.constants import C, HBAR
 from recoilspec.ion_mechanics import BeamGeometry, lamb_dicke
@@ -42,6 +42,22 @@ def xi_double_sum_mode(eta: float, n: int, s: int) -> complex:
         log_den = gammaln(m + 1) + gammaln(m + a + 1) + gammaln(n_lo - m + 1)
         total += (1j * eta) ** (2 * m + a) * np.exp(log_num - log_den)
     return np.exp(-eta * eta / 2.0) * total
+
+
+def xi_mode_table_scipy(eta, n_max: int, s_max: int) -> np.ndarray:
+    """The per-mode amplitude table from scipy's eval_genlaguerre and
+    gammaln, in the layout of coupling.xi_mode_table."""
+    eta = np.asarray(eta, dtype=float)[..., None, None]
+    x = eta * eta
+    n = np.arange(n_max + 1)[:, None]
+    s = np.arange(-s_max, s_max + 1)
+    a = np.abs(s)
+    n_lo = np.minimum(n, n + s)
+    ok = n_lo >= 0
+    n_lo = np.where(ok, n_lo, 0)
+    fac = np.exp(0.5 * (gammaln(n_lo + 1) - gammaln(n_lo + a + 1)))
+    table = np.exp(-x / 2.0) * eta**a * fac * eval_genlaguerre(n_lo, a, x)
+    return np.where(ok, table, 0.0)
 
 
 def xi_double_sum(eta_ip, eta_op, n_ip, n_op, s_ip, s_op) -> complex:
@@ -145,7 +161,7 @@ def expm_populations(matrix, p0: np.ndarray, times) -> np.ndarray:
     Exact up to roundoff and independent of the library's propagators;
     affordable on small grids and for single resonant solves.
     """
-    dense = matrix.generator.toarray()
+    dense = matrix.dense()
     return np.column_stack([expm(dense * float(t)) @ p0 for t in times])
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from recoilspec.coupling import xi, xi_lamb_dicke, xi_mode, xi_mode_table
 
-from oracles import xi_double_sum, xi_double_sum_mode
+from oracles import xi_double_sum, xi_double_sum_mode, xi_mode_table_scipy
 
 
 def test_carrier_with_zero_recoil_is_unity():
@@ -134,6 +134,16 @@ def test_laguerre_recurrence_against_scipy():
             prefactor = exp(-x / 2) * eta**alpha * sqrt(
                 factorial(k) / factorial(k + alpha))
             assert table[k, 2 * alpha] / prefactor == pytest.approx(seq[k], rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.2, 0.45, 1.0])
+def test_table_matches_scipy_laguerre_to_n_40(eta):
+    # beyond the double sum's reach: n <= 40, |s| <= 6, one eta and the
+    # 64 Gauss-Legendre nodes the emission table uses
+    nodes = eta * np.polynomial.legendre.leggauss(64)[0]
+    for arg in (eta, nodes):
+        got = xi_mode_table(arg, 40, 6)
+        assert np.abs(got - xi_mode_table_scipy(arg, 40, 6)).max() <= 1e-13
 
 
 def test_table_shape_follows_eta():

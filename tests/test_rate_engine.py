@@ -6,10 +6,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 import recoilspec
 from recoilspec import cli, rate_engine
@@ -19,6 +22,7 @@ from recoilspec.radiation import TransitionLine, base_rate
 from recoilspec.rate_engine import (LeakWarning, PopulationState,
                                     _heating_kernel, build_rate_matrix,
                                     evolve_series, scaled_time)
+from recoilspec.reduced_model import reduced_kernels
 from recoilspec.scan_fit import readout_spectrum
 
 from oracles import (expm_populations, generator_loop, heating_kernel_loop,
@@ -47,14 +51,14 @@ def test_columns_sum_to_zero(mg_scenario):
 
 
 def test_off_diagonal_rates_nonnegative(mg_scenario):
-    gen = build_rate_matrix(mg_scenario, 0.0).generator.toarray()
+    gen = build_rate_matrix(mg_scenario, 0.0).dense()
     off = gen - np.diag(np.diag(gen))
     assert off.min() >= 0.0
 
 
 def test_leak_row_collects_out_of_grid_flow():
     sc = small_mg(n_max=2)
-    gen = build_rate_matrix(sc, 0.0).generator.toarray()
+    gen = build_rate_matrix(sc, 0.0).dense()
     leak = sc.leak_index
     assert gen[leak].sum() > 0.0          # something routes off-grid
     assert np.all(gen[:, leak] == 0.0)    # and the leak row is absorbing
@@ -89,8 +93,8 @@ def test_generator_even_in_detuning(name, detuning):
     # scan_fit gives a detuning and its mirror image one record; that is exact
     # only while the generator is even in the detuning, bit for bit
     sc = _MIRROR_SCENARIOS[name]
-    plus = build_rate_matrix(sc, detuning).generator.toarray()
-    minus = build_rate_matrix(sc, -detuning).generator.toarray()
+    plus = build_rate_matrix(sc, detuning).dense()
+    minus = build_rate_matrix(sc, -detuning).dense()
     assert np.array_equal(plus, minus)
 
 
@@ -150,7 +154,7 @@ def _toy_oracle_generator(sc, eta_op):
 
 def test_toy_grid_matches_hand_built_generator():
     sc = _frozen_ip_scenario(eta_op=0.3)
-    built = build_rate_matrix(sc, 0.0).generator.toarray()
+    built = build_rate_matrix(sc, 0.0).dense()
     oracle = _toy_oracle_generator(sc, 0.3)
     got = built[np.ix_(_TOY_ACTIVE, _TOY_ACTIVE)]
     assert got == pytest.approx(oracle, rel=1e-10, abs=1e-8)
@@ -220,7 +224,7 @@ def test_heating_kernel_matches_loop_oracle(heat_ip, heat_op):
     # unequal grid bounds expose any mix-up of the two modes
     sc = replace(mg24_ca40(), n_ip_max=4, n_op_max=6, heat_ip=heat_ip,
                  heat_op=heat_op)
-    got = _heating_kernel(sc).toarray()
+    got = _heating_kernel(sc)
     want = heating_kernel_loop(sc).toarray()
     assert np.array_equal(got, want)
 
@@ -435,7 +439,8 @@ _SOLVER_CASES = {
     "mg": (replace(mg24_ca40(), n_ip_max=5, n_op_max=4), 1.3e-3),
     "mgh": (replace(mgh24_ca40(), n_ip_max=4, n_op_max=6), 50e-3),
     "mg-heated": (replace(mg24_ca40(heat_ip=1e3, heat_op=1.3e3),
-                          n_ip_max=5, n_op_max=4), 1.3e-3)}
+                          n_ip_max=5, n_op_max=4), 1.3e-3),
+    "mg-28x28": (replace(mg24_ca40(), n_ip_max=27, n_op_max=27), 1.3e-3)}
 
 
 @pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 60e6])
@@ -445,9 +450,9 @@ def test_shift_invert_solver_matches_dense_solve(name, detuning):
     n = sc.leak_index  # the solver takes the in-grid block
     gen = build_rate_matrix(sc, detuning).generator[:n, :n]
     shift = rate_engine.KRYLOV_SHIFT * tau
-    a = np.eye(gen.shape[0]) - shift * gen.toarray()
+    a = np.eye(gen.shape[0]) - shift * gen
     b = np.random.default_rng(5).random(gen.shape[0])
-    got = rate_engine._shift_invert_solver(gen, shift)(b)
+    got = rate_engine._shift_invert_solver(gen, shift, sc.grid_shape)(b)
     want = np.linalg.solve(a, b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.linalg.norm(a @ got - b) <= 1e-12 * np.linalg.norm(b)
@@ -462,7 +467,7 @@ def test_ground_block_is_the_heating_ladder(name, detuning):
     # this test on purpose
     sc, _ = _SOLVER_CASES[name]
     n_mot, n_op = sc.n_motional, sc.n_op_max + 1
-    block = build_rate_matrix(sc, detuning).generator[:n_mot, :n_mot].toarray()
+    block = build_rate_matrix(sc, detuning).dense()[:n_mot, :n_mot]
     ladder = np.zeros((n_mot, n_mot))
     src = np.arange(n_mot)
     up_ip = src[src // n_op < sc.n_ip_max]
@@ -470,6 +475,112 @@ def test_ground_block_is_the_heating_ladder(name, detuning):
     ladder[up_ip + n_op, up_ip] = sc.heat_ip
     ladder[up_op + 1, up_op] = sc.heat_op
     assert np.array_equal(block - np.diag(np.diag(block)), ladder)
+
+
+@settings(max_examples=25, deadline=None)
+@given(preset=st.sampled_from([mg24_ca40, mgh24_ca40]),
+       intensity_sat_units=st.floats(1e-8, 1e3),
+       heat_ip=st.floats(0.0, 1e5), heat_op=st.floats(0.0, 1e5),
+       n_ip_max=st.integers(1, 9), n_op_max=st.integers(1, 9),
+       s_ip_max=st.integers(1, 6), s_op_max=st.integers(1, 6),
+       detuning=st.floats(0.0, 2 * np.pi * 600e6),
+       shift=st.floats(1e-10, 1e-1))
+def test_shifted_generator_is_a_column_dominant_m_matrix(
+        preset, intensity_sat_units, heat_ip, heat_op, n_ip_max, n_op_max,
+        s_ip_max, s_op_max, detuning, shift):
+    # _block_inverse eliminates without pivoting; that needs I - shift G to
+    # have off-diagonals <= 0 and column sums >= 1 (to roundoff)
+    sc = replace(preset(intensity_sat_units=intensity_sat_units,
+                        heat_ip=heat_ip, heat_op=heat_op),
+                 n_ip_max=n_ip_max, n_op_max=n_op_max,
+                 s_ip_max=s_ip_max, s_op_max=s_op_max)
+    n = sc.leak_index
+    a = np.eye(n) - shift * build_rate_matrix(sc, detuning).dense()[:n, :n]
+    assert (a - np.diag(np.diag(a))).max() <= 0.0
+    roundoff = 64 * np.finfo(float).eps * np.abs(a).sum(axis=0)
+    assert np.all(a.sum(axis=0) >= 1.0 - roundoff)
+
+
+# --------------------------------------------------------------------------
+# the numpy matrix exponential, against scipy's
+# --------------------------------------------------------------------------
+
+def _expm_error(got, want):
+    return np.abs(got - want).sum(axis=-2).max() / np.abs(want).sum(axis=-2).max()
+
+
+# The stiff matrices of the propagator and of the reduced model have
+# 1-norms up to 6e6 and take 10-20 squarings.  There scipy's own answer
+# is up to 3e-11 (Krylov) and 1e-10 (the 2x2 blocks at 13 ms) from a
+# 40-digit reference, so two implementations agree no closer than that
+STIFF_EXPM_RTOL = 3e-10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 24, 50, 80])
+@pytest.mark.parametrize("norm", [1e-3, 1e-1, 1.0, 30.0, 1e3, 1e4])
+def test_expm_matches_scipy_on_random_matrices(m, norm):
+    rng = np.random.default_rng(m)
+    # a rate generator (off-diagonals >= 0, columns summing to zero), a
+    # symmetric matrix shifted so that its largest eigenvalue is zero, and
+    # at moderate norms a general matrix: none of their exponentials
+    # underflows to zero or overflows
+    gen = rng.random((m, m))
+    np.fill_diagonal(gen, 0.0)
+    gen -= np.diag(gen.sum(axis=0))
+    sym = rng.standard_normal((m, m))
+    sym += sym.T
+    sym -= np.linalg.eigvalsh(sym)[-1] * np.eye(m)
+    cases = [gen, sym] + ([rng.standard_normal((m, m))] if norm <= 30 else [])
+    for a in cases:
+        scale = np.abs(a).sum(axis=0).max()
+        a = a * norm / scale if scale > 0 else a
+        assert _expm_error(rate_engine.expm(a), scipy_expm(a)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVER_CASES))
+def test_expm_matches_scipy_on_krylov_matrices(name, monkeypatch):
+    # every t G_m the propagator exponentiates on a resonant run
+    sc, tau = _SOLVER_CASES[name]
+    seen = []
+
+    def recording(a):
+        seen.append(a.copy())
+        return expm(a)
+
+    expm = rate_engine.expm
+    monkeypatch.setattr(rate_engine, "expm", recording)
+    times = tau * np.array([0.01, 0.3, 1.0])
+    rate_engine._integrate(build_rate_matrix(sc, 0.0),
+                           PopulationState.ground(sc).to_vector(), times)
+    checked = 0
+    for stack in seen:
+        for a in stack[np.isfinite(stack).all(axis=(1, 2))]:
+            assert _expm_error(expm(a), scipy_expm(a)) <= STIFF_EXPM_RTOL
+            checked += 1
+    assert checked >= 2 * len(times)
+
+
+def test_expm_matches_scipy_on_reduced_generators():
+    # the batched 2x2 blocks of evolve_three_level at the Mg+ stiffness
+    sc = mg24_ca40()
+    k3, c3 = reduced_kernels(sc)
+    rates = [base_rate(sc.laser, sc.line, 2 * np.pi * f)
+             for f in np.linspace(0.0, 150e6, 31)]
+    blocks = np.array([r * k3 + c3 for r in rates])[:, :2, :2]
+    for tau in (1.3e-4, 1.3e-3, 13e-3):
+        got = rate_engine.expm(blocks * tau)
+        for g, b in zip(got, blocks * tau):
+            assert _expm_error(g, scipy_expm(b)) <= STIFF_EXPM_RTOL
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, 1e300])
+def test_expm_of_non_finite_or_overflowing_input_is_non_finite(entry):
+    a = np.array([[entry, 1.0], [0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = rate_engine.expm(np.stack([a, np.eye(2)]))
+    assert not np.isfinite(got[0]).all()
+    assert got[1] == pytest.approx(np.e * np.eye(2), rel=1e-15)
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

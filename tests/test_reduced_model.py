@@ -94,8 +94,8 @@ def test_collapse_is_the_engine_on_a_one_state_grid(mg_scenario, mgh_scenario):
         one.n_ip_max = one.n_op_max = 0
         k1, c1, _ = one.kernels()
         k3, c3 = reduced_kernels(sc)
-        assert k3 == pytest.approx(k1.toarray(), rel=1e-14, abs=1e-16 * np.abs(k3).max())
-        assert c3 == pytest.approx(c1.toarray(), rel=1e-14, abs=1e-16 * np.abs(c3).max())
+        assert k3 == pytest.approx(k1, rel=1e-14, abs=1e-16 * np.abs(k3).max())
+        assert c3 == pytest.approx(c1, rel=1e-14, abs=1e-16 * np.abs(c3).max())
 
 
 def test_vanishing_recoil_reduces_to_two_levels():

@@ -1,6 +1,10 @@
-"""What start-up loads: scipy.optimize is imported only by
-composite_target_lineshape, and no path imports scipy.integrate or starts
-a process pool.  The Lorentzian fit is numpy alone.
+"""What start-up loads.  Importing recoilspec loads no scipy module, and
+neither does any command whose laser has zero width (every mg24_ca40
+run): the coupling table, the Lorentzian line, the propagator and the
+Lorentzian fit are numpy alone.  A Gaussian laser (mgh24_ca40) imports
+scipy.special for its Voigt profile and nothing else of scipy;
+scipy.optimize is imported only by composite_target_lineshape.  No path
+starts a process pool.
 
 Each test runs in a new interpreter, so that no earlier test has imported
 the module it watches.
@@ -21,7 +25,8 @@ from recoilspec.radiation import composite_target_lineshape
 ROOT = Path(__file__).resolve().parent.parent
 WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::UserWarning",
                       "-W", "error::DeprecationWarning"]
-LAZY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+LAZY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
+        "scipy.linalg", "scipy.sparse")
 POOL = ("multiprocessing", "concurrent.futures.process")
 
 
@@ -34,6 +39,10 @@ def _fresh(code: str, cwd: Path):
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def _scipy(modules):
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
+
 def test_cli_import_leaves_out_lazy_modules(tmp_path):
     loaded = _fresh(f"""
         import json, sys
@@ -41,6 +50,45 @@ def test_cli_import_leaves_out_lazy_modules(tmp_path):
         print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))
         """, tmp_path)
     assert loaded == []
+
+
+def test_import_loads_no_scipy(tmp_path):
+    loaded = _fresh("""
+        import json, sys
+        import recoilspec
+        print(json.dumps(list(sys.modules)))
+        """, tmp_path)
+    assert _scipy(loaded) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "-p", "mg24_ca40"],
+    ["spectrum", "-p", "mg24_ca40", "-s", "scan.points=9"],
+    ["reduced", "-p", "mg24_ca40", "-s", "scan.points=9"],
+], ids=["dynamics", "spectrum", "reduced"])
+def test_delta_laser_command_loads_no_scipy(argv, tmp_path):
+    code, loaded = _fresh(f"""
+        import json, sys
+        from recoilspec import cli
+        code = cli.main({[*argv, "-o", str(tmp_path / "x")]!r})
+        print(json.dumps([code, list(sys.modules)]))
+        """, tmp_path)
+    assert (code, _scipy(loaded)) == (0, [])
+
+
+def test_gaussian_laser_loads_scipy_special_alone(tmp_path):
+    argv = ["widthcurve", "-p", "mgh24_ca40", "-s", "scan.points=9",
+            "-s", "widthcurve.tau_scaled=[500]", "-s", "scan.fit=numeric",
+            "-o", str(tmp_path / "x")]
+    code, loaded = _fresh(f"""
+        import json, sys
+        from recoilspec import cli
+        code = cli.main({argv!r})
+        print(json.dumps([code, list(sys.modules)]))
+        """, tmp_path)
+    assert code == 0 and "scipy.special" in loaded
+    assert [m for m in ("scipy.linalg", "scipy.sparse", "scipy.optimize",
+                        "scipy.integrate") if m in loaded] == []
 
 
 @pytest.mark.parametrize("argv", [
