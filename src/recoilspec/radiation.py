@@ -5,6 +5,11 @@ Covers the spectral overlap of a laser line with the target transition
 saturation intensities derived from it, emission patterns for spontaneous
 decay as densities in cos(theta), and the direction-averaged recoil
 coefficients D that weight spontaneous emission on each motional sideband.
+
+The overlap is a Voigt profile, evaluated in numpy for a delta laser (the
+Lorentzian) and for a laser far broader than the line (an expansion in
+the Voigt parameter y up to NARROW_LINE_Y, which covers every MgH+
+laser); only a Gaussian laser with a larger y imports scipy.special.
 """
 
 from dataclasses import dataclass
@@ -80,28 +85,97 @@ class LaserField:
 # lineshapes and spectral overlap
 # ---------------------------------------------------------------------------
 
+# The narrow-line branch of _voigt serves y = gamma / (sigma sqrt 2) up to
+# NARROW_LINE_Y, where its O(y^3) remainder is below 1e-12 relative.
+NARROW_LINE_Y = 1e-6
+# Rybicki's sum for Dawson's integral: step h and the odd offsets n' it
+# sums over; the terms left out are below exp(-64).
+_DAWSON_H = 0.2
+_DAWSON_N = np.arange(-39.0, 40.0, 2.0)
+# beyond |x| = 6, 2 x F(x) - 1 is its asymptotic series, cut at the
+# smallest term at x = 6 (k = 36, 2.3e-14 of the sum); larger x cut smaller
+_ASYMPTOTIC_X = 6.0
+_ASYMPTOTIC_TERMS = 36
+
+
+def _dawson(x):
+    """Dawson's integral F(x) = exp(-x^2) int_0^x exp(t^2) dt for x >= 0.
+
+    Rybicki's sum (G. B. Rybicki, Computers in Physics 3 (1989) 85):
+    F(x) = pi^(-1/2) sum over odd n' of exp(-(x' - n' h)^2) / (n' + n0),
+    with x = n0 h + x' and n0 h the even multiple of h nearest x.
+    """
+    x = np.asarray(x, dtype=float)
+    n0 = 2.0 * np.rint(x / (2.0 * _DAWSON_H))
+    shifted = (x - n0 * _DAWSON_H)[..., None] - _DAWSON_N * _DAWSON_H
+    terms = np.exp(-shifted * shifted) / (_DAWSON_N + n0[..., None])
+    return terms.sum(axis=-1) / np.sqrt(np.pi)
+
+
+def _narrow_voigt(delta, sigma, gamma):
+    """Voigt profile to O(y^2) in y = gamma / (sigma sqrt 2), even in delta.
+
+    Re w(x + iy) = exp(-x^2) (1 - y^2 (2x^2 - 1)) + (2y / sqrt pi)(2x F(x) - 1)
+    with x = |delta| / (sigma sqrt 2) and F Dawson's integral.  For
+    |x| > 6 the y^2 term is below 1e-17 of the rest and is left out, and
+    2x F(x) - 1 is its asymptotic series sum_k (2k - 1)!! / (2x^2)^k.
+    """
+    scale = sigma * np.sqrt(2.0)
+    x = np.abs(np.atleast_1d(np.asarray(delta, dtype=float))) / scale
+    y = gamma / scale
+    wing = 2.0 * y / np.sqrt(np.pi)     # the weight of 2x F(x) - 1
+    re_w = np.empty_like(x)
+    near = x <= _ASYMPTOTIC_X
+    if near.any():
+        xn = x[near]
+        x2 = xn * xn
+        re_w[near] = (np.exp(-x2) * (1.0 - y * y * (2.0 * x2 - 1.0))
+                      + wing * (2.0 * xn * _dawson(xn) - 1.0))
+    if not near.all():
+        xf = x[~near]
+        u = 0.5 / xf / xf          # 1 / (2x^2), and 0 at x = inf
+        series = np.zeros_like(xf)
+        for k in range(_ASYMPTOTIC_TERMS, 0, -1):
+            series = (2 * k - 1) * u * (1.0 + series)
+        # exp(-x min(x, 30)) is exp(-x^2), both 0 past x = 30, and never
+        # forms x^2 itself, which overflows for huge |delta|
+        re_w[~near] = np.exp(-xf * np.minimum(xf, 30.0)) + wing * series
+    return (re_w / (scale * np.sqrt(np.pi))).reshape(np.shape(delta))
+
+
 def _voigt(delta, sigma, gamma):
     """Voigt profile: a Lorentzian of HWHM gamma convolved with a Gaussian
-    of rms width sigma.  sigma = 0 leaves the Lorentzian, in the expression
-    scipy.special.voigt_profile evaluates for it, so that a delta laser
-    never imports scipy."""
+    of rms width sigma, at a detuning or an array of them.
+
+    Three branches, by y = gamma / (sigma sqrt 2).  sigma = 0 leaves the
+    Lorentzian, in the expression scipy.special.voigt_profile evaluates
+    for it.  y <= NARROW_LINE_Y (a laser far broader than the line, such
+    as every MgH+ laser) takes the numpy expansion in _narrow_voigt: it
+    is within 3.1e-14 relative of voigt_profile for the 10-100 MHz MgH+
+    lasers over +-600 MHz, and within 7.4e-14 over +-60 sigma at the
+    bound.  Only a larger y imports scipy.special.voigt_profile.
+    """
     if sigma == 0:
         return gamma / np.pi / (delta * delta + gamma * gamma)
+    if gamma / (sigma * np.sqrt(2.0)) <= NARROW_LINE_Y:
+        return _narrow_voigt(delta, sigma, gamma)
     from scipy.special import voigt_profile
     return voigt_profile(delta, sigma, gamma)
 
 
 def effective_spectral_density(laser: LaserField, line: TransitionLine,
-                               detuning: float = 0.0) -> float:
+                               detuning=0.0):
     """Spectral energy density (J s / m^3) the transition sees.
 
     (3 I_L / c) times the overlap of the transition Lorentzian with the
     laser line, for a laser centered `detuning` rad/s from resonance.
     That overlap is the Voigt profile; a delta laser (sigma_L = 0) gives
-    the bare Lorentzian.
+    the bare Lorentzian.  A scalar detuning gives a float, an array of
+    them an array.
     """
     overlap = _voigt(detuning, laser.sigma, line.gamma_t / 2.0)
-    return float(3.0 * laser.intensity / C * overlap)
+    density = 3.0 * laser.intensity / C * np.asarray(overlap)
+    return density if density.ndim else float(density)
 
 
 def saturation_intensity(line: TransitionLine, sigma_L: float = 0.0) -> float:
@@ -131,8 +205,8 @@ def effective_saturation_intensity(line: TransitionLine,
     return saturation_intensity(line, sigma_L) / line.absorption_scale
 
 
-def base_rate(laser: LaserField, line: TransitionLine, detuning: float) -> float:
-    """Absorption base rate r (1/s) at one detuning.
+def base_rate(laser: LaserField, line: TransitionLine, detuning):
+    """Absorption base rate r (1/s) at a detuning, or at an array of them.
 
     r = B * rho_eff(detuning) * absorption_scale with B = pi^2 c^3
     Gamma_t / (hbar w_t^3); multiply by |xi|^2 per sideband to get

@@ -72,8 +72,8 @@ def reduced_populations(scenario: SpectroscopyScenario, detunings,
     One batched evolve_three_level of base_rate(delta) K3 + C3.
     """
     k3, c3 = reduced_kernels(scenario)
-    rates = np.array([base_rate(scenario.laser, scenario.line, d)
-                      for d in np.asarray(detunings, dtype=float)])
+    rates = base_rate(scenario.laser, scenario.line,
+                      np.asarray(detunings, dtype=float))
     return evolve_three_level(rates[:, None, None] * k3 + c3, tau_spec)
 
 

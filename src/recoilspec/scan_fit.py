@@ -181,8 +181,7 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
         return []
     if detunings.size == 0:
         return [[] for _ in time_index]
-    rates = np.array([base_rate(scenario.laser, scenario.line, d)
-                      for d in detunings])
+    rates = base_rate(scenario.laser, scenario.line, detunings)
     groups = _rate_groups(rates)
     firsts = [g[0] for g in groups]
     table = _rate_values(scenario, detunings[firsts], rates[firsts], times)

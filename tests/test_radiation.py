@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import voigt_profile
+from scipy.special import dawsn, voigt_profile
 
 from recoilspec.cli import EXIT_OK, main
 from recoilspec.constants import C, HBAR
 from recoilspec.ion_mechanics import BeamGeometry, TwoIonSystem, lamb_dicke
 from recoilspec.presets import CA40, MG24, OMEGA_Z_DEFAULT, mgh24_ca40
-from recoilspec.radiation import (EmissionPattern, LaserField, QuadratureError,
-                                  TransitionLine, base_rate,
+from recoilspec.radiation import (NARROW_LINE_Y, EmissionPattern, LaserField,
+                                  QuadratureError, TransitionLine, _dawson,
+                                  _voigt, base_rate,
                                   composite_target_lineshape,
                                   effective_saturation_intensity,
                                   effective_spectral_density,
@@ -127,6 +130,69 @@ def test_density_continuous_across_width_ratio(mgh_line, delta_over_sigma):
         densities.append(effective_spectral_density(
             laser, mgh_line, delta_over_sigma * laser.sigma))
     assert abs(densities[1] / densities[0] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("fwhm_hz", [10e6, 50e6, 100e6])
+def test_narrow_line_voigt_matches_voigt_profile(fwhm_hz):
+    # every MgH laser (y = 2e-7 to 2e-8) takes the numpy branch: within
+    # 3.1e-14 of scipy over the scan span and 4.5e-16 on resonance
+    sigma = 2 * np.pi * fwhm_hz / np.sqrt(8 * np.log(2))
+    assert GAMMA_MGH / 2 / (sigma * np.sqrt(2)) < NARROW_LINE_Y
+    deltas = np.linspace(-2 * np.pi * 600e6, 2 * np.pi * 600e6, 20001)
+    got = _voigt(deltas, sigma, GAMMA_MGH / 2)
+    assert np.max(np.abs(got / voigt_profile(deltas, sigma, GAMMA_MGH / 2) - 1)) < 2e-13
+    assert _voigt(0.0, sigma, GAMMA_MGH / 2) == pytest.approx(
+        voigt_profile(0.0, sigma, GAMMA_MGH / 2), rel=2e-15)
+
+
+@pytest.mark.parametrize("ratio,above", [(0.999, False), (1.0, False),
+                                         (1.001, True)])
+def test_voigt_across_the_narrow_line_bound(ratio, above):
+    # the expansion's O(y^3) remainder grows with y: 7.4e-14 at the bound
+    # over +-60 sigma; above it the profile is scipy's own
+    deltas = np.linspace(-60.0, 60.0, 20001)
+    gamma = ratio * NARROW_LINE_Y * np.sqrt(2)
+    got = _voigt(deltas, 1.0, gamma)
+    want = voigt_profile(deltas, 1.0, gamma)
+    if above:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got / want - 1)) < 5e-13
+
+
+def test_narrow_line_voigt_even_in_detuning():
+    sigma = 2 * np.pi * 10e6 / np.sqrt(8 * np.log(2))
+    deltas = np.linspace(0.0, 2 * np.pi * 600e6, 5001)
+    assert np.array_equal(_voigt(deltas, sigma, GAMMA_MGH / 2),
+                          _voigt(-deltas, sigma, GAMMA_MGH / 2))
+
+
+def test_narrow_line_voigt_extreme_detunings():
+    sigma = 2 * np.pi * 50e6 / np.sqrt(8 * np.log(2))
+    deltas = np.array([np.inf, -np.inf, 1e15, -1e15, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _voigt(deltas, sigma, GAMMA_MGH / 2)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0)
+    assert got[0] == got[1] == got[4] == 0.0
+    assert got[2] == got[3] == pytest.approx(
+        voigt_profile(1e15, sigma, GAMMA_MGH / 2), rel=1e-12)
+
+
+def test_dawson_sum_matches_dawsn():
+    x = np.linspace(0.0, 30.0, 30001)
+    assert np.max(np.abs(_dawson(x) - dawsn(x))) < 1e-15
+
+
+@pytest.mark.parametrize("preset", ["mg24_ca40", "mgh24_ca40"])
+def test_base_rate_of_an_array_is_its_scalar_rates(preset, mg_scenario,
+                                                   mgh_scenario):
+    sc = mg_scenario if preset == "mg24_ca40" else mgh_scenario
+    deltas = 2 * np.pi * np.linspace(-300e6, 300e6, 13)
+    rates = base_rate(sc.laser, sc.line, deltas)
+    scalars = [base_rate(sc.laser, sc.line, d) for d in deltas]
+    assert isinstance(scalars[0], float)
+    assert np.array_equal(rates, scalars)
 
 
 def test_zero_width_configurations_rejected():

@@ -1,10 +1,11 @@
 """What start-up loads.  Importing recoilspec loads no scipy module, and
-neither does any command whose laser has zero width (every mg24_ca40
-run): the coupling table, the Lorentzian line, the propagator and the
-Lorentzian fit are numpy alone.  A Gaussian laser (mgh24_ca40) imports
-scipy.special for its Voigt profile and nothing else of scipy;
-scipy.optimize is imported only by composite_target_lineshape.  No path
-starts a process pool.
+neither does any command of either preset: the coupling table, the
+Lorentzian line of a delta laser (every mg24_ca40 run), the narrow-line
+Voigt of a Gaussian laser far broader than the line (every mgh24_ca40
+run), the propagator and the Lorentzian fit are numpy alone.  A Gaussian
+laser whose Voigt parameter y lies above radiation.NARROW_LINE_Y imports
+scipy.special on its first rate; scipy.optimize is imported only by
+composite_target_lineshape.  No path starts a process pool.
 
 Each test runs in a new interpreter, so that no earlier test has imported
 the module it watches.
@@ -43,6 +44,18 @@ def _scipy(modules):
     return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
 
 
+def _command_scipy(argv, tmp_path):
+    """Exit code of one command in a new interpreter, and the scipy modules
+    it loaded."""
+    code, loaded = _fresh(f"""
+        import json, sys
+        from recoilspec import cli
+        code = cli.main({[*argv, "-o", str(tmp_path / "x")]!r})
+        print(json.dumps([code, list(sys.modules)]))
+        """, tmp_path)
+    return code, _scipy(loaded)
+
+
 def test_cli_import_leaves_out_lazy_modules(tmp_path):
     loaded = _fresh(f"""
         import json, sys
@@ -67,28 +80,38 @@ def test_import_loads_no_scipy(tmp_path):
     ["reduced", "-p", "mg24_ca40", "-s", "scan.points=9"],
 ], ids=["dynamics", "spectrum", "reduced"])
 def test_delta_laser_command_loads_no_scipy(argv, tmp_path):
-    code, loaded = _fresh(f"""
-        import json, sys
-        from recoilspec import cli
-        code = cli.main({[*argv, "-o", str(tmp_path / "x")]!r})
-        print(json.dumps([code, list(sys.modules)]))
-        """, tmp_path)
-    assert (code, _scipy(loaded)) == (0, [])
+    assert _command_scipy(argv, tmp_path) == (0, [])
 
 
-def test_gaussian_laser_loads_scipy_special_alone(tmp_path):
-    argv = ["widthcurve", "-p", "mgh24_ca40", "-s", "scan.points=9",
-            "-s", "widthcurve.tau_scaled=[500]", "-s", "scan.fit=numeric",
-            "-o", str(tmp_path / "x")]
-    code, loaded = _fresh(f"""
+@pytest.mark.parametrize("argv", [
+    ["widthcurve", "-p", "mgh24_ca40", "-s", "scan.points=9",
+     "-s", "widthcurve.tau_scaled=[500]", "-s", "scan.fit=numeric"],
+    ["spectrum", "-p", "mgh24_ca40", "-s", "scan.points=9"],
+    ["dynamics", "-p", "mgh24_ca40"],
+    ["reduced", "-p", "mgh24_ca40", "-s", "scan.points=9"],
+], ids=["widthcurve", "spectrum", "dynamics", "reduced"])
+def test_gaussian_laser_command_loads_no_scipy(argv, tmp_path):
+    # the MgH lasers (y ~ 1e-7) take the numpy narrow-line Voigt
+    assert _command_scipy(argv, tmp_path) == (0, [])
+
+
+def test_gaussian_laser_above_narrow_bound_imports_scipy_special(tmp_path):
+    # a 10 MHz laser on the 41.8 MHz Mg line has y = 3.5, so its Voigt
+    # comes from scipy.special, imported on the first rate and not before
+    before, after, y = _fresh("""
         import json, sys
-        from recoilspec import cli
-        code = cli.main({argv!r})
-        print(json.dumps([code, list(sys.modules)]))
+        import numpy as np
+        from recoilspec.presets import mg24_ca40
+        from recoilspec.radiation import LaserField, base_rate
+        sc = mg24_ca40()
+        laser = LaserField(intensity=1.0, fwhm=2 * np.pi * 10e6)
+        before = "scipy.special" in sys.modules
+        base_rate(laser, sc.line, 0.0)
+        y = sc.line.gamma_t / 2 / (laser.sigma * np.sqrt(2))
+        print(json.dumps([before, "scipy.special" in sys.modules, y]))
         """, tmp_path)
-    assert code == 0 and "scipy.special" in loaded
-    assert [m for m in ("scipy.linalg", "scipy.sparse", "scipy.optimize",
-                        "scipy.integrate") if m in loaded] == []
+    assert (before, after) == (False, True)
+    assert y == pytest.approx(3.5, rel=0.01)
 
 
 @pytest.mark.parametrize("argv", [
