@@ -513,8 +513,8 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory() -> None:
     """Keep memory freed by the numerics in the process for reuse.
 
-    Every rate generator is a dense array (5.1 MB on the 20x20 grid), and
-    every propagation allocates and frees dense blocks of 1.3 to 2.6 MB.
+    Every propagation allocates and frees dense blocks of 1.3 to 2.6 MB
+    on the 20x20 grid, the blocks of its shifted generator among them.
     glibc's dynamic thresholds hand them back to the OS and the next
     propagation faults them in again: `spectrum -p mg24_ca40` at 31
     points took 50k minor page faults, whose cost varies with the load on

@@ -6,6 +6,9 @@ laser-sideband couplings |xi|^2, spontaneous emission weighted by the
 solid-angle-averaged coefficients D, and a uniform upward heating ladder
 per mode.  The grid is truncated; any transition leaving it feeds an
 absorbing leak accumulator so probability stays exactly conserved.
+
+The generator is held as its laser-independent in-grid jump blocks; the
+dense square is built only on demand (RateMatrix.dense).
 """
 
 import logging
@@ -127,27 +130,20 @@ class SpectroscopyScenario:
                 s_max=(self.s_ip_max, self.s_op_max))
         return self._cache["d"]
 
-    def kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Laser-independent pieces of the generator (K, C, K_heat), dense:
-        K = K_abs + rho K_stim with rho = stimulated_scale / absorption_scale,
-        C = K_heat + Gamma_t K_spon, and K_heat alone.  They are assembled
-        anew on each call from the cached _kernel_entries()."""
-        return tuple(_assemble(self, *e) for e in self._kernel_entries())
-
-    def _kernel_entries(self) -> tuple:
-        """Nonzero entries (flat index row * n_states + column, value) of
-        K, C and K_heat; an index may repeat, and its values add up."""
-        if "kernels" not in self._cache:
-            line = self.line
+    def jump_blocks(self) -> tuple:
+        """The generator's laser-independent jump families (laser |xi|^2,
+        spontaneous D, heating ladder), built once.  Each is (block,
+        out_rate, off_grid) over the motional states in grid order:
+        block[m, n] weighs the in-grid jump n -> m, out_rate[n] is the
+        total weight out of n and off_grid[n] the part leaving the grid."""
+        if "jumps" not in self._cache:
             x_ip, x_op = self.laser_coupling()
-            xi2 = np.einsum("au,bv->abuv", x_ip, x_op)
-            rho = line.stimulated_scale / line.absorption_scale
-            heat = _heating_families(self)
-            self._cache["kernels"] = (
-                _transition_entries(self, (xi2, 0, 1, 1.0), (xi2, 1, 0, rho)),
-                _transition_entries(self, *heat, (self.d_table(), 1, 0, line.gamma_t)),
-                _transition_entries(self, *heat))
-        return self._cache["kernels"]
+            heat = np.zeros(self.grid_shape + (3, 3))
+            heat[:, :, 2, 1] = self.heat_ip     # n_ip -> n_ip + 1
+            heat[:, :, 1, 2] = self.heat_op     # n_op -> n_op + 1
+            self._cache["jumps"] = tuple(_jump_blocks(w) for w in (
+                np.einsum("au,bv->abuv", x_ip, x_op), self.d_table(), heat))
+        return self._cache["jumps"]
 
     def with_laser(self, **kw) -> "SpectroscopyScenario":
         """Copy of this scenario with laser fields replaced (tables kept)."""
@@ -195,86 +191,83 @@ class PopulationState:
             raise ValueError(f"population not normalized: total = {self.total()!r}")
 
 
+def _jump_blocks(weights: np.ndarray) -> tuple:
+    """(block, out_rate, off_grid) of weights[n_ip, n_op, s_ip_max+u_ip,
+    s_op_max+u_op], the weight of the motional jump n -> n+u; the grid and
+    the sideband range are read from the shape of weights."""
+    n_ip, n_op, w_ip, w_op = weights.shape
+    mip = (np.arange(n_ip)[:, None, None, None]
+           + np.arange(w_ip)[:, None] - w_ip // 2)
+    mop = np.arange(n_op)[:, None, None] + np.arange(w_op) - w_op // 2
+    src = np.broadcast_to(np.arange(n_ip * n_op).reshape(n_ip, n_op, 1, 1),
+                          weights.shape)
+    # weights are exactly zero below the grid; mask anyway to keep indices legal
+    valid = (mip >= 0) & (mop >= 0)
+    in_grid = valid & (mip < n_ip) & (mop < n_op)
+    block = np.zeros((n_ip * n_op, n_ip * n_op))
+    block[(mip * n_op + mop)[in_grid], src[in_grid]] = weights[in_grid]
+    return (block, np.where(valid, weights, 0.0).sum(axis=(2, 3)).ravel(),
+            np.where(valid & ~in_grid, weights, 0.0).sum(axis=(2, 3)).ravel())
+
+
 @dataclass
 class RateMatrix:
-    """Generator G of dP/dt = G P for one laser detuning, a dense array.
+    """Generator G of dP/dt = G P at one laser detuning, as jump blocks.
 
-    Column sums vanish (the leak row absorbs anything leaving the grid),
-    so total probability is conserved exactly.
+    G sums five channels, each a jump family of the scenario times a
+    rate: absorption g -> e (laser, r), stimulated emission e -> g
+    (laser, rho r), spontaneous emission e -> g (D, Gamma_t or 0) and
+    heating within g and within e (ladder, 1).  rates holds those four;
+    at (1, rho, 0, 0) G is the kernel K, at (0, 0, Gamma_t, 1) it is C.
+    Jumps past the grid feed the leak row and each diagonal entry is
+    minus its state's out-rate, so column sums vanish.
     """
-    generator: np.ndarray
+    jumps: tuple
+    rates: tuple[float, float, float, float]
     detuning: float
     grid_shape: tuple[int, int]
     leak_warn_fraction: float = 0.01
 
+    def _channels(self) -> tuple:
+        """(rate, jumps, src, dest) of each channel; internal state 0 is
+        the ground state g, 1 the excited state e."""
+        laser, spontaneous, heating = self.jumps
+        r_abs, r_stim, gamma, heat = self.rates
+        return ((r_abs, laser, 0, 1), (r_stim, laser, 1, 0),
+                (gamma, spontaneous, 1, 0), (heat, heating, 0, 0),
+                (heat, heating, 1, 1))
+
+    def block(self, dest: int, src: int, states=slice(None)) -> np.ndarray:
+        """New array of the in-grid block of G from internal state src to
+        dest, over the motional states given (all by default); with
+        dest == src, minus each state's out-rate is on the diagonal."""
+        # every (src, dest) pair has a channel
+        out, *rest = [rate * in_grid[states][:, states]
+                      for rate, (in_grid, _, _), s, d in self._channels()
+                      if (s, d) == (src, dest)]
+        for term in rest:
+            out += term
+        for rate, (_, out_rate, _), s, _ in self._channels():
+            if s == src == dest:
+                out.flat[::out.shape[0] + 1] -= rate * out_rate[states]
+        return out
+
     def dense(self) -> np.ndarray:
-        """The generator itself, not a copy."""
-        return self.generator
-
-
-def _transition_entries(scenario: SpectroscopyScenario,
-                        *families) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel entries (flat index, value) of transition families on the grid.
-
-    Each family is (weights, src_block, dest_block, scale):
-    weights[n_ip, n_op, s_ip_max+u_ip, s_op_max+u_op] is the relative rate
-    for the motional jump n -> n+u while the internal state goes
-    src_block -> dest_block, and scale multiplies it; the sideband range
-    is read from the shape of weights.  Jumps leaving the grid route to
-    the leak row; the diagonal balances every column to zero.
-    """
-    n_ip = scenario.n_ip_max + 1
-    n_op = scenario.n_op_max + 1
-    n_mot = n_ip * n_op
-    n = scenario.n_states
-    index, data = [], []
-    for weights, src_block, dest_block, scale in families:
-        s_ip_max, s_op_max = (weights.shape[2] - 1) // 2, (weights.shape[3] - 1) // 2
-        nip = np.arange(n_ip)[:, None, None, None]
-        nop = np.arange(n_op)[None, :, None, None]
-        uip = np.arange(-s_ip_max, s_ip_max + 1)[None, None, :, None]
-        uop = np.arange(-s_op_max, s_op_max + 1)[None, None, None, :]
-        mip = nip + uip
-        mop = nop + uop
-        # weights are exactly zero below the grid; mask anyway to keep indices legal
-        valid = (mip >= 0) & (mop >= 0)
-        in_grid = valid & (mip <= scenario.n_ip_max) & (mop <= scenario.n_op_max)
-
-        src = np.broadcast_to((nip * n_op + nop), weights.shape) + src_block * n_mot
-        dest = np.where(in_grid, mip * n_op + mop + dest_block * n_mot,
-                        scenario.leak_index)
-        active = valid & (weights != 0.0)
-        # diagonal: minus the total outgoing rate of each source column
-        out_rate = np.where(active, weights, 0.0).sum(axis=(2, 3)).ravel()
-        diag_idx = np.arange(n_mot) + src_block * n_mot
-        index += [dest[active] * n + src[active], diag_idx * (n + 1)]
-        data += [scale * weights[active], -scale * out_rate]
-    return np.concatenate(index), np.concatenate(data)
-
-
-def _assemble(scenario: SpectroscopyScenario, index: np.ndarray,
-              data: np.ndarray) -> np.ndarray:
-    """Dense n_states x n_states array of the entries, repeats summed in order."""
-    n = scenario.n_states
-    return np.bincount(index, data, minlength=n * n).reshape(n, n)
-
-
-def _heating_families(scenario: SpectroscopyScenario) -> tuple:
-    """Uniform upward ladder at heat_ip / heat_op for both internal states."""
-    weights = np.zeros(scenario.grid_shape + (3, 3))
-    weights[:, :, 2, 1] = scenario.heat_ip     # n_ip -> n_ip + 1
-    weights[:, :, 1, 2] = scenario.heat_op     # n_op -> n_op + 1
-    return (weights, 0, 0, 1.0), (weights, 1, 1, 1.0)
-
-
-def _heating_kernel(scenario: SpectroscopyScenario) -> np.ndarray:
-    """The heating ladder alone as a dense kernel."""
-    return _assemble(scenario, *_transition_entries(scenario, *_heating_families(scenario)))
+        """G as a (2 n_mot + 1)^2 array, built anew on each call: the
+        ground grid, the excited grid, then the leak row, whose entries
+        are the rates past the grid and whose column is zero."""
+        n = 2 * self.grid_shape[0] * self.grid_shape[1]
+        out = np.zeros((n + 1, n + 1))
+        out[:n, :n] = np.block([[self.block(d, s) for s in (0, 1)] for d in (0, 1)])
+        leak = out[n, :n].reshape(2, -1)
+        for rate, (_, _, off_grid), src, _ in self._channels():
+            leak[src] += rate * off_grid
+        return out
 
 
 def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
                       include_spontaneous: bool = True) -> RateMatrix:
-    """Assemble the linear rate generator r K + C at one detuning (rad/s).
+    """The linear rate generator r K + C at one detuning (rad/s).
 
     r is the absorption base rate: absorption g,(n) -> e,(n+s) at
     r |xi(n,s)|^2, stimulated emission e,(n) -> g,(n+s) at rho r |xi|^2
@@ -282,13 +275,13 @@ def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
     emission at Gamma_t D and the heating ladder; include_spontaneous=False
     keeps only the ladder.  Off-grid destinations feed the leak row.
     """
-    (k_index, k_data), const, heat = scenario._kernel_entries()
-    c_index, c_data = const if include_spontaneous else heat
-    rate = base_rate(scenario.laser, scenario.line, detuning)
-    gen = _assemble(scenario, np.concatenate([k_index, c_index]),
-                    np.concatenate([rate * k_data, c_data]))
-    return RateMatrix(generator=gen, detuning=detuning,
-                      grid_shape=scenario.grid_shape,
+    line = scenario.line
+    rate = base_rate(scenario.laser, line, detuning)
+    rho = line.stimulated_scale / line.absorption_scale
+    return RateMatrix(jumps=scenario.jump_blocks(),
+                      rates=(rate, rho * rate,
+                             line.gamma_t if include_spontaneous else 0.0, 1.0),
+                      detuning=detuning, grid_shape=scenario.grid_shape,
                       leak_warn_fraction=scenario.leak_warn_fraction)
 
 
@@ -420,32 +413,34 @@ def _block_inverse(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_invert_solver(gen: np.ndarray, shift: float,
-                         grid_shape: tuple[int, int]):
+def _shift_invert_solver(matrix: RateMatrix, shift: float):
     """Solver for (I - shift G) x = b by elimination of the ground block.
 
-    G is the in-grid block, ordered as _transition_entries lays it out:
-    ground grid, then excited grid (n = 2 n_mot).  Only heating keeps
-    the internal state, so the ground block A_gg is the diagonal plus the
-    upward heating ladder, lower triangular in the grid order;
-    _ladder_solve gives A_gg^-1 and A_gg^-1 A_ge in one pass.  The excited
-    block is eliminated densely: S = A_ee - A_eg A_gg^-1 A_ge on n_mot
-    states.  I - shift G is a column-diagonally-dominant M-matrix
-    (off-diagonals <= 0, column sums >= 1), and so is S, which
-    _block_inverse therefore inverts without pivoting.  Each solve is four
-    matrix-vector products.
+    G is over the in-grid states, the ground grid, then the excited grid
+    (n = 2 n_mot), and each block A_gg, A_ge, A_eg, A_ee of I - shift G is
+    formed from the matrix's jump blocks.  Only heating keeps the internal
+    state, so the ground block A_gg is the diagonal plus the upward
+    heating ladder, lower triangular in the grid order; _ladder_solve
+    gives A_gg^-1 and A_gg^-1 A_ge in one pass.  The excited block is
+    eliminated densely: S = A_ee - A_eg A_gg^-1 A_ge on n_mot states.
+    I - shift G is a column-diagonally-dominant M-matrix (off-diagonals
+    <= 0, column sums >= 1), and so is S, which _block_inverse therefore
+    inverts without pivoting.  Each solve is four matrix-vector products.
     """
-    n_g = gen.shape[0] // 2
-    a_eg = -shift * gen[n_g:, :n_g]
-    a_gg = -shift * gen[:n_g, :n_g]
+    n_g = matrix.grid_shape[0] * matrix.grid_shape[1]
+    a_eg = matrix.block(1, 0)
+    a_eg *= -shift
+    a_gg = matrix.block(0, 0)
+    a_gg *= -shift
     a_gg.flat[::n_g + 1] += 1.0
     # [I | A_ge] -> [A_gg^-1 | A_gg^-1 A_ge]
     rhs = np.zeros((n_g, 2 * n_g))
     rhs.flat[::2 * n_g + 1] = 1.0
-    np.multiply(gen[:n_g, n_g:], -shift, out=rhs[:, n_g:])
-    ladder = _ladder_solve(a_gg, grid_shape, rhs)
+    np.multiply(matrix.block(0, 1), -shift, out=rhs[:, n_g:])
+    ladder = _ladder_solve(a_gg, matrix.grid_shape, rhs)
     inv_gg, right = ladder[:, :n_g], ladder[:, n_g:]
-    schur = -shift * gen[n_g:, n_g:]
+    schur = matrix.block(1, 1)
+    schur *= -shift
     schur.flat[::n_g + 1] += 1.0
     schur -= a_eg @ right
     inv_s = _block_inverse(schur)
@@ -477,8 +472,7 @@ def _krylov(matrix: RateMatrix, p0: np.ndarray,
     n = p0.size
     m_max = min(KRYLOV_M_MAX, n)
     shift = KRYLOV_SHIFT * float(times[-1])
-    solve = _shift_invert_solver(matrix.generator[:n, :n], shift,
-                                 matrix.grid_shape)
+    solve = _shift_invert_solver(matrix, shift)
     beta = float(np.linalg.norm(p0))
     basis = np.zeros((n, m_max + 1))
     hess = np.zeros((m_max + 1, m_max))

@@ -13,30 +13,33 @@ faster than the full engine and reproduces the gross spectral features.
 
 import numpy as np
 
-from .rate_engine import SpectroscopyScenario, expm
+from .rate_engine import RateMatrix, SpectroscopyScenario, expm
 from .radiation import base_rate
 from .scan_fit import SpectrumRecord
 
 
 def reduced_kernels(scenario: SpectroscopyScenario) -> tuple[np.ndarray, np.ndarray]:
-    """The scenario's kernels K and C collapsed onto (g00, e00, aux).
+    """The engine's kernels K and C collapsed onto (g00, e00, aux).
 
-    Entries between the two motional ground states (index 0 and
-    n_motional in the layout of the kernels) are kept;
-    the aux row takes each column's remainder, so every column sums to
+    K and C are the engine's generator at the rates (1, rho, 0, 0) and
+    (0, 0, Gamma_t, 1) of its channels; their entries between the two
+    motional ground states are read from the scenario's jump blocks.
+    The aux row takes each column's remainder, so every column sums to
     zero, and the aux column is zero, so aux is absorbing.  The
     three-level generator at a detuning is base_rate(delta) K3 + C3.
     """
-    ground = [0, scenario.n_motional]
-
-    def collapse(kernel):
+    def collapse(matrix):
         out = np.zeros((3, 3))
-        out[:2, :2] = kernel[np.ix_(ground, ground)]
+        out[:2, :2] = [[matrix.block(d, s, states=[0])[0, 0] for s in (0, 1)]
+                       for d in (0, 1)]
         out[2, :2] = -out[:2, :2].sum(axis=0)
         return out
 
-    k_laser, k_const, _ = scenario.kernels()
-    return collapse(k_laser), collapse(k_const)
+    line = scenario.line
+    rho = line.stimulated_scale / line.absorption_scale
+    return tuple(collapse(RateMatrix(scenario.jump_blocks(), rates, 0.0,
+                                     scenario.grid_shape))
+                 for rates in ((1.0, rho, 0.0, 0.0), (0.0, 0.0, line.gamma_t, 1.0)))
 
 
 def reduced_signal(p, contrast: float = 0.5) -> float:

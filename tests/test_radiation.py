@@ -277,7 +277,7 @@ def test_mgh_resonant_base_rate(mgh_line):
     # the generator drives stimulated emission with scale 1/3 instead of 1/9:
     # the carrier e(0,0) -> g(0,0) runs at 3 times g(0,0) -> e(0,0)
     sc = mgh24_ca40(n_ip_max=1, n_op_max=1).with_laser(intensity=laser.intensity)
-    gen = build_rate_matrix(sc, 0.0, include_spontaneous=False).generator
+    gen = build_rate_matrix(sc, 0.0, include_spontaneous=False).dense()
     assert gen[0, sc.n_motional] == pytest.approx(3 * gen[sc.n_motional, 0],
                                                   rel=1e-12)
 

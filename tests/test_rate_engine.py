@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from recoilspec.coupling import xi_mode_table
 from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import TransitionLine, base_rate
 from recoilspec.rate_engine import (LeakWarning, PopulationState,
-                                    _heating_kernel, build_rate_matrix,
-                                    evolve_series, scaled_time)
+                                    build_rate_matrix, evolve_series,
+                                    scaled_time)
 from recoilspec.reduced_model import reduced_kernels
 from recoilspec.scan_fit import readout_spectrum
 
@@ -40,14 +41,27 @@ def small_mg(n_max=7, **kw):
 def test_dark_cold_trap_gives_zero_generator():
     sc = small_mg(intensity_sat_units=0.0, heat_ip=0.0, heat_op=0.0)
     matrix = build_rate_matrix(sc, 0.0, include_spontaneous=False)
-    assert abs(matrix.generator).max() == 0.0
+    assert abs(matrix.dense()).max() == 0.0
 
 
 def test_columns_sum_to_zero(mg_scenario):
-    matrix = build_rate_matrix(mg_scenario, 2 * np.pi * 20e6)
-    col_sums = np.asarray(matrix.generator.sum(axis=0)).ravel()
-    scale = abs(matrix.generator.diagonal()).max()
+    gen = build_rate_matrix(mg_scenario, 2 * np.pi * 20e6).dense()
+    col_sums = gen.sum(axis=0)
+    scale = abs(gen.diagonal()).max()
     assert np.abs(col_sums).max() < 1e-12 * scale
+
+
+def test_build_rate_matrix_allocates_no_square(mg_scenario):
+    # the generator is the scenario's cached jump blocks and four rates; a
+    # (2 n_mot + 1)^2 array per detuning would take 5.1 MB on this 20x20 grid
+    build_rate_matrix(mg_scenario, 0.0)  # the scenario caches its blocks
+    tracemalloc.start()
+    try:
+        build_rate_matrix(mg_scenario, 2 * np.pi * 20e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_off_diagonal_rates_nonnegative(mg_scenario):
@@ -221,10 +235,11 @@ def test_heating_ladder_first_order():
 @pytest.mark.parametrize("heat_ip,heat_op", [(14.0, 1.7), (14.0, 0.0),
                                              (0.0, 1.7), (0.0, 0.0)])
 def test_heating_kernel_matches_loop_oracle(heat_ip, heat_op):
-    # unequal grid bounds expose any mix-up of the two modes
-    sc = replace(mg24_ca40(), n_ip_max=4, n_op_max=6, heat_ip=heat_ip,
-                 heat_op=heat_op)
-    got = _heating_kernel(sc)
+    # unequal grid bounds expose any mix-up of the two modes; a dark laser
+    # without spontaneous emission leaves the heating ladder alone
+    sc = replace(mg24_ca40(intensity_sat_units=0.0), n_ip_max=4, n_op_max=6,
+                 heat_ip=heat_ip, heat_op=heat_op)
+    got = build_rate_matrix(sc, 0.0, include_spontaneous=False).dense()
     want = heating_kernel_loop(sc).toarray()
     assert np.array_equal(got, want)
 
@@ -447,12 +462,12 @@ _SOLVER_CASES = {
 @pytest.mark.parametrize("name", sorted(_SOLVER_CASES))
 def test_shift_invert_solver_matches_dense_solve(name, detuning):
     sc, tau = _SOLVER_CASES[name]
-    n = sc.leak_index  # the solver takes the in-grid block
-    gen = build_rate_matrix(sc, detuning).generator[:n, :n]
+    n = sc.leak_index  # the solver works on the in-grid states
+    matrix = build_rate_matrix(sc, detuning)
     shift = rate_engine.KRYLOV_SHIFT * tau
-    a = np.eye(gen.shape[0]) - shift * gen
-    b = np.random.default_rng(5).random(gen.shape[0])
-    got = rate_engine._shift_invert_solver(gen, shift, sc.grid_shape)(b)
+    a = np.eye(n) - shift * matrix.dense()[:n, :n]
+    b = np.random.default_rng(5).random(n)
+    got = rate_engine._shift_invert_solver(matrix, shift)(b)
     want = np.linalg.solve(a, b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.linalg.norm(a @ got - b) <= 1e-12 * np.linalg.norm(b)
