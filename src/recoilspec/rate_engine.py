@@ -33,8 +33,8 @@ ATOL = 1e-12
 # largest requested time; the basis grows from M_START in steps of M_STEP
 # until two successive sizes agree to the tolerance, up to M_MAX
 KRYLOV_SHIFT = 0.05
-KRYLOV_M_START = 16
-KRYLOV_M_STEP = 8
+KRYLOV_M_START = 8
+KRYLOV_M_STEP = 4
 KRYLOV_M_MAX = 80
 
 # most negative population entry a propagation may return; smaller ones
@@ -51,7 +51,7 @@ PADE13_THETA = 5.371920351148152
 # 1 / |c_27| of the Pade-13 backward-error series (Al-Mohy & Higham 2009)
 PADE13_ERROR = 113250775606021113483283660800000000.0
 
-# the Schur complement is inverted by halves down to blocks of this size
+# _block_inverse recurses on halves down to blocks of this size
 BLOCK_INVERSE_LEAF = 64
 
 
@@ -135,14 +135,19 @@ class SpectroscopyScenario:
         spontaneous D, heating ladder), built once.  Each is (block,
         out_rate, off_grid) over the motional states in grid order:
         block[m, n] weighs the in-grid jump n -> m, out_rate[n] is the
-        total weight out of n and off_grid[n] the part leaving the grid."""
+        total weight out of n and off_grid[n] the part leaving the grid.
+        The laser's block is kept as its per-mode factors (P_ip, P_op),
+        P[m, n] = |xi(n, m - n)|^2, and its rates as per-mode products."""
         if "jumps" not in self._cache:
-            x_ip, x_op = self.laser_coupling()
+            (p_ip, out_ip, off_ip), (p_op, out_op, off_op) = (
+                _jump_blocks(x[:, None, :, None]) for x in self.laser_coupling())
             heat = np.zeros(self.grid_shape + (3, 3))
             heat[:, :, 2, 1] = self.heat_ip     # n_ip -> n_ip + 1
             heat[:, :, 1, 2] = self.heat_op     # n_op -> n_op + 1
-            self._cache["jumps"] = tuple(_jump_blocks(w) for w in (
-                np.einsum("au,bv->abuv", x_ip, x_op), self.d_table(), heat))
+            self._cache["jumps"] = (
+                ((p_ip, p_op), np.outer(out_ip, out_op).ravel(), (np.outer(
+                    off_ip, out_op) + np.outer(p_ip.sum(0), off_op)).ravel()),
+                _jump_blocks(self.d_table()), _jump_blocks(heat))
         return self._cache["jumps"]
 
     def with_laser(self, **kw) -> "SpectroscopyScenario":
@@ -220,7 +225,8 @@ class RateMatrix:
     heating within g and within e (ladder, 1).  rates holds those four;
     at (1, rho, 0, 0) G is the kernel K, at (0, 0, Gamma_t, 1) it is C.
     Jumps past the grid feed the leak row and each diagonal entry is
-    minus its state's out-rate, so column sums vanish.
+    minus its state's out-rate, so column sums vanish.  The laser block
+    is held as its per-mode factors; block and dense form it on demand.
     """
     jumps: tuple
     rates: tuple[float, float, float, float]
@@ -241,9 +247,13 @@ class RateMatrix:
         """New array of the in-grid block of G from internal state src to
         dest, over the motional states given (all by default); with
         dest == src, minus each state's out-rate is on the diagonal."""
-        # every (src, dest) pair has a channel
-        out, *rest = [rate * in_grid[states][:, states]
-                      for rate, (in_grid, _, _), s, d in self._channels()
+        n_op = self.grid_shape[1]
+        ip, op = np.divmod(np.arange(self.grid_shape[0] * n_op)[states], n_op)
+        # every (src, dest) pair has a channel; of the laser's Kronecker
+        # pair, only the rows of the states given are multiplied out
+        out, *rest = [rate * (b[states] if isinstance(b, np.ndarray) else (
+            b[0][ip, :, None] * b[1][op, None, :]).reshape(ip.size, -1))[:, states]
+                      for rate, (b, _, _), s, d in self._channels()
                       if (s, d) == (src, dest)]
         for term in rest:
             out += term
@@ -390,46 +400,63 @@ def _ladder_solve(a_gg: np.ndarray, grid_shape: tuple[int, int],
     return rhs
 
 
-def _block_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a by 2x2 block elimination on halves, without pivoting.
-
-    Valid when every leading block and its Schur complement is
-    nonsingular, as for a column-diagonally-dominant M-matrix: its
-    leading blocks and Schur complements are again such matrices.
-    """
-    n = a.shape[0]
-    if n <= BLOCK_INVERSE_LEAF:
-        return np.linalg.inv(a)
-    h = n // 2
+def _block_factor(a: np.ndarray) -> tuple:
+    """2x2 block elimination of a on halves, without pivoting: inv(A11),
+    inv(A11) A12, A21 and the inverse of the Schur complement.  Valid when
+    every leading block and its Schur complement is nonsingular, as for a
+    column-diagonally-dominant M-matrix: its leading blocks and Schur
+    complements are again such matrices."""
+    h = a.shape[0] // 2
     inv_tl = _block_inverse(a[:h, :h])
     right = inv_tl @ a[:h, h:]
-    below = a[h:, :h] @ inv_tl
-    inv_br = _block_inverse(a[h:, h:] - a[h:, :h] @ right)
+    return (inv_tl, right, a[h:, :h],
+            _block_inverse(a[h:, h:] - a[h:, :h] @ right))
+
+
+def _block_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a from _block_factor, down to BLOCK_INVERSE_LEAF."""
+    if a.shape[0] <= BLOCK_INVERSE_LEAF:
+        return np.linalg.inv(a)
+    inv_tl, right, below, inv_br = _block_factor(a)
+    h = inv_tl.shape[0]
     out = np.empty_like(a)
     out[:h, h:] = -right @ inv_br
-    out[h:, :h] = -inv_br @ below
-    out[:h, :h] = inv_tl - out[:h, h:] @ below
+    out[h:, :h] = -(inv_br @ below) @ inv_tl
+    out[:h, :h] = inv_tl - right @ out[h:, :h]
     out[h:, h:] = inv_br
     return out
+
+
+def _block_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
+    """a^-1 b from the _block_factor of a, in about n^2 multiply-adds."""
+    inv_tl, right, below, inv_br = factors
+    z = inv_tl @ b[:inv_tl.shape[0]]
+    x = inv_br @ (b[inv_tl.shape[0]:] - below @ z)
+    return np.concatenate([z - right @ x, x])
 
 
 def _shift_invert_solver(matrix: RateMatrix, shift: float):
     """Solver for (I - shift G) x = b by elimination of the ground block.
 
     G is over the in-grid states, the ground grid, then the excited grid
-    (n = 2 n_mot), and each block A_gg, A_ge, A_eg, A_ee of I - shift G is
-    formed from the matrix's jump blocks.  Only heating keeps the internal
-    state, so the ground block A_gg is the diagonal plus the upward
-    heating ladder, lower triangular in the grid order; _ladder_solve
-    gives A_gg^-1 and A_gg^-1 A_ge in one pass.  The excited block is
-    eliminated densely: S = A_ee - A_eg A_gg^-1 A_ge on n_mot states.
-    I - shift G is a column-diagonally-dominant M-matrix (off-diagonals
-    <= 0, column sums >= 1), and so is S, which _block_inverse therefore
-    inverts without pivoting.  Each solve is four matrix-vector products.
+    (n = 2 n_mot).  Only heating keeps the internal state, so
+    _ladder_solve gives A_gg^-1 and A_gg^-1 A_ge in one pass, and only
+    absorption leads from g to e, so A_eg = -shift r (P_ip kron P_op) is
+    applied per mode, never formed.  S = A_ee - A_eg A_gg^-1 A_ge
+    eliminates the excited block densely.  I - shift G is a
+    column-diagonally-dominant M-matrix (off-diagonals <= 0, column sums
+    >= 1), and so is S, which _block_factor therefore factors without
+    pivoting.  Each solve reads three n_mot^2 operators.
     """
     n_g = matrix.grid_shape[0] * matrix.grid_shape[1]
-    a_eg = matrix.block(1, 0)
-    a_eg *= -shift
+    # absorption, the only g -> e channel: the laser's pair at rate r
+    r_abs, ((p_ip, p_op), _, _), _, _ = matrix._channels()[0]
+    p_ip = -shift * r_abs * p_ip
+
+    def a_eg(x: np.ndarray) -> np.ndarray:  # one product per mode
+        y = p_op @ x.reshape(len(p_ip), len(p_op), -1)
+        return (p_ip @ y.reshape(len(p_ip), -1)).reshape(x.shape)
+
     a_gg = matrix.block(0, 0)
     a_gg *= -shift
     a_gg.flat[::n_g + 1] += 1.0
@@ -442,12 +469,12 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     schur = matrix.block(1, 1)
     schur *= -shift
     schur.flat[::n_g + 1] += 1.0
-    schur -= a_eg @ right
-    inv_s = _block_inverse(schur)
+    schur -= a_eg(right)
+    factors = _block_factor(schur)
 
     def solve(b: np.ndarray) -> np.ndarray:
         y = inv_gg @ b[:n_g]
-        x_e = inv_s @ (b[n_g:] - a_eg @ y)
+        x_e = _block_solve(factors, b[n_g:] - a_eg(y))
         return np.concatenate([y - right @ x_e, x_e])
 
     return solve
@@ -458,16 +485,16 @@ def _krylov(matrix: RateMatrix, p0: np.ndarray,
     """Shift-and-invert Krylov propagation to every time from one basis.
 
     p0 is a nonzero in-grid state and G the in-grid block of the
-    generator.  One factorization of (I - shift G) with shift =
-    KRYLOV_SHIFT * t_max, by elimination of the ground block
-    (_shift_invert_solver); Arnoldi on its inverse (classical
+    generator.  One factorization of (I - shift G), shift = KRYLOV_SHIFT
+    t_max (_shift_invert_solver); Arnoldi on its inverse (classical
     Gram-Schmidt, reorthogonalised) gives V_m and H_m, and G is
     approximated by V_m G_m V_m^T (van den Eshof & Hochbruck, SIAM J.
-    Sci. Comput. 27 (2006) 1438).  The basis grows until the answers of
-    two successive sizes are finite and agree to ATOL + RTOL sum(p0) at
-    every time, or the space becomes invariant.  Raises RuntimeError,
-    naming the check and the detuning, when that never happens within
-    KRYLOV_M_MAX or when an entry falls below -NEGATIVE_TOLERANCE.
+    Sci. Comput. 27 (2006) 1438).  The answer is checked at KRYLOV_M_START
+    vectors and every KRYLOV_M_STEP more, until two successive checks are
+    finite and agree to ATOL + RTOL sum(p0) at every time, or the space
+    becomes invariant.  Raises RuntimeError, naming the check and the
+    detuning, when that never happens within KRYLOV_M_MAX or when an
+    entry falls below -NEGATIVE_TOLERANCE.
     """
     n = p0.size
     m_max = min(KRYLOV_M_MAX, n)

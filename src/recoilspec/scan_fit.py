@@ -336,7 +336,9 @@ def numeric_fwhm_depth(records_or_x, y=None) -> tuple[float, float]:
     if x.size < 8:
         raise ValueError("need at least 8 points to measure a dip")
     edge = max(int(round(0.05 * x.size)), 1)
-    baseline = float(np.median(np.concatenate([yv[:edge], yv[-edge:]])))
+    # the median of the 2 edge points, without np.median's numpy.ma import
+    outer = np.sort(np.concatenate([yv[:edge], yv[-edge:]]))
+    baseline = float(0.5 * (outer[edge - 1] + outer[edge]))
     i_min = int(np.argmin(yv))
     depth = baseline - float(yv[i_min])
     if depth <= 0:

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import subprocess
@@ -387,6 +388,16 @@ def test_leak_never_below_its_initial_value():
     assert got.leaked >= 0.0
 
 
+def test_resonant_mg_propagation_stops_at_16_vectors(mg_scenario, caplog):
+    # two basis sizes are compared every KRYLOV_M_STEP vectors from
+    # KRYLOV_M_START; checked every 8 from 16, this propagation took 24
+    matrix = build_rate_matrix(mg_scenario, 0.0)
+    with caplog.at_level(logging.DEBUG, logger="recoilspec.rate_engine"):
+        evolve_series(matrix, PopulationState.ground(mg_scenario), [1.3e-3])
+    sizes = [int(m) for m in re.findall(r"krylov: m = (\d+)", caplog.text)]
+    assert len(sizes) == 1 and sizes[0] <= 16
+
+
 def test_unconverged_krylov_basis_raises(monkeypatch, tmp_path, capsys):
     # with the cap at the first basis size no two sizes can be compared,
     # so the estimate never converges
@@ -478,8 +489,8 @@ def test_shift_invert_solver_matches_dense_solve(name, detuning):
 def test_ground_block_is_the_heating_ladder(name, detuning):
     # only heating keeps the internal state, so the ground block is the
     # diagonal plus the upward ladder of each mode; the solver's speed rests
-    # on that (its LU has no fill), and a new g -> g process must change
-    # this test on purpose
+    # on that (_ladder_solve substitutes down the grid rows), and a new
+    # g -> g process must change this test on purpose
     sc, _ = _SOLVER_CASES[name]
     n_mot, n_op = sc.n_motional, sc.n_op_max + 1
     block = build_rate_matrix(sc, detuning).dense()[:n_mot, :n_mot]
@@ -490,6 +501,49 @@ def test_ground_block_is_the_heating_ladder(name, detuning):
     ladder[up_ip + n_op, up_ip] = sc.heat_ip
     ladder[up_op + 1, up_op] = sc.heat_op
     assert np.array_equal(block - np.diag(np.diag(block)), ladder)
+
+
+_KRON_CASES = {"mg": mg24_ca40, "mgh": mgh24_ca40,
+               "mg-6x9": lambda: replace(mg24_ca40(), n_ip_max=5, n_op_max=8)}
+
+
+@pytest.mark.parametrize("name", sorted(_KRON_CASES))
+def test_laser_block_is_the_kronecker_product_of_its_mode_factors(name):
+    # the solver applies the laser block per mode, as P_ip kron P_op with
+    # P[m, n] = |xi(n, m - n)|^2; built from the full weight table
+    # |xi_ip|^2 |xi_op|^2, the block must be that product bit for bit
+    sc = _KRON_CASES[name]()
+    (p_ip, p_op), out_rate, off_grid = sc.jump_blocks()[0]
+    x_ip, x_op = sc.laser_coupling()
+    for p, x in ((p_ip, x_ip), (p_op, x_op)):
+        s = x.shape[1] // 2
+        m, n = np.indices(p.shape)
+        assert np.array_equal(p, np.where(abs(m - n) <= s,
+                                          x[n, np.clip(m - n + s, 0, 2 * s)], 0))
+    block, out_full, off_full = rate_engine._jump_blocks(
+        np.einsum("au,bv->abuv", x_ip, x_op))
+    assert np.array_equal(np.kron(p_ip, p_op), block)
+    matrix = build_rate_matrix(sc, 0.0)
+    assert np.array_equal(matrix.block(1, 0), matrix.rates[0] * block)
+    assert out_rate == pytest.approx(out_full, rel=1e-14, abs=0)
+    assert np.abs(off_grid - off_full).max() <= 1e-14 * out_full.max()
+    assert off_grid.min() >= 0.0
+
+
+@pytest.mark.parametrize("n", [5, 37, 301, 1296])
+def test_block_factor_solve_matches_dense_solve(n):
+    # random column-diagonally-dominant M-matrices like S: off-diagonals
+    # <= 0 over several decades, column sums >= 1; 37 is below
+    # BLOCK_INVERSE_LEAF, so both halves are inverted directly
+    rng = np.random.default_rng(n)
+    off = -rng.random((n, n)) * (rng.random((n, n)) < 0.2)
+    off *= 10.0 ** rng.uniform(-3, 2, n)
+    np.fill_diagonal(off, 0.0)
+    a = off + np.diag(1.0 + rng.random(n) - off.sum(axis=0))
+    b = rng.random(n)
+    got = rate_engine._block_solve(rate_engine._block_factor(a), b)
+    want = np.linalg.solve(a, b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -503,7 +557,7 @@ def test_ground_block_is_the_heating_ladder(name, detuning):
 def test_shifted_generator_is_a_column_dominant_m_matrix(
         preset, intensity_sat_units, heat_ip, heat_op, n_ip_max, n_op_max,
         s_ip_max, s_op_max, detuning, shift):
-    # _block_inverse eliminates without pivoting; that needs I - shift G to
+    # _block_factor eliminates without pivoting; that needs I - shift G to
     # have off-diagonals <= 0 and column sums >= 1 (to roundoff)
     sc = replace(preset(intensity_sat_units=intensity_sat_units,
                         heat_ip=heat_ip, heat_op=heat_op),

@@ -5,7 +5,8 @@ Voigt of a Gaussian laser far broader than the line (every mgh24_ca40
 run), the propagator and the Lorentzian fit are numpy alone.  A Gaussian
 laser whose Voigt parameter y lies above radiation.NARROW_LINE_Y imports
 scipy.special on its first rate; scipy.optimize is imported only by
-composite_target_lineshape.  No path starts a process pool.
+composite_target_lineshape.  No path starts a process pool, and the
+numeric width never loads numpy.ma.
 
 Each test runs in a new interpreter, so that no earlier test has imported
 the module it watches.
@@ -182,3 +183,17 @@ def test_spectrum_with_its_fit_leaves_out_scipy_integrate(tmp_path):
     assert result == [0, False, False]
     fit = json.loads((tmp_path / "x_fit.json").read_text())["fit"]
     assert fit["mode"] == "lorentzian" and fit["fwhm_hz"] > 0
+
+
+def test_numeric_widthcurve_leaves_out_numpy_ma(tmp_path):
+    # the numeric width's baseline is the middle of the sorted edge points;
+    # np.median would import numpy.ma on its first call (about 12 ms)
+    argv = ["widthcurve", "-p", "mgh24_ca40", "-s", "scan.points=9",
+            "-s", "widthcurve.tau_scaled=[500]", "-o", str(tmp_path / "x")]
+    result = _fresh(f"""
+        import json, sys
+        from recoilspec import cli
+        code = cli.main({argv!r})
+        print(json.dumps([code, "numpy.ma" in sys.modules]))
+        """, tmp_path)
+    assert result == [0, False]
