@@ -22,7 +22,6 @@ threshold exceeded (outputs still written).
 
 import argparse
 import copy
-import ctypes
 import json
 import math
 import os
@@ -505,36 +504,7 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory() -> None:
-    """Keep memory freed by the numerics in the process for reuse.
-
-    Every propagation allocates and frees dense blocks of 1.3 to 2.6 MB
-    on the 20x20 grid, the blocks of its shifted generator among them.
-    glibc's dynamic thresholds hand them back to the OS and the next
-    propagation faults them in again: `spectrum -p mg24_ca40` at 31
-    points took 50k minor page faults, whose cost varies with the load on
-    the host.  Fixed thresholds keep blocks under 32 MB on the heap and
-    trim it only past 128 MB free.  A malloc setting in the environment
-    wins; without glibc's mallopt this does nothing.
-    """
-    if "GLIBC_TUNABLES" in os.environ or any(k.startswith("MALLOC_")
-                                             for k in os.environ):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
-
-
 def main(argv=None) -> int:
-    _keep_freed_memory()
     args = make_parser().parse_args(argv)
     try:
         sets = list(args.set)

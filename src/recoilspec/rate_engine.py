@@ -8,7 +8,8 @@ per mode.  The grid is truncated; any transition leaving it feeds an
 absorbing leak accumulator so probability stays exactly conserved.
 
 The generator is held as its laser-independent in-grid jump blocks; the
-dense square is built only on demand (RateMatrix.dense).
+dense square is built only on demand (RateMatrix.dense).  Propagations
+on one grid shape write their large arrays into one kept workspace.
 """
 
 import logging
@@ -136,18 +137,22 @@ class SpectroscopyScenario:
         out_rate, off_grid) over the motional states in grid order:
         block[m, n] weighs the in-grid jump n -> m, out_rate[n] is the
         total weight out of n and off_grid[n] the part leaving the grid.
-        The laser's block is kept as its per-mode factors (P_ip, P_op),
-        P[m, n] = |xi(n, m - n)|^2, and its rates as per-mode products."""
+        Only D is kept as a dense block.  The laser's block is its per-mode
+        factors (P_ip, P_op), P[m, n] = |xi(n, m - n)|^2, with its rates
+        as per-mode products; the heating ladder's is its two rates
+        (heat_ip, heat_op), one quantum up in n_ip or in n_op."""
         if "jumps" not in self._cache:
             (p_ip, out_ip, off_ip), (p_op, out_op, off_op) = (
                 _jump_blocks(x[:, None, :, None]) for x in self.laser_coupling())
-            heat = np.zeros(self.grid_shape + (3, 3))
-            heat[:, :, 2, 1] = self.heat_ip     # n_ip -> n_ip + 1
-            heat[:, :, 1, 2] = self.heat_op     # n_op -> n_op + 1
+            n_ip, n_op = self.grid_shape
+            heat = (self.heat_ip, self.heat_op)
             self._cache["jumps"] = (
                 ((p_ip, p_op), np.outer(out_ip, out_op).ravel(), (np.outer(
                     off_ip, out_op) + np.outer(p_ip.sum(0), off_op)).ravel()),
-                _jump_blocks(self.d_table()), _jump_blocks(heat))
+                _jump_blocks(self.d_table()),
+                (heat, np.full(n_ip * n_op, heat[0] + heat[1]),
+                 (np.where(np.arange(n_ip) == n_ip - 1, heat[0], 0.0)[:, None]
+                  + np.where(np.arange(n_op) == n_op - 1, heat[1], 0.0)).ravel()))
         return self._cache["jumps"]
 
     def with_laser(self, **kw) -> "SpectroscopyScenario":
@@ -215,6 +220,21 @@ def _jump_blocks(weights: np.ndarray) -> tuple:
             np.where(valid & ~in_grid, weights, 0.0).sum(axis=(2, 3)).ravel())
 
 
+def _in_grid(block, ip: np.ndarray, op: np.ndarray, states) -> np.ndarray:
+    """New array of the rows and columns `states`, at grid positions
+    (ip, op), of a family's in-grid block: a dense block, the laser's
+    per-mode pair, of whose Kronecker product only these rows are
+    multiplied out, or the heating ladder's two rates."""
+    if isinstance(block, np.ndarray):
+        return block[states][:, states]
+    first, second = block
+    if isinstance(first, np.ndarray):
+        return (first[ip, :, None]
+                * second[op, None, :]).reshape(ip.size, -1)[:, states]
+    return (first * ((ip[:, None] == ip + 1) & (op[:, None] == op))
+            + second * ((ip[:, None] == ip) & (op[:, None] == op + 1)))
+
+
 @dataclass
 class RateMatrix:
     """Generator G of dP/dt = G P at one laser detuning, as jump blocks.
@@ -226,7 +246,8 @@ class RateMatrix:
     at (1, rho, 0, 0) G is the kernel K, at (0, 0, Gamma_t, 1) it is C.
     Jumps past the grid feed the leak row and each diagonal entry is
     minus its state's out-rate, so column sums vanish.  The laser block
-    is held as its per-mode factors; block and dense form it on demand.
+    is held as its per-mode factors and the heating ladder as its two
+    rates; block and dense form them on demand.
     """
     jumps: tuple
     rates: tuple[float, float, float, float]
@@ -249,10 +270,8 @@ class RateMatrix:
         dest == src, minus each state's out-rate is on the diagonal."""
         n_op = self.grid_shape[1]
         ip, op = np.divmod(np.arange(self.grid_shape[0] * n_op)[states], n_op)
-        # every (src, dest) pair has a channel; of the laser's Kronecker
-        # pair, only the rows of the states given are multiplied out
-        out, *rest = [rate * (b[states] if isinstance(b, np.ndarray) else (
-            b[0][ip, :, None] * b[1][op, None, :]).reshape(ip.size, -1))[:, states]
+        # every (src, dest) pair has a channel
+        out, *rest = [rate * _in_grid(b, ip, op, states)
                       for rate, (b, _, _), s, d in self._channels()
                       if (s, d) == (src, dest)]
         for term in rest:
@@ -377,54 +396,120 @@ def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
         return beta * (basis @ coeffs.T)
 
 
-def _ladder_solve(a_gg: np.ndarray, grid_shape: tuple[int, int],
-                  rhs: np.ndarray) -> np.ndarray:
-    """A_gg^-1 rhs for the ground block A_gg = I - shift G_gg, in place.
+class _Workspace:
+    """The buffers of one propagation on one grid shape: [A_ge | I] and
+    then its ladder solve, S and then its factor, the factor's scratch,
+    the inverses of the ladder's diagonal blocks, and the Krylov basis
+    and Hessenberg matrix.  owner is the token of the solver that took
+    them last."""
 
-    A_gg is its diagonal plus the upward heating ladder.  In blocks of
-    one n_ip row of the grid, it is lower block-bidiagonal: the n_op
-    ladder stays within a row, and the n_ip ladder feeds row i from the
-    same n_op in row i - 1.  Substitution runs down the rows, each by the
-    inverse of its own bidiagonal block.
+    def __init__(self, grid_shape: tuple[int, int]):
+        n_ip, n_op = grid_shape
+        n_g = n_ip * n_op
+        m_max = min(KRYLOV_M_MAX, 2 * n_g)
+        self.grid_shape = grid_shape
+        self.ladder = np.empty((n_g, 2 * n_g))
+        self.schur = np.empty((n_g, n_g))
+        # _block_factor of an n x n matrix needs n (n + 1) / 2 entries, a
+        # pass over the grid rows 2 n_op n_g
+        self.scratch = np.empty(max(n_g * (n_g + 1) // 2, 2 * n_op * n_g))
+        self.inv_diag = np.empty((n_ip, n_op, n_op))
+        self.basis = np.empty((2 * n_g, m_max + 1))
+        self.hess = np.empty((m_max + 1, m_max))
+        self.owner = None
+
+
+_workspace = None
+
+
+def _take_workspace(grid_shape: tuple[int, int]) -> _Workspace:
+    """The process's workspace, replaced only when the grid shape changes,
+    with a new owner token.  It is not kept per scenario: a width curve
+    over laser widths builds one scenario per width on one grid."""
+    global _workspace
+    if _workspace is None or _workspace.grid_shape != grid_shape:
+        _workspace = None  # free the old buffers before taking new ones
+        _workspace = _Workspace(grid_shape)
+    _workspace.owner = object()
+    return _workspace
+
+
+def _ladder_solve(ws: _Workspace, diag: np.ndarray, c_ip: float,
+                  c_op: float) -> None:
+    """[A_ge | I] -> [A_gg^-1 A_ge | A_gg^-1] in ws.ladder, for the ground
+    block A_gg = I - shift G_gg.
+
+    A_gg is diag on its diagonal and -c_ip, -c_op on the upward heating
+    ladders.  In blocks of one n_ip row of the grid, it is lower
+    block-bidiagonal: the n_op ladder stays within a row, and the n_ip
+    ladder feeds row i from the same n_op in row i - 1.  Substitution
+    runs down the rows, each by the inverse of its own bidiagonal block,
+    which its recurrence writes to ws.inv_diag.  A_gg^-1 is block lower
+    triangular, so row i covers only the identity's columns up to its
+    own block.
     """
-    n_ip, n_op = grid_shape
-    blocks = a_gg.reshape(n_ip, n_op, n_ip, n_op)
-    rows = np.arange(n_ip)
-    inv_diag = np.linalg.inv(blocks[rows, :, rows, :])
-    # the n_ip ladder into each row, -A_gg[(i, j), (i - 1, j)]
-    feed = -np.diagonal(blocks[rows[1:], :, rows[:-1], :], axis1=1, axis2=2)
-    x = rhs.reshape(n_ip, n_op, -1)
-    x[0] = inv_diag[0] @ x[0]
-    for i in range(1, n_ip):
-        x[i] = inv_diag[i] @ (x[i] + feed[i - 1, :, None] * x[i - 1])
-    return rhs
+    n_ip, n_op = ws.grid_shape
+    n_g = n_ip * n_op
+    d = diag.reshape(n_ip, n_op)
+    inv_diag = ws.inv_diag
+    inv_diag[:, 0] = 0.0
+    for j in range(n_op):
+        row = inv_diag[:, j]
+        if j:
+            np.multiply(inv_diag[:, j - 1], c_op, out=row)
+        row[:, j] += 1.0
+        row /= d[:, j, None]
+    x = ws.ladder.reshape(n_ip, n_op, 2 * n_g)
+    t = ws.scratch[:2 * n_g * n_op].reshape(n_op, 2 * n_g)
+    for i in range(n_ip):
+        # whole rows, which numpy adds unbuffered; the zeros past cols stay
+        if i:
+            np.multiply(x[i - 1], c_ip, out=t)
+            t += x[i]
+        else:
+            t[...] = x[i]
+        cols = slice(n_g + (i + 1) * n_op)
+        np.matmul(inv_diag[i], t[:, cols], out=x[i, :, cols])
 
 
-def _block_factor(a: np.ndarray) -> tuple:
-    """2x2 block elimination of a on halves, without pivoting: inv(A11),
-    inv(A11) A12, A21 and the inverse of the Schur complement.  Valid when
-    every leading block and its Schur complement is nonsingular, as for a
-    column-diagonally-dominant M-matrix: its leading blocks and Schur
-    complements are again such matrices."""
-    h = a.shape[0] // 2
-    inv_tl = _block_inverse(a[:h, :h])
-    right = inv_tl @ a[:h, h:]
-    return (inv_tl, right, a[h:, :h],
-            _block_inverse(a[h:, h:] - a[h:, :h] @ right))
+def _block_factor(a: np.ndarray, scratch: np.ndarray) -> tuple:
+    """2x2 block elimination of a on halves, without pivoting, in place:
+    a's diagonal halves become inv(A11) and the inverse of the Schur
+    complement, and inv(A11) A12 goes to the front of scratch, which
+    must hold n (n + 1) / 2 entries.  Returns those three and A21.  Valid
+    when every leading block and its Schur complement is nonsingular, as
+    for a column-diagonally-dominant M-matrix: its leading blocks and
+    Schur complements are again such matrices."""
+    n = a.shape[0]
+    h = n // 2
+    inv_tl, below, inv_br = a[:h, :h], a[h:, :h], a[h:, h:]
+    _block_inverse(inv_tl, scratch)
+    right = np.matmul(inv_tl, a[:h, h:],
+                      out=scratch[:h * (n - h)].reshape(h, n - h))
+    rest = scratch[right.size:]
+    inv_br -= np.matmul(below, right,
+                        out=rest[:inv_br.size].reshape(inv_br.shape))
+    _block_inverse(inv_br, rest)
+    return inv_tl, right, below, inv_br
 
 
-def _block_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a from _block_factor, down to BLOCK_INVERSE_LEAF."""
+def _block_inverse(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Inverse of a from _block_factor, in place, down to
+    BLOCK_INVERSE_LEAF."""
     if a.shape[0] <= BLOCK_INVERSE_LEAF:
-        return np.linalg.inv(a)
-    inv_tl, right, below, inv_br = _block_factor(a)
+        a[...] = np.linalg.inv(a)
+        return a
+    inv_tl, right, below, inv_br = _block_factor(a, scratch)
     h = inv_tl.shape[0]
-    out = np.empty_like(a)
-    out[:h, h:] = -right @ inv_br
-    out[h:, :h] = -(inv_br @ below) @ inv_tl
-    out[:h, :h] = inv_tl - right @ out[h:, :h]
-    out[h:, h:] = inv_br
-    return out
+    tmp = scratch[right.size:][:below.size].reshape(below.shape)
+    np.matmul(inv_br, below, out=tmp)
+    np.matmul(tmp, inv_tl, out=below)
+    np.negative(below, out=below)
+    np.matmul(right, inv_br, out=a[:h, h:])
+    np.negative(a[:h, h:], out=a[:h, h:])
+    inv_tl -= np.matmul(right, below,
+                        out=scratch[right.size:][:h * h].reshape(h, h))
+    return a
 
 
 def _block_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
@@ -447,34 +532,63 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     column-diagonally-dominant M-matrix (off-diagonals <= 0, column sums
     >= 1), and so is S, which _block_factor therefore factors without
     pivoting.  Each solve reads three n_mot^2 operators.
+
+    Every n_mot^2 array is built in the process's workspace for the grid
+    shape, which the next call takes over: the solve of an earlier call
+    then raises RuntimeError.
     """
-    n_g = matrix.grid_shape[0] * matrix.grid_shape[1]
-    # absorption, the only g -> e channel: the laser's pair at rate r
-    r_abs, ((p_ip, p_op), _, _), _, _ = matrix._channels()[0]
-    p_ip = -shift * r_abs * p_ip
+    n_ip, n_op = matrix.grid_shape
+    n_g = n_ip * n_op
+    ws = _take_workspace(matrix.grid_shape)
+    token = ws.owner
+    ((p_ip, p_op), laser_out, _), (d_block, d_out, _), (
+        (heat_ip, heat_op), heat_out, _) = matrix.jumps
+    r_abs, r_stim, gamma, heat = matrix.rates
+    c_ip, c_op = heat * heat_ip * shift, heat * heat_op * shift
+    # [A_ge | I], A_ge = -shift (r_stim P_ip kron P_op + Gamma D)
+    rows = ws.ladder.reshape(n_ip, n_op, 2 * n_g)
+    a_ge = ws.ladder.reshape(n_ip, n_op, 2, n_ip, n_op)[:, :, 0]
+    np.multiply(p_ip[:, None, :, None], p_op[None, :, None, :], out=a_ge)
+    a_ge *= r_stim
+    tmp = ws.scratch[:n_op * n_g].reshape(n_op, n_g)
+    for i in range(n_ip):
+        rows[i, :, :n_g] += np.multiply(d_block[i * n_op:(i + 1) * n_op],
+                                        gamma, out=tmp)
+    a_ge *= -shift
+    ws.ladder[:, n_g:] = 0.0
+    ws.ladder.reshape(-1)[n_g::2 * n_g + 1] = 1.0
+    _ladder_solve(ws, (r_abs * laser_out + heat * heat_out) * shift + 1.0,
+                  c_ip, c_op)
+    right, inv_gg = ws.ladder[:, :n_g], ws.ladder[:, n_g:]
+    p_ip_s = shift * r_abs * p_ip
 
-    def a_eg(x: np.ndarray) -> np.ndarray:  # one product per mode
-        y = p_op @ x.reshape(len(p_ip), len(p_op), -1)
-        return (p_ip @ y.reshape(len(p_ip), -1)).reshape(x.shape)
+    def laser(x: np.ndarray) -> np.ndarray:  # -A_eg x, one product per mode
+        y = p_op @ x.reshape(n_ip, n_op, -1)
+        return (p_ip_s @ y.reshape(n_ip, -1)).reshape(x.shape)
 
-    a_gg = matrix.block(0, 0)
-    a_gg *= -shift
-    a_gg.flat[::n_g + 1] += 1.0
-    # [I | A_ge] -> [A_gg^-1 | A_gg^-1 A_ge]
-    rhs = np.zeros((n_g, 2 * n_g))
-    rhs.flat[::2 * n_g + 1] = 1.0
-    np.multiply(matrix.block(0, 1), -shift, out=rhs[:, n_g:])
-    ladder = _ladder_solve(a_gg, matrix.grid_shape, rhs)
-    inv_gg, right = ladder[:, :n_g], ladder[:, n_g:]
-    schur = matrix.block(1, 1)
-    schur *= -shift
-    schur.flat[::n_g + 1] += 1.0
-    schur -= a_eg(right)
-    factors = _block_factor(schur)
+    # S = A_ee - A_eg right: -A_eg right = P_ip (P_op right) per mode,
+    # half of the columns at a time through the scratch, and then the
+    # diagonal and the ladder of A_ee
+    schur = ws.schur.reshape(n_ip, n_op, n_g)
+    for cols in (slice(0, n_g // 2), slice(n_g // 2, n_g)):
+        y = ws.scratch[:n_g * (cols.stop - cols.start)].reshape(n_ip, n_op, -1)
+        np.matmul(p_op, rows[:, :, cols], out=y)
+        np.matmul(p_ip_s, y.transpose(1, 0, 2),
+                  out=schur[:, :, cols].transpose(1, 0, 2))
+    flat = ws.schur.reshape(-1)
+    flat[::n_g + 1] += ((r_stim * laser_out + gamma * d_out)
+                        + heat * heat_out) * shift + 1.0
+    flat[n_op * n_g::n_g + 1] -= c_ip
+    op_up = flat[n_g::n_g + 1]
+    op_up[np.arange(n_g - 1) % n_op < n_op - 1] -= c_op
+    factors = _block_factor(ws.schur, ws.scratch)
 
     def solve(b: np.ndarray) -> np.ndarray:
+        if ws.owner is not token:
+            raise RuntimeError("a later factorization has taken this "
+                               "solver's buffers")
         y = inv_gg @ b[:n_g]
-        x_e = _block_solve(factors, b[n_g:] - a_eg(y))
+        x_e = _block_solve(factors, b[n_g:] + laser(y))
         return np.concatenate([y - right @ x_e, x_e])
 
     return solve
@@ -496,13 +610,13 @@ def _krylov(matrix: RateMatrix, p0: np.ndarray,
     detuning, when that never happens within KRYLOV_M_MAX or when an
     entry falls below -NEGATIVE_TOLERANCE.
     """
-    n = p0.size
-    m_max = min(KRYLOV_M_MAX, n)
     shift = KRYLOV_SHIFT * float(times[-1])
     solve = _shift_invert_solver(matrix, shift)
+    # the basis and Hessenberg matrix of the workspace the solver took
+    basis, hess = _workspace.basis, _workspace.hess
+    hess[...] = 0.0
+    m_max = hess.shape[1]
     beta = float(np.linalg.norm(p0))
-    basis = np.zeros((n, m_max + 1))
-    hess = np.zeros((m_max + 1, m_max))
     basis[:, 0] = p0 / beta
     tolerance = ATOL + RTOL * float(p0.sum())
     where = f"at detuning {matrix.detuning / (2 * np.pi):.6g} Hz"

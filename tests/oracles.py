@@ -165,21 +165,10 @@ def expm_populations(matrix, p0: np.ndarray, times) -> np.ndarray:
     return np.column_stack([expm(dense * float(t)) @ p0 for t in times])
 
 
-def gaussian_profile_fwhm(scenario, tau_scaled: float) -> float:
-    """Readout-dip FWHM (rad/s) of a Gaussian-laser, narrow-line scenario.
-
-    When the laser is far broader than the transition, absorption and
-    stimulated emission both scale with the laser profile
-    g(delta) = exp(-delta^2 / 2 sigma_L^2) while spontaneous emission and
-    heating do not depend on delta.  The signal at detuning delta is then
-    F(g(delta)), where F(g) is the resonant fluorescence with the laser
-    intensity scaled by g.  The dip reaches half depth where
-    F(g) = (F(0) + F(1)) / 2, so the FWHM is 2 sigma_L sqrt(2 ln(1/g_half)).
-    Each F(g) is one dense matrix exponential on resonance; no detuning
-    scan, lineshape evaluation or dip measurement is involved.  Defaults
-    match readout_spectrum: pi-pulse on the (0, -1) sideband, leak
-    survival 1/2.
-    """
+def gaussian_profile_signal(scenario, tau_scaled: float):
+    """F(g) of gaussian_profile_fwhm: the resonant fluorescence at
+    tau_scaled with the laser intensity scaled by g, each value from one
+    dense matrix exponential and kept for later calls."""
     laser, line = scenario.laser, scenario.line
     # r(delta) ~ g(delta) up to the Lorentzian part of the Voigt overlap,
     # a relative error of order Gamma_t / Gamma_L: 9.4e-5 of the peak at
@@ -202,9 +191,28 @@ def gaussian_profile_fwhm(scenario, tau_scaled: float) -> float:
             cache[g] = fluorescence_probability(state, pulse)
         return cache[g]
 
+    return signal
+
+
+def gaussian_profile_fwhm(scenario, tau_scaled: float) -> float:
+    """Readout-dip FWHM (rad/s) of a Gaussian-laser, narrow-line scenario.
+
+    When the laser is far broader than the transition, absorption and
+    stimulated emission both scale with the laser profile
+    g(delta) = exp(-delta^2 / 2 sigma_L^2) while spontaneous emission and
+    heating do not depend on delta.  The signal at detuning delta is then
+    F(g(delta)), where F(g) is the resonant fluorescence with the laser
+    intensity scaled by g (gaussian_profile_signal).  The dip reaches
+    half depth where F(g) = (F(0) + F(1)) / 2, so the FWHM is
+    2 sigma_L sqrt(2 ln(1/g_half)).  Each F(g) is one dense matrix
+    exponential on resonance; no detuning scan, lineshape evaluation or
+    dip measurement is involved.  Defaults match readout_spectrum:
+    pi-pulse on the (0, -1) sideband, leak survival 1/2.
+    """
+    signal = gaussian_profile_signal(scenario, tau_scaled)
     half = 0.5 * (signal(0.0) + signal(1.0))
     g_half = brentq(lambda g: signal(g) - half, 0.0, 1.0, xtol=1e-7)
-    return 2.0 * laser.sigma * np.sqrt(2.0 * np.log(1.0 / g_half))
+    return 2.0 * scenario.laser.sigma * np.sqrt(2.0 * np.log(1.0 / g_half))
 
 
 def heating_kernel_loop(scenario) -> sp.csc_matrix:

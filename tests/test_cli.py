@@ -444,35 +444,3 @@ def test_scaled_time_without_light_is_a_config_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "resonant absorption rate" in err
     assert not (tmp_path / "x.csv").exists()
-
-
-class _FakeLibc:
-    def __init__(self):
-        self.calls = []
-
-    def mallopt(self, param, value):
-        self.calls.append((param, value))
-        return 1
-
-
-@pytest.mark.parametrize("env, expected", [
-    ({}, [(cli._M_MMAP_THRESHOLD, 32 << 20), (cli._M_TRIM_THRESHOLD, 128 << 20)]),
-    ({"MALLOC_ARENA_MAX": "2"}, []),
-    ({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=0"}, [])])
-def test_keep_freed_memory_fixes_thresholds_unless_set(monkeypatch, env, expected):
-    # the cli keeps freed numerics memory on the heap; a malloc setting the
-    # user gave in the environment wins
-    for key in list(os.environ):
-        if key.startswith("MALLOC_") or key == "GLIBC_TUNABLES":
-            monkeypatch.delenv(key)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
-    libc = _FakeLibc()
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
-    cli._keep_freed_memory()
-    assert libc.calls == expected
-
-
-def test_keep_freed_memory_without_mallopt(monkeypatch):
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
-    cli._keep_freed_memory()

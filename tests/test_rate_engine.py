@@ -503,6 +503,90 @@ def test_ground_block_is_the_heating_ladder(name, detuning):
     assert np.array_equal(block - np.diag(np.diag(block)), ladder)
 
 
+def test_solver_whose_buffers_were_taken_raises():
+    # every factorization is built in one workspace per grid shape; an
+    # earlier solver must not answer from buffers a later one overwrote
+    sc, tau = _SOLVER_CASES["mg"]
+    n = sc.leak_index
+    shift = rate_engine.KRYLOV_SHIFT * tau
+    b = np.random.default_rng(5).random(n)
+    first = rate_engine._shift_invert_solver(build_rate_matrix(sc, 0.0), shift)
+    first(b)
+    matrix = build_rate_matrix(sc, 2 * np.pi * 60e6)
+    second = rate_engine._shift_invert_solver(matrix, shift)
+    with pytest.raises(RuntimeError, match="taken"):
+        first(b)
+    want = np.linalg.solve(np.eye(n) - shift * matrix.dense()[:n, :n], b)
+    assert np.linalg.norm(second(b) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_alternating_grid_shapes_match_dense_solve():
+    # the workspace is replaced whenever the grid shape changes
+    cases = [(mg24_ca40(), 1.3e-3), (replace(mg24_ca40(), n_ip_max=5, n_op_max=8),
+                                     1.3e-3),
+             (mg24_ca40(), 1.3e-3), _SOLVER_CASES["mg-28x28"]]
+    for sc, tau in cases:
+        n = sc.leak_index
+        shift = rate_engine.KRYLOV_SHIFT * tau
+        matrix = build_rate_matrix(sc, 2 * np.pi * 20e6)
+        b = np.random.default_rng(n).random(n)
+        got = rate_engine._shift_invert_solver(matrix, shift)(b)
+        want = np.linalg.solve(np.eye(n) - shift * matrix.dense()[:n, :n], b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), sc.grid_shape
+
+
+# A propagation after the first on a grid allocates no n_mot^2 array.
+# With glibc's default malloc settings, fresh 20x20 arrays would be
+# faulted in from the OS each time: about 1700 minor faults, and a
+# tracemalloc peak of 7.7 MB.  What is left is numpy's 64 KB ufunc
+# buffers and the small Krylov matrices (0.2-0.45 MB).
+PROPAGATION_FAULTS = 64
+PROPAGATION_PEAK_BYTES = 512 * 1024
+
+_PROPAGATION_PROBE = """
+import json, resource, tracemalloc, warnings
+import numpy as np
+from recoilspec.presets import mg24_ca40, mgh24_ca40
+from recoilspec.rate_engine import (PopulationState, build_rate_matrix,
+                                    evolve_series, scaled_time)
+warnings.simplefilter("ignore")
+out = {}
+for name, sc in (("mg", mg24_ca40()), ("mgh", mgh24_ca40())):
+    times = ([1.3e-3] if name == "mg" else
+             [t / scaled_time(1.0, sc) for t in (500, 2000, 6000, 16400)])
+    ground = PopulationState.ground(sc)
+    evolve_series(build_rate_matrix(sc, 2 * np.pi * 40e6), ground, times)
+    matrix = build_rate_matrix(sc, 2 * np.pi * 20e6)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evolve_series(matrix, ground, times)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    matrix = build_rate_matrix(sc, 0.0)
+    tracemalloc.start()
+    evolve_series(matrix, ground, times)
+    out[name] = (faults, tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def propagation_costs():
+    # a fresh interpreter with glibc's default malloc settings
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(recoilspec.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _PROPAGATION_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("name", ["mg", "mgh"])
+def test_second_propagation_faults_in_no_fresh_memory(propagation_costs, name):
+    faults, peak = propagation_costs[name]
+    assert faults <= PROPAGATION_FAULTS
+    assert peak < PROPAGATION_PEAK_BYTES
+
+
 _KRON_CASES = {"mg": mg24_ca40, "mgh": mgh24_ca40,
                "mg-6x9": lambda: replace(mg24_ca40(), n_ip_max=5, n_op_max=8)}
 
@@ -534,14 +618,16 @@ def test_laser_block_is_the_kronecker_product_of_its_mode_factors(name):
 def test_block_factor_solve_matches_dense_solve(n):
     # random column-diagonally-dominant M-matrices like S: off-diagonals
     # <= 0 over several decades, column sums >= 1; 37 is below
-    # BLOCK_INVERSE_LEAF, so both halves are inverted directly
+    # BLOCK_INVERSE_LEAF, so both halves are inverted directly.  The
+    # factor works in place, in the n (n + 1) / 2 scratch entries it needs
     rng = np.random.default_rng(n)
     off = -rng.random((n, n)) * (rng.random((n, n)) < 0.2)
     off *= 10.0 ** rng.uniform(-3, 2, n)
     np.fill_diagonal(off, 0.0)
     a = off + np.diag(1.0 + rng.random(n) - off.sum(axis=0))
     b = rng.random(n)
-    got = rate_engine._block_solve(rate_engine._block_factor(a), b)
+    factors = rate_engine._block_factor(a.copy(), np.empty(n * (n + 1) // 2))
+    got = rate_engine._block_solve(factors, b)
     want = np.linalg.solve(a, b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
