@@ -101,7 +101,6 @@ SCHEMA = {
     "readout.wavelength_m": Key(729e-9, check=_POSITIVE),
     "readout.omega_0_hz": Key(10e3, check=_POSITIVE),
     "readout.two_pulse": Key(False, bool),
-    "readout.leak_survival": Key(0.5, check=_UNIT),
     "scan.span_hz": Key(check=_POSITIVE, fallback=300e6),
     "scan.points": Key(101, int, (lambda v: v >= 8, "be >= 8, got {!r}")),
     "scan.tau_spec_s": Key(1.3e-3, check=_POSITIVE),
@@ -393,8 +392,7 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
             warnings.simplefilter("ignore", LeakWarning)
             records = readout_spectrum(
                 scenario, detunings, tau_spec,
-                pulses=_readout_pulses(cfg, scenario),
-                leak_survival=cfg["readout"]["leak_survival"])
+                pulses=_readout_pulses(cfg, scenario))
     csv_path = prefix + ".csv"
     _write_csv(csv_path, _SPECTRUM_HEADER, _spectrum_rows(records, model))
     fit_mode = _scan_setting(cfg, "fit")
@@ -447,8 +445,7 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
     fit_mode = _scan_setting(cfg, "fit")
     rows = width_depth_curves(entries, wc["tau_scaled"], _detuning_grid(cfg),
                               fit=fit_mode,
-                              pulses=_readout_pulses(cfg, scenario),
-                              leak_survival=cfg["readout"]["leak_survival"])
+                              pulses=_readout_pulses(cfg, scenario))
     csv_path = prefix + ".csv"
     _write_csv(csv_path,
                ["label", "tau_scaled", "tau_spec_s", "fwhm_hz", "depth",

@@ -220,21 +220,6 @@ def _jump_blocks(weights: np.ndarray) -> tuple:
             np.where(valid & ~in_grid, weights, 0.0).sum(axis=(2, 3)).ravel())
 
 
-def _in_grid(block, ip: np.ndarray, op: np.ndarray, states) -> np.ndarray:
-    """New array of the rows and columns `states`, at grid positions
-    (ip, op), of a family's in-grid block: a dense block, the laser's
-    per-mode pair, of whose Kronecker product only these rows are
-    multiplied out, or the heating ladder's two rates."""
-    if isinstance(block, np.ndarray):
-        return block[states][:, states]
-    first, second = block
-    if isinstance(first, np.ndarray):
-        return (first[ip, :, None]
-                * second[op, None, :]).reshape(ip.size, -1)[:, states]
-    return (first * ((ip[:, None] == ip + 1) & (op[:, None] == op))
-            + second * ((ip[:, None] == ip) & (op[:, None] == op + 1)))
-
-
 @dataclass
 class RateMatrix:
     """Generator G of dP/dt = G P at one laser detuning, as jump blocks.
@@ -242,55 +227,40 @@ class RateMatrix:
     G sums five channels, each a jump family of the scenario times a
     rate: absorption g -> e (laser, r), stimulated emission e -> g
     (laser, rho r), spontaneous emission e -> g (D, Gamma_t or 0) and
-    heating within g and within e (ladder, 1).  rates holds those four;
-    at (1, rho, 0, 0) G is the kernel K, at (0, 0, Gamma_t, 1) it is C.
-    Jumps past the grid feed the leak row and each diagonal entry is
-    minus its state's out-rate, so column sums vanish.  The laser block
-    is held as its per-mode factors and the heating ladder as its two
-    rates; block and dense form them on demand.
+    heating within g and within e (the ladder, at its own rates).  rates
+    holds the first three.  Jumps past the grid feed the leak row and
+    each diagonal entry is minus its state's out-rate, so column sums
+    vanish.  The laser block is held as its per-mode factors and the
+    heating ladder as its two rates; dense forms them on demand.
     """
     jumps: tuple
-    rates: tuple[float, float, float, float]
+    rates: tuple[float, float, float]
     detuning: float
     grid_shape: tuple[int, int]
     leak_warn_fraction: float = 0.01
-
-    def _channels(self) -> tuple:
-        """(rate, jumps, src, dest) of each channel; internal state 0 is
-        the ground state g, 1 the excited state e."""
-        laser, spontaneous, heating = self.jumps
-        r_abs, r_stim, gamma, heat = self.rates
-        return ((r_abs, laser, 0, 1), (r_stim, laser, 1, 0),
-                (gamma, spontaneous, 1, 0), (heat, heating, 0, 0),
-                (heat, heating, 1, 1))
-
-    def block(self, dest: int, src: int, states=slice(None)) -> np.ndarray:
-        """New array of the in-grid block of G from internal state src to
-        dest, over the motional states given (all by default); with
-        dest == src, minus each state's out-rate is on the diagonal."""
-        n_op = self.grid_shape[1]
-        ip, op = np.divmod(np.arange(self.grid_shape[0] * n_op)[states], n_op)
-        # every (src, dest) pair has a channel
-        out, *rest = [rate * _in_grid(b, ip, op, states)
-                      for rate, (b, _, _), s, d in self._channels()
-                      if (s, d) == (src, dest)]
-        for term in rest:
-            out += term
-        for rate, (_, out_rate, _), s, _ in self._channels():
-            if s == src == dest:
-                out.flat[::out.shape[0] + 1] -= rate * out_rate[states]
-        return out
 
     def dense(self) -> np.ndarray:
         """G as a (2 n_mot + 1)^2 array, built anew on each call: the
         ground grid, the excited grid, then the leak row, whose entries
         are the rates past the grid and whose column is zero."""
-        n = 2 * self.grid_shape[0] * self.grid_shape[1]
+        ((p_ip, p_op), laser_out, laser_off), (d_block, d_out, d_off), (
+            (heat_ip, heat_op), heat_out, heat_off) = self.jumps
+        r_abs, r_stim, gamma = self.rates
+        n_ip, n_op = self.grid_shape
+
+        def per_state(laser, d, heat):  # the ground grid, then the excited
+            return np.concatenate([r_abs * laser + heat,
+                                   r_stim * laser + gamma * d + heat])
+
+        laser = np.kron(p_ip, p_op)
+        ladder = (heat_ip * np.kron(np.eye(n_ip, k=-1), np.eye(n_op))
+                  + heat_op * np.kron(np.eye(n_ip), np.eye(n_op, k=-1)))
+        n = 2 * n_ip * n_op
         out = np.zeros((n + 1, n + 1))
-        out[:n, :n] = np.block([[self.block(d, s) for s in (0, 1)] for d in (0, 1)])
-        leak = out[n, :n].reshape(2, -1)
-        for rate, (_, _, off_grid), src, _ in self._channels():
-            leak[src] += rate * off_grid
+        out[:n, :n] = np.block([[ladder, r_stim * laser + gamma * d_block],
+                                [r_abs * laser, ladder]])
+        np.fill_diagonal(out[:n, :n], -per_state(laser_out, d_out, heat_out))
+        out[n, :n] = per_state(laser_off, d_off, heat_off)
         return out
 
 
@@ -302,14 +272,16 @@ def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
     r |xi(n,s)|^2, stimulated emission e,(n) -> g,(n+s) at rho r |xi|^2
     (the same table by the n_< / n_> symmetry).  C holds spontaneous
     emission at Gamma_t D and the heating ladder; include_spontaneous=False
-    keeps only the ladder.  Off-grid destinations feed the leak row.
+    keeps only the ladder, which runs at the scenario's heating rates.
+    Off-grid destinations feed the leak row.  rates is (r, rho r, Gamma_t
+    or 0).
     """
     line = scenario.line
     rate = base_rate(scenario.laser, line, detuning)
     rho = line.stimulated_scale / line.absorption_scale
     return RateMatrix(jumps=scenario.jump_blocks(),
                       rates=(rate, rho * rate,
-                             line.gamma_t if include_spontaneous else 0.0, 1.0),
+                             line.gamma_t if include_spontaneous else 0.0),
                       detuning=detuning, grid_shape=scenario.grid_shape,
                       leak_warn_fraction=scenario.leak_warn_fraction)
 
@@ -543,8 +515,8 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     token = ws.owner
     ((p_ip, p_op), laser_out, _), (d_block, d_out, _), (
         (heat_ip, heat_op), heat_out, _) = matrix.jumps
-    r_abs, r_stim, gamma, heat = matrix.rates
-    c_ip, c_op = heat * heat_ip * shift, heat * heat_op * shift
+    r_abs, r_stim, gamma = matrix.rates
+    c_ip, c_op = heat_ip * shift, heat_op * shift
     # [A_ge | I], A_ge = -shift (r_stim P_ip kron P_op + Gamma D)
     rows = ws.ladder.reshape(n_ip, n_op, 2 * n_g)
     a_ge = ws.ladder.reshape(n_ip, n_op, 2, n_ip, n_op)[:, :, 0]
@@ -557,7 +529,7 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     a_ge *= -shift
     ws.ladder[:, n_g:] = 0.0
     ws.ladder.reshape(-1)[n_g::2 * n_g + 1] = 1.0
-    _ladder_solve(ws, (r_abs * laser_out + heat * heat_out) * shift + 1.0,
+    _ladder_solve(ws, (r_abs * laser_out + heat_out) * shift + 1.0,
                   c_ip, c_op)
     right, inv_gg = ws.ladder[:, :n_g], ws.ladder[:, n_g:]
     p_ip_s = shift * r_abs * p_ip
@@ -577,7 +549,7 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
                   out=schur[:, :, cols].transpose(1, 0, 2))
     flat = ws.schur.reshape(-1)
     flat[::n_g + 1] += ((r_stim * laser_out + gamma * d_out)
-                        + heat * heat_out) * shift + 1.0
+                        + heat_out) * shift + 1.0
     flat[n_op * n_g::n_g + 1] -= c_ip
     op_up = flat[n_g::n_g + 1]
     op_up[np.arange(n_g - 1) % n_op < n_op - 1] -= c_op

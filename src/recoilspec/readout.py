@@ -16,6 +16,9 @@ from .coupling import xi, xi_mode_table
 from .ion_mechanics import BeamGeometry, TwoIonSystem, lamb_dicke
 from .rate_engine import PopulationState
 
+# survival of leaked population per pulse: the high-n average of 1 - sin^2
+LEAK_SURVIVAL = 0.5
+
 
 @dataclass(frozen=True)
 class ReadoutPulse:
@@ -80,8 +83,8 @@ def _rabi_map(pulse: ReadoutPulse, grid_shape: tuple[int, int]) -> np.ndarray:
     return omega
 
 
-def fluorescence_probability(state: PopulationState, *pulses: ReadoutPulse,
-                             leak_survival: float = 0.5) -> float:
+def fluorescence_probability(state: PopulationState,
+                             *pulses: ReadoutPulse) -> float:
     """Probability of remaining in the fluorescing readout ground state.
 
     This is the simulated detected signal after the pulses, applied in
@@ -90,12 +93,10 @@ def fluorescence_probability(state: PopulationState, *pulses: ReadoutPulse,
     its motional state, so per motional state the survival factors
     1 - (Omega/W)^2 sin^2(W t / 2), W = hypot(Omega, detuning), multiply.
     Population that leaked off the grid survives each pulse with
-    probability leak_survival (high-n average 1/2 by default).
+    probability LEAK_SURVIVAL.
     """
     if not pulses:
         raise ValueError("the readout needs at least one pulse")
-    if not 0.0 <= leak_survival <= 1.0:
-        raise ValueError("leak_survival must lie in [0, 1]")
     shape = state.p.shape[1:]
     survive = np.ones(shape)
     for pulse in pulses:
@@ -104,4 +105,4 @@ def fluorescence_probability(state: PopulationState, *pulses: ReadoutPulse,
         frac = np.divide(omega, gen, out=np.zeros(shape), where=gen > 0.0) ** 2
         survive = survive * (1.0 - frac * np.sin(gen * pulse.duration / 2.0) ** 2)
     return float((survive * state.motional_marginal()).sum()
-                 + leak_survival ** len(pulses) * state.leaked)
+                 + LEAK_SURVIVAL ** len(pulses) * state.leaked)

@@ -13,7 +13,7 @@ faster than the full engine and reproduces the gross spectral features.
 
 import numpy as np
 
-from .rate_engine import RateMatrix, SpectroscopyScenario, expm
+from .rate_engine import SpectroscopyScenario, expm
 from .radiation import base_rate
 from .scan_fit import SpectrumRecord
 
@@ -21,25 +21,29 @@ from .scan_fit import SpectrumRecord
 def reduced_kernels(scenario: SpectroscopyScenario) -> tuple[np.ndarray, np.ndarray]:
     """The engine's kernels K and C collapsed onto (g00, e00, aux).
 
-    K and C are the engine's generator at the rates (1, rho, 0, 0) and
-    (0, 0, Gamma_t, 1) of its channels; their entries between the two
-    motional ground states are read from the scenario's jump blocks.
+    Their entries between the two motional ground states are read from
+    the scenario's jump blocks (SpectroscopyScenario.jump_blocks).  K
+    holds absorption g00 -> e00 at the laser weight P_ip[0, 0] P_op[0, 0]
+    and stimulated emission back at rho times it; its diagonal is minus
+    the laser out-rate of (0, 0), times rho for e00.  C holds spontaneous
+    emission e00 -> g00 at Gamma_t D[0, 0]; its diagonal is minus the
+    heating out-rate, and for e00 also minus Gamma_t times D's out-rate.
     The aux row takes each column's remainder, so every column sums to
     zero, and the aux column is zero, so aux is absorbing.  The
     three-level generator at a detuning is base_rate(delta) K3 + C3.
     """
-    def collapse(matrix):
-        out = np.zeros((3, 3))
-        out[:2, :2] = [[matrix.block(d, s, states=[0])[0, 0] for s in (0, 1)]
-                       for d in (0, 1)]
-        out[2, :2] = -out[:2, :2].sum(axis=0)
-        return out
-
+    ((p_ip, p_op), laser_out, _), (d_block, d_out, _), (
+        _, heat_out, _) = scenario.jump_blocks()
     line = scenario.line
     rho = line.stimulated_scale / line.absorption_scale
-    return tuple(collapse(RateMatrix(scenario.jump_blocks(), rates, 0.0,
-                                     scenario.grid_shape))
-                 for rates in ((1.0, rho, 0.0, 0.0), (0.0, 0.0, line.gamma_t, 1.0)))
+    stay = p_ip[0, 0] * p_op[0, 0]
+    kernels = ([[-laser_out[0], rho * stay], [stay, -rho * laser_out[0]]],
+               [[-heat_out[0], line.gamma_t * d_block[0, 0]],
+                [0.0, -(line.gamma_t * d_out[0] + heat_out[0])]])
+    out = np.zeros((2, 3, 3))
+    out[:, :2, :2] = kernels
+    out[:, 2, :2] = -out[:, :2, :2].sum(axis=1)
+    return tuple(out)
 
 
 def reduced_signal(p, contrast: float = 0.5) -> float:

@@ -163,8 +163,8 @@ def _rate_values(scenario: SpectroscopyScenario, detunings: np.ndarray,
     return table.reshape(rates.size, times.size, -1)
 
 
-def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
-          leak_survival) -> list[list[SpectrumRecord]]:
+def _scan(scenario: SpectroscopyScenario, detunings, tau_specs,
+          pulses) -> list[list[SpectrumRecord]]:
     """Records for every pulse time (outer) and detuning (inner), in input order.
 
     The detunings are grouped by base rate, and _rate_values gives each
@@ -192,8 +192,7 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
             # a state whose one internal row is the marginal stands in
             state = PopulationState(p=row[:-1].reshape((1,) + scenario.grid_shape),
                                     leaked=float(row[-1]))
-            signal = ro.fluorescence_probability(state, *pulses,
-                                                 leak_survival=leak_survival)
+            signal = ro.fluorescence_probability(state, *pulses)
             for i in group:
                 per_time[k][i] = SpectrumRecord(
                     detuning=float(detunings[i]), fluorescence=signal,
@@ -203,8 +202,8 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs, pulses,
 
 
 def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
-                     pulses: Optional[tuple[ro.ReadoutPulse, ...]] = None,
-                     leak_survival: float = 0.5) -> list[SpectrumRecord]:
+                     pulses: Optional[tuple[ro.ReadoutPulse, ...]] = None
+                     ) -> list[SpectrumRecord]:
     """Fluorescence signal and motional populations across a detuning grid.
 
     pulses is the readout sequence, applied in turn; it defaults to a
@@ -215,7 +214,7 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
     the rate predicts them to the propagator's tolerance, and the others
     are interpolated.
     """
-    records = _scan(scenario, detunings, [tau_spec], pulses, leak_survival)[0]
+    records = _scan(scenario, detunings, [tau_spec], pulses)[0]
     if any(r.leak_flag for r in records):
         worst = max(r.leaked for r in records)
         warnings.warn(f"leaked population reaches {worst:.2%} on the scan",
@@ -375,8 +374,8 @@ class WidthDepthPoint:
 def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
                        tau_scaled_values, detunings,
                        fit: str = "lorentzian",
-                       pulses: Optional[tuple[ro.ReadoutPulse, ...]] = None,
-                       leak_survival: float = 0.5) -> list[WidthDepthPoint]:
+                       pulses: Optional[tuple[ro.ReadoutPulse, ...]] = None
+                       ) -> list[WidthDepthPoint]:
     """Signal FWHM and depth versus scaled time for several scenarios.
 
     Each (label, scenario) pair is scanned at every requested scaled
@@ -395,7 +394,7 @@ def width_depth_curves(scenarios: Sequence[tuple[str, SpectroscopyScenario]],
         if not (rate := scaled_time(1.0, scenario)) > 0:
             raise ValueError(f"{label}: resonant absorption rate {rate!r} must be > 0")
         tau_specs = tau_scaled / rate
-        scans = _scan(scenario, detunings, tau_specs, pulses, leak_survival)
+        scans = _scan(scenario, detunings, tau_specs, pulses)
         for ts, tau_spec, records in zip(tau_scaled, tau_specs, scans):
             if fit == "lorentzian":
                 res = fit_lorentzian(records)

@@ -42,7 +42,7 @@ DEFAULT = {
         "absorption_scale", "stimulated_scale", "target_mass_u", "readout_mass_u",
         "transition_wavelength_m", "gamma_t_hz", "pattern"]),
     "readout": {"wavelength_m": 7.29e-07, "omega_0_hz": 10000.0,
-                "two_pulse": False, "leak_survival": 0.5},
+                "two_pulse": False},
     "scan": {"span_hz": None, "points": 101, "tau_spec_s": 0.0013,
              "tau_scaled": None, "fit": None},
     "dynamics": {"t_max_s": 0.0053, "points": 60, "detuning_hz": 0.0},
@@ -376,7 +376,7 @@ def test_widthcurve_sweeps_one_key(tmp_path, capsys):
     ["spectrum", "-s", "readout.two_pulse=yes"],
     ["spectrum", "-s", "readout.two_pulse=1"],
     ["spectrum", "-s", "scan.points=true"],
-    ["modes", "-s", "readout.leak_survival=true"],
+    ["modes", "-s", "readout.omega_0_hz=true"],
     ["spectrum", "-s", "scenario.n_ip_max=2.5"],
     ["modes", "-s", "scenario.n_op_max=2.5"],
     ["spectrum", "-s", "scenario.s_ip_max=1.5"],

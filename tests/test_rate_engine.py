@@ -53,7 +53,7 @@ def test_columns_sum_to_zero(mg_scenario):
 
 
 def test_build_rate_matrix_allocates_no_square(mg_scenario):
-    # the generator is the scenario's cached jump blocks and four rates; a
+    # the generator is the scenario's cached jump blocks and three rates; a
     # (2 n_mot + 1)^2 array per detuning would take 5.1 MB on this 20x20 grid
     build_rate_matrix(mg_scenario, 0.0)  # the scenario caches its blocks
     tracemalloc.start()
@@ -608,7 +608,8 @@ def test_laser_block_is_the_kronecker_product_of_its_mode_factors(name):
         np.einsum("au,bv->abuv", x_ip, x_op))
     assert np.array_equal(np.kron(p_ip, p_op), block)
     matrix = build_rate_matrix(sc, 0.0)
-    assert np.array_equal(matrix.block(1, 0), matrix.rates[0] * block)
+    n = sc.n_motional
+    assert np.array_equal(matrix.dense()[n:2 * n, :n], matrix.rates[0] * block)
     assert out_rate == pytest.approx(out_full, rel=1e-14, abs=0)
     assert np.abs(off_grid - off_full).max() <= 1e-14 * out_full.max()
     assert off_grid.min() >= 0.0
@@ -643,14 +644,22 @@ def test_block_factor_solve_matches_dense_solve(n):
 def test_shifted_generator_is_a_column_dominant_m_matrix(
         preset, intensity_sat_units, heat_ip, heat_op, n_ip_max, n_op_max,
         s_ip_max, s_op_max, detuning, shift):
-    # _block_factor eliminates without pivoting; that needs I - shift G to
-    # have off-diagonals <= 0 and column sums >= 1 (to roundoff)
+    # the whole generator, leak row included, conserves probability: its
+    # columns sum to zero, the leak column is zero and no jump rate is
+    # negative.  _block_factor eliminates without pivoting; that needs
+    # I - shift G to have off-diagonals <= 0 and column sums >= 1 (to
+    # roundoff)
     sc = replace(preset(intensity_sat_units=intensity_sat_units,
                         heat_ip=heat_ip, heat_op=heat_op),
                  n_ip_max=n_ip_max, n_op_max=n_op_max,
                  s_ip_max=s_ip_max, s_op_max=s_op_max)
     n = sc.leak_index
-    a = np.eye(n) - shift * build_rate_matrix(sc, detuning).dense()[:n, :n]
+    gen = build_rate_matrix(sc, detuning).dense()
+    assert np.all(gen[:, n] == 0.0)
+    assert (gen - np.diag(np.diag(gen))).min() >= 0.0
+    scale = np.abs(gen).sum(axis=0)
+    assert np.all(np.abs(gen.sum(axis=0)) <= 64 * np.finfo(float).eps * scale)
+    a = np.eye(n) - shift * gen[:n, :n]
     assert (a - np.diag(np.diag(a))).max() <= 0.0
     roundoff = 64 * np.finfo(float).eps * np.abs(a).sum(axis=0)
     assert np.all(a.sum(axis=0) >= 1.0 - roundoff)

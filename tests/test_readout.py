@@ -18,10 +18,9 @@ OMEGA_0 = 2 * np.pi * 10e3
 GRID = (20, 20)
 
 
-def shelved(state, *pulses, leak_survival=0.5):
+def shelved(state, *pulses):
     """Probability that the pulses shelve the readout ion."""
-    return 1.0 - fluorescence_probability(state, *pulses,
-                                          leak_survival=leak_survival)
+    return 1.0 - fluorescence_probability(state, *pulses)
 
 
 def make_state(populations, leaked=0.0):
@@ -118,12 +117,12 @@ def test_detuning_suppresses_shelving(op_pulse):
 
 def test_detuned_pulse_matches_generalized_rabi_sum(op_pulse, ip_pulse):
     # explicit per-state sum of the generalized Rabi formula, both pulses
-    # detuned, leaked population surviving each pulse with probability 0.3
+    # detuned, leaked population surviving each pulse with probability 1/2
     populations = {(0, 1): 0.3, (1, 2): 0.2, (2, 0): 0.15, (3, 3): 0.15}
     state = make_state(populations, leaked=0.2)
     op = replace(op_pulse, detuning=2 * np.pi * 700.0)
     ip = replace(ip_pulse, detuning=-2 * np.pi * 1500.0)
-    want = 0.3 ** 2 * 0.2
+    want = 0.5 ** 2 * 0.2
     for (n_ip, n_op), prob in populations.items():
         survive = prob
         for pulse in (op, ip):
@@ -135,15 +134,12 @@ def test_detuned_pulse_matches_generalized_rabi_sum(op_pulse, ip_pulse):
             w = np.sqrt(omega ** 2 + pulse.detuning ** 2)
             survive *= 1.0 - omega ** 2 / w ** 2 * np.sin(w * pulse.duration / 2) ** 2
         want += survive
-    got = fluorescence_probability(state, op, ip, leak_survival=0.3)
+    got = fluorescence_probability(state, op, ip)
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_rejects_bad_leak_survival_and_no_pulses(op_pulse):
+def test_rejects_no_pulses():
     state = make_state({(0, 1): 0.5}, leaked=0.5)
-    for bad in (-0.1, 1.5, 2.0):
-        with pytest.raises(ValueError):
-            fluorescence_probability(state, op_pulse, leak_survival=bad)
     with pytest.raises(ValueError):
         fluorescence_probability(state)
 
@@ -164,7 +160,6 @@ def test_high_n_population_fluoresces_near_half(op_pulse):
 def test_leaked_population_fluoresces_at_half(op_pulse):
     state = make_state({}, leaked=1.0)
     assert fluorescence_probability(state, op_pulse) == pytest.approx(0.5)
-    assert fluorescence_probability(state, op_pulse, leak_survival=1.0) == 1.0
 
 
 def test_rabi_map_built_once_per_pulse(op_pulse, monkeypatch):

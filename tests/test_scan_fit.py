@@ -159,7 +159,7 @@ def test_fit_matches_least_squares_oracle_on_synthetic_dips(y):
 def test_fit_matches_least_squares_oracle_on_mg_spectra(mg_scenario):
     grid = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 31)
     for records in _scan(mg_scenario, grid, [0.2e-3, 1.3e-3, 5e-3, 13e-3],
-                         None, 0.5):
+                         None):
         assert_fit_matches_oracle(grid, np.array([r.fluorescence for r in records]))
 
 
@@ -307,7 +307,7 @@ def propagations():
 
 
 def scan(scenario, detunings, tau_specs):
-    return _scan(scenario, detunings, tau_specs, pulses=None, leak_survival=0.5)
+    return _scan(scenario, detunings, tau_specs, pulses=None)
 
 
 def distinct_rates(scenario, detunings):
