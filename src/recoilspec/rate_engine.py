@@ -4,8 +4,9 @@ The population over (target internal state) x (n_ip, n_op) obeys linear
 rate equations: absorption and stimulated emission proportional to the
 laser-sideband couplings |xi|^2, spontaneous emission weighted by the
 solid-angle-averaged coefficients D, and a uniform upward heating ladder
-per mode.  The grid is truncated; any transition leaving it feeds an
-absorbing leak accumulator so probability stays exactly conserved.
+per mode.  The grid and the sideband range are truncated; any
+transition leaving them feeds an absorbing leak accumulator so
+probability stays exactly conserved.
 
 The generator is held as its laser-independent in-grid jump blocks; the
 dense square is built only on demand (RateMatrix.dense).  Propagations
@@ -132,27 +133,18 @@ class SpectroscopyScenario:
         return self._cache["d"]
 
     def jump_blocks(self) -> tuple:
-        """The generator's laser-independent jump families (laser |xi|^2,
-        spontaneous D, heating ladder), built once.  Each is (block,
-        out_rate, off_grid) over the motional states in grid order:
-        block[m, n] weighs the in-grid jump n -> m, out_rate[n] is the
-        total weight out of n and off_grid[n] the part leaving the grid.
-        Only D is kept as a dense block.  The laser's block is its per-mode
-        factors (P_ip, P_op), P[m, n] = |xi(n, m - n)|^2, with its rates
-        as per-mode products; the heating ladder's is its two rates
-        (heat_ip, heat_op), one quantum up in n_ip or in n_op."""
+        """The generator's laser-independent in-grid jump families, built
+        once, over the motional states in grid order: the laser's per-mode
+        factors (P_ip, P_op), P[m, n] = |xi(n, m - n)|^2, whose Kronecker
+        product weighs the jump n -> m; the spontaneous block D[m, n]; and
+        the heating ladder's two rates (heat_ip, heat_op), one quantum up
+        in n_ip or in n_op.  By completeness each laser and D column
+        would sum to 1 untruncated; what a column lacks leaves the grid."""
         if "jumps" not in self._cache:
-            (p_ip, out_ip, off_ip), (p_op, out_op, off_op) = (
-                _jump_blocks(x[:, None, :, None]) for x in self.laser_coupling())
-            n_ip, n_op = self.grid_shape
-            heat = (self.heat_ip, self.heat_op)
             self._cache["jumps"] = (
-                ((p_ip, p_op), np.outer(out_ip, out_op).ravel(), (np.outer(
-                    off_ip, out_op) + np.outer(p_ip.sum(0), off_op)).ravel()),
-                _jump_blocks(self.d_table()),
-                (heat, np.full(n_ip * n_op, heat[0] + heat[1]),
-                 (np.where(np.arange(n_ip) == n_ip - 1, heat[0], 0.0)[:, None]
-                  + np.where(np.arange(n_op) == n_op - 1, heat[1], 0.0)).ravel()))
+                tuple(_in_grid_block(x[:, None, :, None])
+                      for x in self.laser_coupling()),
+                _in_grid_block(self.d_table()), (self.heat_ip, self.heat_op))
         return self._cache["jumps"]
 
     def with_laser(self, **kw) -> "SpectroscopyScenario":
@@ -201,10 +193,11 @@ class PopulationState:
             raise ValueError(f"population not normalized: total = {self.total()!r}")
 
 
-def _jump_blocks(weights: np.ndarray) -> tuple:
-    """(block, out_rate, off_grid) of weights[n_ip, n_op, s_ip_max+u_ip,
-    s_op_max+u_op], the weight of the motional jump n -> n+u; the grid and
-    the sideband range are read from the shape of weights."""
+def _in_grid_block(weights: np.ndarray) -> np.ndarray:
+    """block[m, n], the weight of the in-grid motional jump n -> m, from
+    weights[n_ip, n_op, s_ip_max+u_ip, s_op_max+u_op], the weight of the
+    jump n -> n+u; the grid and the sideband range are read from the
+    shape of weights."""
     n_ip, n_op, w_ip, w_op = weights.shape
     mip = (np.arange(n_ip)[:, None, None, None]
            + np.arange(w_ip)[:, None] - w_ip // 2)
@@ -212,12 +205,10 @@ def _jump_blocks(weights: np.ndarray) -> tuple:
     src = np.broadcast_to(np.arange(n_ip * n_op).reshape(n_ip, n_op, 1, 1),
                           weights.shape)
     # weights are exactly zero below the grid; mask anyway to keep indices legal
-    valid = (mip >= 0) & (mop >= 0)
-    in_grid = valid & (mip < n_ip) & (mop < n_op)
+    in_grid = (mip >= 0) & (mop >= 0) & (mip < n_ip) & (mop < n_op)
     block = np.zeros((n_ip * n_op, n_ip * n_op))
     block[(mip * n_op + mop)[in_grid], src[in_grid]] = weights[in_grid]
-    return (block, np.where(valid, weights, 0.0).sum(axis=(2, 3)).ravel(),
-            np.where(valid & ~in_grid, weights, 0.0).sum(axis=(2, 3)).ravel())
+    return block
 
 
 @dataclass
@@ -228,10 +219,12 @@ class RateMatrix:
     rate: absorption g -> e (laser, r), stimulated emission e -> g
     (laser, rho r), spontaneous emission e -> g (D, Gamma_t or 0) and
     heating within g and within e (the ladder, at its own rates).  rates
-    holds the first three.  Jumps past the grid feed the leak row and
-    each diagonal entry is minus its state's out-rate, so column sums
-    vanish.  The laser block is held as its per-mode factors and the
-    heating ladder as its two rates; dense forms them on demand.
+    holds the first three.  Each channel's weights out of a state sum to
+    1, so the diagonal is -(r + h) on the ground grid and -(rho r +
+    Gamma_t + h) on the excited grid, h = heat_ip + heat_op; what the
+    grid and the sideband range do not keep feeds the leak row, so
+    column sums vanish.  The laser block is held as its per-mode factors
+    and the heating ladder as its two rates; dense forms them on demand.
     """
     jumps: tuple
     rates: tuple[float, float, float]
@@ -242,25 +235,28 @@ class RateMatrix:
     def dense(self) -> np.ndarray:
         """G as a (2 n_mot + 1)^2 array, built anew on each call: the
         ground grid, the excited grid, then the leak row, whose entries
-        are the rates past the grid and whose column is zero."""
-        ((p_ip, p_op), laser_out, laser_off), (d_block, d_out, d_off), (
-            (heat_ip, heat_op), heat_out, heat_off) = self.jumps
+        are the rates not kept in the grid and whose column is zero."""
+        (p_ip, p_op), d_block, (heat_ip, heat_op) = self.jumps
         r_abs, r_stim, gamma = self.rates
         n_ip, n_op = self.grid_shape
-
-        def per_state(laser, d, heat):  # the ground grid, then the excited
-            return np.concatenate([r_abs * laser + heat,
-                                   r_stim * laser + gamma * d + heat])
-
         laser = np.kron(p_ip, p_op)
         ladder = (heat_ip * np.kron(np.eye(n_ip, k=-1), np.eye(n_op))
                   + heat_op * np.kron(np.eye(n_ip), np.eye(n_op, k=-1)))
-        n = 2 * n_ip * n_op
+        n_g = n_ip * n_op
+        n = 2 * n_g
         out = np.zeros((n + 1, n + 1))
         out[:n, :n] = np.block([[ladder, r_stim * laser + gamma * d_block],
                                 [r_abs * laser, ladder]])
-        np.fill_diagonal(out[:n, :n], -per_state(laser_out, d_out, heat_out))
-        out[n, :n] = per_state(laser_off, d_off, heat_off)
+        heat = heat_ip + heat_op
+        np.fill_diagonal(out[:n, :n], np.repeat(
+            [-(r_abs + heat), -(r_stim + gamma + heat)], n_g))
+        # each unit-weight block's remainder, and the ladder's top edges
+        laser_off, d_off = (np.clip(1.0 - b.sum(axis=0), 0.0, None)
+                            for b in (laser, d_block))
+        edge = ((np.arange(n_ip) == n_ip - 1)[:, None] * heat_ip
+                + (np.arange(n_op) == n_op - 1) * heat_op).ravel()
+        out[n, :n] = np.concatenate([r_abs * laser_off + edge,
+                                     r_stim * laser_off + gamma * d_off + edge])
         return out
 
 
@@ -273,8 +269,8 @@ def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
     (the same table by the n_< / n_> symmetry).  C holds spontaneous
     emission at Gamma_t D and the heating ladder; include_spontaneous=False
     keeps only the ladder, which runs at the scenario's heating rates.
-    Off-grid destinations feed the leak row.  rates is (r, rho r, Gamma_t
-    or 0).
+    Jumps past the grid edge or the sideband range feed the leak row.
+    rates is (r, rho r, Gamma_t or 0).
     """
     line = scenario.line
     rate = base_rate(scenario.laser, line, detuning)
@@ -371,9 +367,8 @@ def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
 class _Workspace:
     """The buffers of one propagation on one grid shape: [A_ge | I] and
     then its ladder solve, S and then its factor, the factor's scratch,
-    the inverses of the ladder's diagonal blocks, and the Krylov basis
-    and Hessenberg matrix.  owner is the token of the solver that took
-    them last."""
+    and the Krylov basis and Hessenberg matrix.  owner is the token of
+    the solver that took them last."""
 
     def __init__(self, grid_shape: tuple[int, int]):
         n_ip, n_op = grid_shape
@@ -385,7 +380,6 @@ class _Workspace:
         # _block_factor of an n x n matrix needs n (n + 1) / 2 entries, a
         # pass over the grid rows 2 n_op n_g
         self.scratch = np.empty(max(n_g * (n_g + 1) // 2, 2 * n_op * n_g))
-        self.inv_diag = np.empty((n_ip, n_op, n_op))
         self.basis = np.empty((2 * n_g, m_max + 1))
         self.hess = np.empty((m_max + 1, m_max))
         self.owner = None
@@ -406,7 +400,7 @@ def _take_workspace(grid_shape: tuple[int, int]) -> _Workspace:
     return _workspace
 
 
-def _ladder_solve(ws: _Workspace, diag: np.ndarray, c_ip: float,
+def _ladder_solve(ws: _Workspace, diag: float, c_ip: float,
                   c_op: float) -> None:
     """[A_ge | I] -> [A_gg^-1 A_ge | A_gg^-1] in ws.ladder, for the ground
     block A_gg = I - shift G_gg.
@@ -415,22 +409,16 @@ def _ladder_solve(ws: _Workspace, diag: np.ndarray, c_ip: float,
     ladders.  In blocks of one n_ip row of the grid, it is lower
     block-bidiagonal: the n_op ladder stays within a row, and the n_ip
     ladder feeds row i from the same n_op in row i - 1.  Substitution
-    runs down the rows, each by the inverse of its own bidiagonal block,
-    which its recurrence writes to ws.inv_diag.  A_gg^-1 is block lower
+    runs down the rows, each by the inverse of the bidiagonal block that
+    every row shares, [j, k] = c_op^(j - k) / diag^(j - k + 1) for j >= k
+    (c_op < diag, so no power overflows).  A_gg^-1 is block lower
     triangular, so row i covers only the identity's columns up to its
     own block.
     """
     n_ip, n_op = ws.grid_shape
     n_g = n_ip * n_op
-    d = diag.reshape(n_ip, n_op)
-    inv_diag = ws.inv_diag
-    inv_diag[:, 0] = 0.0
-    for j in range(n_op):
-        row = inv_diag[:, j]
-        if j:
-            np.multiply(inv_diag[:, j - 1], c_op, out=row)
-        row[:, j] += 1.0
-        row /= d[:, j, None]
+    lag = np.subtract.outer(np.arange(n_op), np.arange(n_op))
+    inv_row = np.tril((c_op / diag) ** lag.clip(0)) / diag
     x = ws.ladder.reshape(n_ip, n_op, 2 * n_g)
     t = ws.scratch[:2 * n_g * n_op].reshape(n_op, 2 * n_g)
     for i in range(n_ip):
@@ -441,7 +429,7 @@ def _ladder_solve(ws: _Workspace, diag: np.ndarray, c_ip: float,
         else:
             t[...] = x[i]
         cols = slice(n_g + (i + 1) * n_op)
-        np.matmul(inv_diag[i], t[:, cols], out=x[i, :, cols])
+        np.matmul(inv_row, t[:, cols], out=x[i, :, cols])
 
 
 def _block_factor(a: np.ndarray, scratch: np.ndarray) -> tuple:
@@ -513,9 +501,9 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     n_g = n_ip * n_op
     ws = _take_workspace(matrix.grid_shape)
     token = ws.owner
-    ((p_ip, p_op), laser_out, _), (d_block, d_out, _), (
-        (heat_ip, heat_op), heat_out, _) = matrix.jumps
+    (p_ip, p_op), d_block, (heat_ip, heat_op) = matrix.jumps
     r_abs, r_stim, gamma = matrix.rates
+    heat = heat_ip + heat_op
     c_ip, c_op = heat_ip * shift, heat_op * shift
     # [A_ge | I], A_ge = -shift (r_stim P_ip kron P_op + Gamma D)
     rows = ws.ladder.reshape(n_ip, n_op, 2 * n_g)
@@ -529,8 +517,7 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     a_ge *= -shift
     ws.ladder[:, n_g:] = 0.0
     ws.ladder.reshape(-1)[n_g::2 * n_g + 1] = 1.0
-    _ladder_solve(ws, (r_abs * laser_out + heat_out) * shift + 1.0,
-                  c_ip, c_op)
+    _ladder_solve(ws, (r_abs + heat) * shift + 1.0, c_ip, c_op)
     right, inv_gg = ws.ladder[:, :n_g], ws.ladder[:, n_g:]
     p_ip_s = shift * r_abs * p_ip
 
@@ -548,8 +535,7 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
         np.matmul(p_ip_s, y.transpose(1, 0, 2),
                   out=schur[:, :, cols].transpose(1, 0, 2))
     flat = ws.schur.reshape(-1)
-    flat[::n_g + 1] += ((r_stim * laser_out + gamma * d_out)
-                        + heat_out) * shift + 1.0
+    flat[::n_g + 1] += (r_stim + gamma + heat) * shift + 1.0
     flat[n_op * n_g::n_g + 1] -= c_ip
     op_up = flat[n_g::n_g + 1]
     op_up[np.arange(n_g - 1) % n_op < n_op - 1] -= c_op

@@ -24,22 +24,22 @@ def reduced_kernels(scenario: SpectroscopyScenario) -> tuple[np.ndarray, np.ndar
     Their entries between the two motional ground states are read from
     the scenario's jump blocks (SpectroscopyScenario.jump_blocks).  K
     holds absorption g00 -> e00 at the laser weight P_ip[0, 0] P_op[0, 0]
-    and stimulated emission back at rho times it; its diagonal is minus
-    the laser out-rate of (0, 0), times rho for e00.  C holds spontaneous
-    emission e00 -> g00 at Gamma_t D[0, 0]; its diagonal is minus the
-    heating out-rate, and for e00 also minus Gamma_t times D's out-rate.
-    The aux row takes each column's remainder, so every column sums to
-    zero, and the aux column is zero, so aux is absorbing.  The
-    three-level generator at a detuning is base_rate(delta) K3 + C3.
+    and stimulated emission back at rho times it; its diagonal is -1 and
+    -rho, since each laser channel's total weight is 1.  C holds
+    spontaneous emission e00 -> g00 at Gamma_t D[0, 0]; its diagonal is
+    -h and -(Gamma_t + h), with h the sum of the two heating rates.  The
+    aux row takes each column's remainder, so every column sums to zero,
+    and the aux column is zero, so aux is absorbing.  The three-level
+    generator at a detuning is base_rate(delta) K3 + C3.
     """
-    ((p_ip, p_op), laser_out, _), (d_block, d_out, _), (
-        _, heat_out, _) = scenario.jump_blocks()
+    (p_ip, p_op), d_block, (heat_ip, heat_op) = scenario.jump_blocks()
     line = scenario.line
     rho = line.stimulated_scale / line.absorption_scale
     stay = p_ip[0, 0] * p_op[0, 0]
-    kernels = ([[-laser_out[0], rho * stay], [stay, -rho * laser_out[0]]],
-               [[-heat_out[0], line.gamma_t * d_block[0, 0]],
-                [0.0, -(line.gamma_t * d_out[0] + heat_out[0])]])
+    heat = heat_ip + heat_op
+    kernels = ([[-1.0, rho * stay], [stay, -rho]],
+               [[-heat, line.gamma_t * d_block[0, 0]],
+                [0.0, -(line.gamma_t + heat)]])
     out = np.zeros((2, 3, 3))
     out[:, :2, :2] = kernels
     out[:, 2, :2] = -out[:, :2, :2].sum(axis=1)

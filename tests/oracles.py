@@ -7,7 +7,8 @@ trapezoid integration, split-line widths from a dense-grid half-maximum
 search, emission coefficients from the full dipole patterns integrated
 over the sphere in (theta, phi), time evolution from the dense matrix
 exponential of the generator (the reference for the library's Krylov
-propagator), laser-broadened dip widths from resonant dense matrix
+propagator), the dark heated grid from a product of Poisson
+distributions, laser-broadened dip widths from resonant dense matrix
 exponentials instead of a detuning scan, the heating ladder from an
 explicit loop over grid states, the whole rate generator from a loop
 over grid states and sidebands with every rate written out, the
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.optimize import brentq, least_squares
-from scipy.special import eval_genlaguerre, gammaln, voigt_profile
+from scipy.special import eval_genlaguerre, factorial, gammaln, voigt_profile
 
 from recoilspec.constants import C, HBAR
 from recoilspec.ion_mechanics import BeamGeometry, lamb_dicke
@@ -165,10 +166,26 @@ def expm_populations(matrix, p0: np.ndarray, times) -> np.ndarray:
     return np.column_stack([expm(dense * float(t)) @ p0 for t in times])
 
 
+def heating_only_state(scenario, t: float) -> PopulationState:
+    """The population at time t from the ground state with the laser off.
+
+    Only the heating ladder acts, one quantum up at a time in each mode,
+    so n_ip and n_op are independent Poisson counts with means
+    heat_ip t and heat_op t; what climbs past the grid edge has leaked.
+    """
+    q_ip, q_op = (np.arange(n) for n in scenario.grid_shape)
+    lam_ip, lam_op = scenario.heat_ip * t, scenario.heat_op * t
+    p = np.zeros((2,) + scenario.grid_shape)
+    p[0] = np.outer(lam_ip ** q_ip * np.exp(-lam_ip) / factorial(q_ip),
+                    lam_op ** q_op * np.exp(-lam_op) / factorial(q_op))
+    return PopulationState(p=p, leaked=1.0 - p.sum())
+
+
 def gaussian_profile_signal(scenario, tau_scaled: float):
     """F(g) of gaussian_profile_fwhm: the resonant fluorescence at
-    tau_scaled with the laser intensity scaled by g, each value from one
-    dense matrix exponential and kept for later calls."""
+    tau_scaled with the laser intensity scaled by g, kept for later
+    calls.  F(0), where only heating acts, comes from heating_only_state,
+    every other value from one dense matrix exponential."""
     laser, line = scenario.laser, scenario.line
     # r(delta) ~ g(delta) up to the Lorentzian part of the Voigt overlap,
     # a relative error of order Gamma_t / Gamma_L: 9.4e-5 of the peak at
@@ -183,11 +200,14 @@ def gaussian_profile_signal(scenario, tau_scaled: float):
 
     def signal(g):
         if g not in cache:
-            scaled = scenario.with_laser(intensity=g * laser.intensity)
-            matrix = build_rate_matrix(scaled, 0.0)
-            p = expm_populations(matrix, ground.to_vector(), [tau_spec])[:, 0]
-            state = PopulationState.from_vector(np.clip(p, 0.0, None),
-                                                matrix.grid_shape)
+            if g == 0.0:
+                state = heating_only_state(scenario, tau_spec)
+            else:
+                scaled = scenario.with_laser(intensity=g * laser.intensity)
+                matrix = build_rate_matrix(scaled, 0.0)
+                p = expm_populations(matrix, ground.to_vector(), [tau_spec])[:, 0]
+                state = PopulationState.from_vector(np.clip(p, 0.0, None),
+                                                    matrix.grid_shape)
             cache[g] = fluorescence_probability(state, pulse)
         return cache[g]
 
@@ -254,8 +274,9 @@ def generator_loop(scenario, detuning: float,
     (hbar w_t^3), times |xi|^2 from the factorial double sum; spontaneous
     emission e(n) -> g(n+s) runs at Gamma_t times D from sphere_d_table,
     and heating comes from heating_kernel_loop.  A destination past the
-    grid edge is the leak row, and each diagonal entry balances its
-    column.
+    grid edge is the leak row, and so is the rest of each channel's
+    unit total weight, 1 less the weight kept in the sideband range.
+    Each diagonal entry balances its column.
     """
     laser, line = scenario.laser, scenario.line
     n_ip, n_op = scenario.grid_shape
@@ -277,14 +298,17 @@ def generator_loop(scenario, detuning: float,
     g = heating_kernel_loop(scenario).toarray()
     for i in range(n_ip):
         for j in range(n_op):
+            kept_xi2 = kept_d = 0.0
             for u in range(-s_ip, s_ip + 1):
                 for v in range(-s_op, s_op + 1):
                     if i + u < 0 or j + v < 0:
                         continue
                     xi2 = abs(xi_double_sum(eta_ip, eta_op, i, j, u, v)) ** 2
+                    kept_xi2 += xi2
                     jumps = [(0, 1, r_abs * xi2), (1, 0, r_stim * xi2)]
                     if d is not None:
                         d_jump = d[i, j, s_ip + u, s_op + v]
+                        kept_d += d_jump
                         jumps.append((1, 0, line.gamma_t * d_jump))
                     in_grid = i + u < n_ip and j + v < n_op
                     for src_block, dest_block, rate in jumps:
@@ -293,6 +317,16 @@ def generator_loop(scenario, detuning: float,
                                 if in_grid else leak)
                         g[dest, src] += rate
                         g[src, src] -= rate
+            # the weight beyond the sideband range: each channel's total
+            # weight is 1 by completeness, and the rest leaves the grid
+            remainders = [(0, r_abs * (1.0 - kept_xi2)),
+                          (1, r_stim * (1.0 - kept_xi2))]
+            if d is not None:
+                remainders.append((1, line.gamma_t * (1.0 - kept_d)))
+            for src_block, rate in remainders:
+                src = src_block * n_mot + i * n_op + j
+                g[leak, src] += rate
+                g[src, src] -= rate
     return g
 
 
