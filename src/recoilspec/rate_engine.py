@@ -349,7 +349,8 @@ def _pade13_extra_squarings(x: np.ndarray) -> np.ndarray:
 
 def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
                    shift: float, times: np.ndarray) -> np.ndarray:
-    """beta V_m expm(t G_m) e_1 at every t, with G_m = (I - H_m^-1) / shift.
+    """beta V_m expm(t G_m) e_1 at every t, with G_m = (I - H_m^-1) / shift,
+    as (n, len(times)) from the basis V_m^T, one vector per row.
 
     An intermediate H_m can be nearly singular, so G_m may overflow expm;
     the result is then non-finite, never a warning.
@@ -359,28 +360,36 @@ def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
         try:
             g_m = (np.eye(m) - np.linalg.inv(hess)) / shift
         except np.linalg.LinAlgError:
-            return np.full((basis.shape[0], times.size), np.nan)
+            return np.full((basis.shape[1], times.size), np.nan)
         coeffs = expm(times[:, None, None] * g_m)[:, :, 0]
-        return beta * (basis @ coeffs.T)
+        return beta * (coeffs @ basis).T
 
 
 class _Workspace:
-    """The buffers of one propagation on one grid shape: [A_ge | I] and
-    then its ladder solve, S and then its factor, the factor's scratch,
-    and the Krylov basis and Hessenberg matrix.  owner is the token of
-    the solver that took them last."""
+    """The buffers of one propagation on one grid shape: A_ge, which
+    becomes A_gg^-1 A_ge, then S and then its factor (schur); the
+    factor's scratch; the ground block's kernel stack (_ground_kernel),
+    the zero-padded ground vector, its n_ip shifted windows and their
+    copy (_ground_solve); and the Krylov basis, one vector per row, and
+    the Hessenberg matrix.  owner is the token of the solver that took
+    them last."""
 
     def __init__(self, grid_shape: tuple[int, int]):
         n_ip, n_op = grid_shape
         n_g = n_ip * n_op
         m_max = min(KRYLOV_M_MAX, 2 * n_g)
         self.grid_shape = grid_shape
-        self.ladder = np.empty((n_g, 2 * n_g))
         self.schur = np.empty((n_g, n_g))
-        # _block_factor of an n x n matrix needs n (n + 1) / 2 entries, a
-        # pass over the grid rows 2 n_op n_g
-        self.scratch = np.empty(max(n_g * (n_g + 1) // 2, 2 * n_op * n_g))
-        self.basis = np.empty((2 * n_g, m_max + 1))
+        # _block_factor of an n x n matrix needs n (n + 1) / 2 entries,
+        # more than a pass over one grid row (n_op n_g, as n_ip >= 2)
+        self.scratch = np.empty(n_g * (n_g + 1) // 2)
+        self.kernel = np.empty((n_g, n_op))
+        # n_ip - 1 rows of zeros, then the vector; window i starts at row i
+        self.padded = np.zeros((2 * n_ip - 1) * n_op)
+        self.windows = np.lib.stride_tricks.sliding_window_view(
+            self.padded, n_g)[::n_op]
+        self.window = np.empty((n_ip, n_g))
+        self.basis = np.empty((m_max + 1, 2 * n_g))
         self.hess = np.empty((m_max + 1, m_max))
         self.owner = None
 
@@ -400,36 +409,69 @@ def _take_workspace(grid_shape: tuple[int, int]) -> _Workspace:
     return _workspace
 
 
-def _ladder_solve(ws: _Workspace, diag: float, c_ip: float,
-                  c_op: float) -> None:
-    """[A_ge | I] -> [A_gg^-1 A_ge | A_gg^-1] in ws.ladder, for the ground
-    block A_gg = I - shift G_gg.
+def _row_inverse(n_op: int, diag: float, c_op: float) -> np.ndarray:
+    """Inverse of the bidiagonal block that every grid row of the ground
+    block A_gg shares, diag on its diagonal and -c_op on the n_op ladder:
+    [j, l] = c_op^(j - l) / diag^(j - l + 1) for j >= l (c_op < diag, so
+    no power overflows)."""
+    lag = np.subtract.outer(np.arange(n_op), np.arange(n_op))
+    return np.tril((c_op / diag) ** lag.clip(0)) / diag
 
-    A_gg is diag on its diagonal and -c_ip, -c_op on the upward heating
-    ladders.  In blocks of one n_ip row of the grid, it is lower
+
+def _ladder_solve(ws: _Workspace, inv_row: np.ndarray, c_ip: float) -> None:
+    """A_ge -> A_gg^-1 A_ge in ws.schur, in place, for the ground block
+    A_gg = I - shift G_gg.
+
+    A_gg is one scalar on its diagonal and -c_ip, -c_op on the upward
+    heating ladders.  In blocks of one n_ip row of the grid, it is lower
     block-bidiagonal: the n_op ladder stays within a row, and the n_ip
     ladder feeds row i from the same n_op in row i - 1.  Substitution
-    runs down the rows, each by the inverse of the bidiagonal block that
-    every row shares, [j, k] = c_op^(j - k) / diag^(j - k + 1) for j >= k
-    (c_op < diag, so no power overflows).  A_gg^-1 is block lower
-    triangular, so row i covers only the identity's columns up to its
-    own block.
+    runs down the rows, each by the shared row inverse inv_row
+    (_row_inverse).
     """
     n_ip, n_op = ws.grid_shape
     n_g = n_ip * n_op
-    lag = np.subtract.outer(np.arange(n_op), np.arange(n_op))
-    inv_row = np.tril((c_op / diag) ** lag.clip(0)) / diag
-    x = ws.ladder.reshape(n_ip, n_op, 2 * n_g)
-    t = ws.scratch[:2 * n_g * n_op].reshape(n_op, 2 * n_g)
+    x = ws.schur.reshape(n_ip, n_op, n_g)
+    t = ws.scratch[:n_op * n_g].reshape(n_op, n_g)
     for i in range(n_ip):
-        # whole rows, which numpy adds unbuffered; the zeros past cols stay
         if i:
             np.multiply(x[i - 1], c_ip, out=t)
             t += x[i]
         else:
             t[...] = x[i]
-        cols = slice(n_g + (i + 1) * n_op)
-        np.matmul(inv_row, t[:, cols], out=x[i, :, cols])
+        np.matmul(inv_row, t, out=x[i])
+
+
+def _ground_kernel(ws: _Workspace, inv_row: np.ndarray, c_ip: float) -> None:
+    """The kernel stack of A_gg^-1 in ws.kernel, from its row inverse.
+
+    A_gg^-1 is two-level lower-triangular Toeplitz: its grid-row block
+    (i, k) is c_ip^a inv_row^(a + 1) with a = i - k >= 0, so its entry
+    [(i, j), (k, l)] is w[i - k, j - l] of one n_ip x n_op kernel
+    w = A_gg^-1 e_0.  Row (n_ip - 1 - a, l) and column j of the stack
+    hold w[a, j - l], zero for j < l: the blocks transposed and in
+    reverse order, as _ground_solve's windows meet them.
+    """
+    n_ip, n_op = ws.grid_shape
+    kernel = ws.kernel.reshape(n_ip, n_op, n_op)
+    step = c_ip * inv_row.T
+    kernel[-1] = inv_row.T
+    for a in range(n_ip - 1, 0, -1):
+        np.matmul(kernel[a], step, out=kernel[a - 1])
+
+
+def _ground_solve(ws: _Workspace, b: np.ndarray) -> np.ndarray:
+    """A_gg^-1 b for a ground-grid vector b, from ws.kernel.
+
+    Grid row i of the answer sums, over a = 0 .. i, b's grid row i - a
+    times the transposed block a.  With b after n_ip - 1 rows of zeros
+    in ws.padded, rows i - n_ip + 1 .. i of b are one contiguous window,
+    so A_gg^-1 b is one (n_ip x n_mot) (n_mot x n_op) product over the
+    copied windows.
+    """
+    ws.padded[ws.padded.size - b.size:] = b
+    np.copyto(ws.window, ws.windows)
+    return (ws.window @ ws.kernel).reshape(-1)
 
 
 def _block_factor(a: np.ndarray, scratch: np.ndarray) -> tuple:
@@ -484,16 +526,22 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     """Solver for (I - shift G) x = b by elimination of the ground block.
 
     G is over the in-grid states, the ground grid, then the excited grid
-    (n = 2 n_mot).  Only heating keeps the internal state, so
-    _ladder_solve gives A_gg^-1 and A_gg^-1 A_ge in one pass, and only
-    absorption leads from g to e, so A_eg = -shift r (P_ip kron P_op) is
-    applied per mode, never formed.  S = A_ee - A_eg A_gg^-1 A_ge
-    eliminates the excited block densely.  I - shift G is a
-    column-diagonally-dominant M-matrix (off-diagonals <= 0, column sums
-    >= 1), and so is S, which _block_factor therefore factors without
-    pivoting.  Each solve reads three n_mot^2 operators.
+    (n = 2 n_mot).  Only heating keeps the internal state, so A_gg is
+    the heating ladder on one scalar diagonal: _ladder_solve gives
+    A_gg^-1 A_ge, and each solve applies A_gg^-1 through its kernel
+    (_ground_kernel, _ground_solve), never formed.  Only absorption
+    leads from g to e, so A_eg = -shift r (P_ip kron P_op) is applied
+    per mode, never formed.  S = A_ee - A_eg A_gg^-1 A_ge eliminates the
+    excited block densely, built over A_ge in one n_mot^2 buffer.  I -
+    shift G is a column-diagonally-dominant M-matrix (off-diagonals <=
+    0, column sums >= 1), and so is S, which _block_factor therefore
+    factors without pivoting.  Each solve reads two n_mot^2 operators,
+    the factor of S and D:
 
-    Every n_mot^2 array is built in the process's workspace for the grid
+        y = A_gg^-1 b_g,  x_e = S^-1 (b_e - A_eg y),
+        x_g = y - A_gg^-1 A_ge x_e.
+
+    Every large array is built in the process's workspace for the grid
     shape, which the next call takes over: the solve of an earlier call
     then raises RuntimeError.
     """
@@ -505,35 +553,27 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     r_abs, r_stim, gamma = matrix.rates
     heat = heat_ip + heat_op
     c_ip, c_op = heat_ip * shift, heat_op * shift
-    # [A_ge | I], A_ge = -shift (r_stim P_ip kron P_op + Gamma D)
-    rows = ws.ladder.reshape(n_ip, n_op, 2 * n_g)
-    a_ge = ws.ladder.reshape(n_ip, n_op, 2, n_ip, n_op)[:, :, 0]
-    np.multiply(p_ip[:, None, :, None], p_op[None, :, None, :], out=a_ge)
-    a_ge *= r_stim
+    inv_row = _row_inverse(n_op, (r_abs + heat) * shift + 1.0, c_op)
+    p_abs, p_stim = shift * r_abs * p_ip, shift * r_stim * p_ip
+    # A_ge = -shift (r_stim P_ip kron P_op + Gamma D); the Kronecker
+    # product as a stack of outer products, which numpy forms unbuffered
+    rows = ws.schur.reshape(n_ip, n_op, n_g)
+    np.matmul(-p_stim[:, None, :, None], p_op[None, :, None, :],
+              out=ws.schur.reshape(n_ip, n_op, n_ip, n_op))
     tmp = ws.scratch[:n_op * n_g].reshape(n_op, n_g)
     for i in range(n_ip):
-        rows[i, :, :n_g] += np.multiply(d_block[i * n_op:(i + 1) * n_op],
-                                        gamma, out=tmp)
-    a_ge *= -shift
-    ws.ladder[:, n_g:] = 0.0
-    ws.ladder.reshape(-1)[n_g::2 * n_g + 1] = 1.0
-    _ladder_solve(ws, (r_abs + heat) * shift + 1.0, c_ip, c_op)
-    right, inv_gg = ws.ladder[:, :n_g], ws.ladder[:, n_g:]
-    p_ip_s = shift * r_abs * p_ip
-
-    def laser(x: np.ndarray) -> np.ndarray:  # -A_eg x, one product per mode
-        y = p_op @ x.reshape(n_ip, n_op, -1)
-        return (p_ip_s @ y.reshape(n_ip, -1)).reshape(x.shape)
-
-    # S = A_ee - A_eg right: -A_eg right = P_ip (P_op right) per mode,
+        rows[i] += np.multiply(d_block[i * n_op:(i + 1) * n_op],
+                               -shift * gamma, out=tmp)
+    _ladder_solve(ws, inv_row, c_ip)
+    _ground_kernel(ws, inv_row, c_ip)
+    # S = A_ee - A_eg A_gg^-1 A_ge: -A_eg = P_ip (P_op .) per mode, over
     # half of the columns at a time through the scratch, and then the
     # diagonal and the ladder of A_ee
-    schur = ws.schur.reshape(n_ip, n_op, n_g)
     for cols in (slice(0, n_g // 2), slice(n_g // 2, n_g)):
         y = ws.scratch[:n_g * (cols.stop - cols.start)].reshape(n_ip, n_op, -1)
         np.matmul(p_op, rows[:, :, cols], out=y)
-        np.matmul(p_ip_s, y.transpose(1, 0, 2),
-                  out=schur[:, :, cols].transpose(1, 0, 2))
+        np.matmul(p_abs, y.transpose(1, 0, 2),
+                  out=rows[:, :, cols].transpose(1, 0, 2))
     flat = ws.schur.reshape(-1)
     flat[::n_g + 1] += (r_stim + gamma + heat) * shift + 1.0
     flat[n_op * n_g::n_g + 1] -= c_ip
@@ -541,13 +581,20 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     op_up[np.arange(n_g - 1) % n_op < n_op - 1] -= c_op
     factors = _block_factor(ws.schur, ws.scratch)
 
+    def laser(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # (p kron P_op) x, one product per mode
+        return (p @ x.reshape(n_ip, n_op) @ p_op.T).reshape(-1)
+
     def solve(b: np.ndarray) -> np.ndarray:
         if ws.owner is not token:
             raise RuntimeError("a later factorization has taken this "
                                "solver's buffers")
-        y = inv_gg @ b[:n_g]
-        x_e = _block_solve(factors, b[n_g:] + laser(y))
-        return np.concatenate([y - right @ x_e, x_e])
+        y = _ground_solve(ws, b[:n_g])
+        x_e = _block_solve(factors, b[n_g:] + laser(p_abs, y))
+        # -A_ge x_e = shift (r_stim P + Gamma D) x_e
+        y += _ground_solve(ws, laser(p_stim, x_e)
+                           + shift * gamma * (d_block @ x_e))
+        return np.concatenate([y, x_e])
 
     return solve
 
@@ -575,23 +622,23 @@ def _krylov(matrix: RateMatrix, p0: np.ndarray,
     hess[...] = 0.0
     m_max = hess.shape[1]
     beta = float(np.linalg.norm(p0))
-    basis[:, 0] = p0 / beta
+    np.divide(p0, beta, out=basis[0])
     tolerance = ATOL + RTOL * float(p0.sum())
     where = f"at detuning {matrix.detuning / (2 * np.pi):.6g} Hz"
     previous = None
     for j in range(m_max):
         m = j + 1
-        w = solve(basis[:, j])
+        w = solve(basis[j])
         w_norm = np.linalg.norm(w)
         for _ in range(2):
-            h = basis[:, :m].T @ w
-            w -= basis[:, :m] @ h
+            h = basis[:m] @ w
+            w -= h @ basis[:m]
             hess[:m, j] += h
         hess[m, j] = np.linalg.norm(w)
         invariant = hess[m, j] <= 1e-12 * w_norm
         if invariant or (m >= KRYLOV_M_START
                          and (m - KRYLOV_M_START) % KRYLOV_M_STEP == 0):
-            p = _krylov_series(basis[:, :m], hess[:m, :m], beta, shift, times)
+            p = _krylov_series(basis[:m], hess[:m, :m], beta, shift, times)
             if not np.all(np.isfinite(p)):
                 p = None
             elif invariant or (previous is not None
@@ -601,7 +648,7 @@ def _krylov(matrix: RateMatrix, p0: np.ndarray,
                 raise RuntimeError(f"Krylov answer on the invariant space of "
                                    f"size {m} is not finite {where}")
             previous = p
-        basis[:, m] = w / hess[m, j]
+        np.divide(w, hess[m, j], out=basis[m])
     else:
         raise RuntimeError(f"no two Krylov basis sizes up to {m_max} agreed "
                            f"to the tolerance {where}")

@@ -492,10 +492,12 @@ def test_shift_invert_solver_matches_dense_solve(name, detuning):
 @pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 60e6])
 @pytest.mark.parametrize("name", sorted(_SOLVER_CASES))
 def test_ground_block_is_the_heating_ladder(name, detuning):
-    # only heating keeps the internal state, so the ground block is the
-    # diagonal plus the upward ladder of each mode; the solver's speed rests
-    # on that (_ladder_solve substitutes down the grid rows), and a new
-    # g -> g process must change this test on purpose
+    # only heating keeps the internal state, so the ground block is one
+    # uniform diagonal plus the upward ladder of each mode; the solver
+    # rests on that (_ladder_solve substitutes down the grid rows, and
+    # _ground_kernel takes all of A_gg^-1 from one kernel, which needs a
+    # two-level Toeplitz block), and a new g -> g process must change this
+    # test on purpose
     sc, _ = _SOLVER_CASES[name]
     n_mot, n_op = sc.n_motional, sc.n_op_max + 1
     block = build_rate_matrix(sc, detuning).dense()[:n_mot, :n_mot]
@@ -506,6 +508,52 @@ def test_ground_block_is_the_heating_ladder(name, detuning):
     ladder[up_ip + n_op, up_ip] = sc.heat_ip
     ladder[up_op + 1, up_op] = sc.heat_op
     assert np.array_equal(block - np.diag(np.diag(block)), ladder)
+    assert np.all(np.diag(block) == block[0, 0])
+
+
+# the ground block on its own: every solver case, a non-square grid, no
+# heating, and MgH far off resonance at its longest pulse, with the
+# preset's heating and with heating that makes the ladders, c_ip + c_op,
+# 0.95 of the diagonal d
+_MGH_LONGEST_TAU = 16400 / scaled_time(1.0, mgh24_ca40())
+_KERNEL_CASES = {
+    **_SOLVER_CASES,
+    "mg-6x9": (replace(mg24_ca40(), n_ip_max=5, n_op_max=8), 1.3e-3),
+    "mg-unheated": (replace(mg24_ca40(heat_ip=0.0, heat_op=0.0),
+                            n_ip_max=5, n_op_max=8), 1.3e-3),
+    "mgh-longest": (mgh24_ca40(), _MGH_LONGEST_TAU),
+    "mgh-longest-heated": (mgh24_ca40(heat_ip=4e3, heat_op=3e3),
+                           _MGH_LONGEST_TAU)}
+
+
+@pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 60e6,
+                                      2 * np.pi * 600e6])
+@pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
+def test_ground_kernel_matches_dense_solve(name, detuning):
+    # each solve applies A_gg^-1 through the kernel the factorization built
+    sc, tau = _KERNEL_CASES[name]
+    n_g = sc.n_motional
+    matrix = build_rate_matrix(sc, detuning)
+    shift = rate_engine.KRYLOV_SHIFT * tau
+    rate_engine._shift_invert_solver(matrix, shift)
+    a_gg = np.eye(n_g) - shift * matrix.dense()[:n_g, :n_g]
+    b = np.random.default_rng(n_g).random(n_g)
+    got = rate_engine._ground_solve(rate_engine._workspace, b)
+    want = np.linalg.solve(a_gg, b)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [20, 36])
+def test_workspace_holds_about_two_ground_squares(n):
+    # S (n_g^2) and the factor's scratch (n_g^2 / 2), with the Krylov
+    # basis and the kernel's buffers: about 2 n_g^2 doubles at 20x20 and
+    # less at 36x36.  A second n_g x n_g operator kept for the solves,
+    # such as A_gg^-1 or A_gg^-1 A_ge, would not fit
+    n_g = n * n
+    ws = rate_engine._Workspace((n, n))
+    held = sum(a.nbytes for a in vars(ws).values()
+               if isinstance(a, np.ndarray) and a.base is None)
+    assert held <= 2.25 * n_g ** 2 * 8
 
 
 def test_solver_whose_buffers_were_taken_raises():
@@ -544,7 +592,7 @@ def test_alternating_grid_shapes_match_dense_solve():
 # With glibc's default malloc settings, fresh 20x20 arrays would be
 # faulted in from the OS each time: about 1700 minor faults, and a
 # tracemalloc peak of 7.7 MB.  What is left is numpy's 64 KB ufunc
-# buffers and the small Krylov matrices (0.2-0.45 MB).
+# buffers and the small Krylov matrices (0.15-0.45 MB).
 PROPAGATION_FAULTS = 64
 PROPAGATION_PEAK_BYTES = 512 * 1024
 
