@@ -368,11 +368,10 @@ def _krylov_series(basis: np.ndarray, hess: np.ndarray, beta: float,
 class _Workspace:
     """The buffers of one propagation on one grid shape: A_ge, which
     becomes A_gg^-1 A_ge, then S and then its factor (schur); the
-    factor's scratch; the ground block's kernel stack (_ground_kernel),
-    the zero-padded ground vector, its n_ip shifted windows and their
-    copy (_ground_solve); and the Krylov basis, one vector per row, and
-    the Hessenberg matrix.  owner is the token of the solver that took
-    them last."""
+    factor's scratch; the row inverse's transpose and the doubled powers
+    of the ground block's row step (ground, _ground_solve); and the
+    Krylov basis, one vector per row, and the Hessenberg matrix.  owner
+    is the token of the solver that took them last."""
 
     def __init__(self, grid_shape: tuple[int, int]):
         n_ip, n_op = grid_shape
@@ -383,12 +382,8 @@ class _Workspace:
         # _block_factor of an n x n matrix needs n (n + 1) / 2 entries,
         # more than a pass over one grid row (n_op n_g, as n_ip >= 2)
         self.scratch = np.empty(n_g * (n_g + 1) // 2)
-        self.kernel = np.empty((n_g, n_op))
-        # n_ip - 1 rows of zeros, then the vector; window i starts at row i
-        self.padded = np.zeros((2 * n_ip - 1) * n_op)
-        self.windows = np.lib.stride_tricks.sliding_window_view(
-            self.padded, n_g)[::n_op]
-        self.window = np.empty((n_ip, n_g))
+        # inv_row^T, then (c_ip inv_row^T)^(2^k) for 2^k < n_ip
+        self.ground = np.empty((int(n_ip - 1).bit_length() + 1, n_op, n_op))
         self.basis = np.empty((m_max + 1, 2 * n_g))
         self.hess = np.empty((m_max + 1, m_max))
         self.owner = None
@@ -442,36 +437,30 @@ def _ladder_solve(ws: _Workspace, inv_row: np.ndarray, c_ip: float) -> None:
         np.matmul(inv_row, t, out=x[i])
 
 
-def _ground_kernel(ws: _Workspace, inv_row: np.ndarray, c_ip: float) -> None:
-    """The kernel stack of A_gg^-1 in ws.kernel, from its row inverse.
-
-    A_gg^-1 is two-level lower-triangular Toeplitz: its grid-row block
-    (i, k) is c_ip^a inv_row^(a + 1) with a = i - k >= 0, so its entry
-    [(i, j), (k, l)] is w[i - k, j - l] of one n_ip x n_op kernel
-    w = A_gg^-1 e_0.  Row (n_ip - 1 - a, l) and column j of the stack
-    hold w[a, j - l], zero for j < l: the blocks transposed and in
-    reverse order, as _ground_solve's windows meet them.
-    """
-    n_ip, n_op = ws.grid_shape
-    kernel = ws.kernel.reshape(n_ip, n_op, n_op)
-    step = c_ip * inv_row.T
-    kernel[-1] = inv_row.T
-    for a in range(n_ip - 1, 0, -1):
-        np.matmul(kernel[a], step, out=kernel[a - 1])
+def _ground_powers(ws: _Workspace, inv_row: np.ndarray, c_ip: float) -> None:
+    """inv_row^T and the powers (c_ip inv_row^T)^(2^k) in ws.ground, for
+    _ground_solve."""
+    ws.ground[0] = inv_row.T
+    np.multiply(inv_row.T, c_ip, out=ws.ground[1])
+    for k in range(2, len(ws.ground)):
+        np.matmul(ws.ground[k - 1], ws.ground[k - 1], out=ws.ground[k])
 
 
 def _ground_solve(ws: _Workspace, b: np.ndarray) -> np.ndarray:
-    """A_gg^-1 b for a ground-grid vector b, from ws.kernel.
+    """A_gg^-1 b for a ground-grid vector b, from ws.ground.
 
-    Grid row i of the answer sums, over a = 0 .. i, b's grid row i - a
-    times the transposed block a.  With b after n_ip - 1 rows of zeros
-    in ws.padded, rows i - n_ip + 1 .. i of b are one contiguous window,
-    so A_gg^-1 b is one (n_ip x n_mot) (n_mot x n_op) product over the
-    copied windows.
+    Over b's grid rows, as row vectors, A_gg^-1 b runs the recurrence of
+    _ladder_solve, x_i = y_i + x_(i-1) P with y_i = b_i inv_row^T and
+    P = c_ip inv_row^T.  Recursive doubling (Kogge & Stone, IEEE Trans.
+    Comput. C-22 (1973) 786) sums it: after the step with P^(2^k), row
+    i holds the sum over lags a < 2^(k+1) of y_(i-a) P^a, so
+    ceil(log2 n_ip) steps cover every lag.
     """
-    ws.padded[ws.padded.size - b.size:] = b
-    np.copyto(ws.window, ws.windows)
-    return (ws.window @ ws.kernel).reshape(-1)
+    n_ip, n_op = ws.grid_shape
+    x = b.reshape(n_ip, n_op) @ ws.ground[0]
+    for k, power in enumerate(ws.ground[1:]):
+        x[1 << k:] += x[:-(1 << k)] @ power
+    return x.reshape(-1)
 
 
 def _block_factor(a: np.ndarray, scratch: np.ndarray) -> tuple:
@@ -503,13 +492,15 @@ def _block_inverse(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         return a
     inv_tl, right, below, inv_br = _block_factor(a, scratch)
     h = inv_tl.shape[0]
+    # negate the contiguous scratch operands, not the strided halves of a:
+    # an in-place ufunc on a strided 2-D view takes numpy's 128 KB buffers
     tmp = scratch[right.size:][:below.size].reshape(below.shape)
     np.matmul(inv_br, below, out=tmp)
+    np.negative(tmp, out=tmp)
     np.matmul(tmp, inv_tl, out=below)
-    np.negative(below, out=below)
+    np.negative(right, out=right)
     np.matmul(right, inv_br, out=a[:h, h:])
-    np.negative(a[:h, h:], out=a[:h, h:])
-    inv_tl -= np.matmul(right, below,
+    inv_tl += np.matmul(right, below,
                         out=scratch[right.size:][:h * h].reshape(h, h))
     return a
 
@@ -528,15 +519,15 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     G is over the in-grid states, the ground grid, then the excited grid
     (n = 2 n_mot).  Only heating keeps the internal state, so A_gg is
     the heating ladder on one scalar diagonal: _ladder_solve gives
-    A_gg^-1 A_ge, and each solve applies A_gg^-1 through its kernel
-    (_ground_kernel, _ground_solve), never formed.  Only absorption
-    leads from g to e, so A_eg = -shift r (P_ip kron P_op) is applied
-    per mode, never formed.  S = A_ee - A_eg A_gg^-1 A_ge eliminates the
-    excited block densely, built over A_ge in one n_mot^2 buffer.  I -
-    shift G is a column-diagonally-dominant M-matrix (off-diagonals <=
-    0, column sums >= 1), and so is S, which _block_factor therefore
-    factors without pivoting.  Each solve reads two n_mot^2 operators,
-    the factor of S and D:
+    A_gg^-1 A_ge, and each solve applies A_gg^-1 by recursive doubling
+    of the same row recurrence (_ground_solve), never formed.  Only
+    absorption leads from g to e, so A_eg = -shift r (P_ip kron P_op) is
+    applied per mode, never formed.  S = A_ee - A_eg A_gg^-1 A_ge
+    eliminates the excited block densely, built over A_ge in one n_mot^2
+    buffer.  I - shift G is a column-diagonally-dominant M-matrix
+    (off-diagonals <= 0, column sums >= 1), and so is S, which
+    _block_factor therefore factors without pivoting.  Each solve reads
+    two n_mot^2 operators, the factor of S and D:
 
         y = A_gg^-1 b_g,  x_e = S^-1 (b_e - A_eg y),
         x_g = y - A_gg^-1 A_ge x_e.
@@ -565,7 +556,7 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
         rows[i] += np.multiply(d_block[i * n_op:(i + 1) * n_op],
                                -shift * gamma, out=tmp)
     _ladder_solve(ws, inv_row, c_ip)
-    _ground_kernel(ws, inv_row, c_ip)
+    _ground_powers(ws, inv_row, c_ip)
     # S = A_ee - A_eg A_gg^-1 A_ge: -A_eg = P_ip (P_op .) per mode, over
     # half of the columns at a time through the scratch, and then the
     # diagonal and the ladder of A_ee

@@ -495,9 +495,9 @@ def test_ground_block_is_the_heating_ladder(name, detuning):
     # only heating keeps the internal state, so the ground block is one
     # uniform diagonal plus the upward ladder of each mode; the solver
     # rests on that (_ladder_solve substitutes down the grid rows, and
-    # _ground_kernel takes all of A_gg^-1 from one kernel, which needs a
-    # two-level Toeplitz block), and a new g -> g process must change this
-    # test on purpose
+    # _ground_solve runs the same row recurrence by doubling, which needs
+    # one row block and one c_ip step shared by every grid row), and a new
+    # g -> g process must change this test on purpose
     sc, _ = _SOLVER_CASES[name]
     n_mot, n_op = sc.n_motional, sc.n_op_max + 1
     block = build_rate_matrix(sc, detuning).dense()[:n_mot, :n_mot]
@@ -516,7 +516,7 @@ def test_ground_block_is_the_heating_ladder(name, detuning):
 # preset's heating and with heating that makes the ladders, c_ip + c_op,
 # 0.95 of the diagonal d
 _MGH_LONGEST_TAU = 16400 / scaled_time(1.0, mgh24_ca40())
-_KERNEL_CASES = {
+_GROUND_CASES = {
     **_SOLVER_CASES,
     "mg-6x9": (replace(mg24_ca40(), n_ip_max=5, n_op_max=8), 1.3e-3),
     "mg-unheated": (replace(mg24_ca40(heat_ip=0.0, heat_op=0.0),
@@ -528,10 +528,10 @@ _KERNEL_CASES = {
 
 @pytest.mark.parametrize("detuning", [0.0, 2 * np.pi * 60e6,
                                       2 * np.pi * 600e6])
-@pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
-def test_ground_kernel_matches_dense_solve(name, detuning):
-    # each solve applies A_gg^-1 through the kernel the factorization built
-    sc, tau = _KERNEL_CASES[name]
+@pytest.mark.parametrize("name", sorted(_GROUND_CASES))
+def test_ground_solve_matches_dense_solve(name, detuning):
+    # each solve applies A_gg^-1 through the powers the factorization built
+    sc, tau = _GROUND_CASES[name]
     n_g = sc.n_motional
     matrix = build_rate_matrix(sc, detuning)
     shift = rate_engine.KRYLOV_SHIFT * tau
@@ -543,12 +543,49 @@ def test_ground_kernel_matches_dense_solve(name, detuning):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+# the longest MgH pulse at 600 MHz, with heating that makes the ladders
+# 0.95 of A_gg's diagonal; n_ip = 9 takes four doubling steps, n_ip = 2 one
+@example(preset=mgh24_ca40, n_ip=9, n_op=3, ladder=0.95, ip_share=0.5,
+         detuning=2 * np.pi * 600e6,
+         shift=rate_engine.KRYLOV_SHIFT * _MGH_LONGEST_TAU)
+@example(preset=mg24_ca40, n_ip=2, n_op=10, ladder=0.95, ip_share=1.0,
+         detuning=0.0, shift=6.5e-5)
+@settings(max_examples=25, deadline=None)
+@given(preset=st.sampled_from([mg24_ca40, mgh24_ca40]),
+       n_ip=st.integers(2, 10), n_op=st.integers(2, 10),
+       ladder=st.floats(0.0, 0.95), ip_share=st.floats(0.0, 1.0),
+       detuning=st.floats(0.0, 2 * np.pi * 600e6),
+       shift=st.floats(1e-6, rate_engine.KRYLOV_SHIFT * _MGH_LONGEST_TAU))
+def test_solver_matches_dense_solve_on_random_grids(
+        preset, n_ip, n_op, ladder, ip_share, detuning, shift):
+    # _ground_solve doubles ceil(log2 n_ip) times, a count that changes as
+    # n_ip crosses 2, 4 and 8.  ladder is (c_ip + c_op) / d, the share of
+    # A_gg's diagonal d = 1 + shift (r + h) that the two heating ladders
+    # take, c = shift h; ip_share of h heats the ip mode
+    base = preset()
+    rate = base_rate(base.laser, base.line, detuning)
+    heat = ladder * (1.0 + shift * rate) / (shift * (1.0 - ladder))
+    sc = replace(preset(heat_ip=ip_share * heat,
+                        heat_op=(1.0 - ip_share) * heat),
+                 n_ip_max=n_ip - 1, n_op_max=n_op - 1)
+    n, n_g = sc.leak_index, sc.n_motional
+    matrix = build_rate_matrix(sc, detuning)
+    a = np.eye(n) - shift * matrix.dense()[:n, :n]
+    b = np.random.default_rng(n).random(n)
+    solve = rate_engine._shift_invert_solver(matrix, shift)
+    got = rate_engine._ground_solve(rate_engine._workspace, b[:n_g])
+    want = np.linalg.solve(a[:n_g, :n_g], b[:n_g])
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    want = np.linalg.solve(a, b)
+    assert np.linalg.norm(solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("n", [20, 36])
 def test_workspace_holds_about_two_ground_squares(n):
     # S (n_g^2) and the factor's scratch (n_g^2 / 2), with the Krylov
-    # basis and the kernel's buffers: about 2 n_g^2 doubles at 20x20 and
-    # less at 36x36.  A second n_g x n_g operator kept for the solves,
-    # such as A_gg^-1 or A_gg^-1 A_ge, would not fit
+    # basis and the ground block's row powers: about 2 n_g^2 doubles at
+    # 20x20 and less at 36x36.  A second n_g x n_g operator kept for the
+    # solves, such as A_gg^-1 or A_gg^-1 A_ge, would not fit
     n_g = n * n
     ws = rate_engine._Workspace((n, n))
     held = sum(a.nbytes for a in vars(ws).values()
