@@ -6,11 +6,9 @@ transition driven by a broad laser.  The motional ground state drains
 monotonically while low excited states rise, saturate, and spread.
 """
 
-import warnings
-
 # recoilspec before numpy: importing it sets OpenBLAS to one thread
-from recoilspec import (LeakWarning, PopulationState, build_rate_matrix,
-                        evolve_series, scaled_time)
+from recoilspec import (PopulationState, build_rate_matrix, evolve_series,
+                        scaled_time)
 from recoilspec.presets import mg24_ca40, mgh24_ca40
 
 import numpy as np
@@ -28,9 +26,7 @@ STATES = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 def run(name, scenario, t_max, n_steps=40):
     times = np.linspace(t_max / n_steps, t_max, n_steps)
     matrix = build_rate_matrix(scenario, detuning=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        states = evolve_series(matrix, PopulationState.ground(scenario), times)
+    states = evolve_series(matrix, PopulationState.ground(scenario), times)
     rate = scaled_time(1.0, scenario)
     print(f"\n{name}: resonant drive for {t_max * 1e3:.1f} ms "
           f"(scaled time {t_max * rate:.3g})")

@@ -362,9 +362,7 @@ def _cmd_dynamics(cfg, scenario, prefix, args):
     dyn = cfg["dynamics"]
     times = np.linspace(0.0, dyn["t_max_s"], dyn["points"] + 1)[1:]
     matrix = build_rate_matrix(scenario, 2 * np.pi * dyn["detuning_hz"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        states = evolve_series(matrix, PopulationState.ground(scenario), times)
+    states = evolve_series(matrix, PopulationState.ground(scenario), times)
     rate = scaled_time(1.0, scenario)
     rows = []
     for t, st in zip(times, states):

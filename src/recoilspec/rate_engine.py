@@ -14,7 +14,6 @@ on one grid shape write their large arrays into one kept workspace.
 """
 
 import logging
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -223,22 +222,22 @@ class RateMatrix:
     1, so the diagonal is -(r + h) on the ground grid and -(rho r +
     Gamma_t + h) on the excited grid, h = heat_ip + heat_op; what the
     grid and the sideband range do not keep feeds the leak row, so
-    column sums vanish.  The laser block is held as its per-mode factors
-    and the heating ladder as its two rates; dense forms them on demand.
+    column sums vanish.  The jump families and the grid are the
+    scenario's (SpectroscopyScenario.jump_blocks): the laser block is
+    held as its per-mode factors and the heating ladder as its two
+    rates; dense forms them on demand.
     """
-    jumps: tuple
+    scenario: SpectroscopyScenario
     rates: tuple[float, float, float]
     detuning: float
-    grid_shape: tuple[int, int]
-    leak_warn_fraction: float = 0.01
 
     def dense(self) -> np.ndarray:
         """G as a (2 n_mot + 1)^2 array, built anew on each call: the
         ground grid, the excited grid, then the leak row, whose entries
         are the rates not kept in the grid and whose column is zero."""
-        (p_ip, p_op), d_block, (heat_ip, heat_op) = self.jumps
+        (p_ip, p_op), d_block, (heat_ip, heat_op) = self.scenario.jump_blocks()
         r_abs, r_stim, gamma = self.rates
-        n_ip, n_op = self.grid_shape
+        n_ip, n_op = self.scenario.grid_shape
         laser = np.kron(p_ip, p_op)
         ladder = (heat_ip * np.kron(np.eye(n_ip, k=-1), np.eye(n_op))
                   + heat_op * np.kron(np.eye(n_ip), np.eye(n_op, k=-1)))
@@ -270,16 +269,16 @@ def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
     emission at Gamma_t D and the heating ladder; include_spontaneous=False
     keeps only the ladder, which runs at the scenario's heating rates.
     Jumps past the grid edge or the sideband range feed the leak row.
-    rates is (r, rho r, Gamma_t or 0).
+    rates is (r, rho r, Gamma_t or 0).  The scenario's jump blocks are
+    built here on first use.
     """
     line = scenario.line
     rate = base_rate(scenario.laser, line, detuning)
     rho = line.stimulated_scale / line.absorption_scale
-    return RateMatrix(jumps=scenario.jump_blocks(),
-                      rates=(rate, rho * rate,
-                             line.gamma_t if include_spontaneous else 0.0),
-                      detuning=detuning, grid_shape=scenario.grid_shape,
-                      leak_warn_fraction=scenario.leak_warn_fraction)
+    scenario.jump_blocks()
+    return RateMatrix(scenario, (rate, rho * rate,
+                                 line.gamma_t if include_spontaneous else 0.0),
+                      detuning)
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +535,11 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     shape, which the next call takes over: the solve of an earlier call
     then raises RuntimeError.
     """
-    n_ip, n_op = matrix.grid_shape
+    n_ip, n_op = grid_shape = matrix.scenario.grid_shape
     n_g = n_ip * n_op
-    ws = _take_workspace(matrix.grid_shape)
+    ws = _take_workspace(grid_shape)
     token = ws.owner
-    (p_ip, p_op), d_block, (heat_ip, heat_op) = matrix.jumps
+    (p_ip, p_op), d_block, (heat_ip, heat_op) = matrix.scenario.jump_blocks()
     r_abs, r_stim, gamma = matrix.rates
     heat = heat_ip + heat_op
     c_ip, c_op = heat_ip * shift, heat_op * shift
@@ -689,25 +688,22 @@ def evolve_series(matrix: RateMatrix, initial: PopulationState,
     clipped to zero.  The leak at each time is what the grid lost: the
     total probability less the in-grid total.  The dense matrix
     exponential that judges the propagator lives in the test oracles
-    (tests/oracles.py, expm_populations), not here.  A LeakWarning is
-    raised when the leaked probability at the last time exceeds the
-    configured threshold.
+    (tests/oracles.py, expm_populations), not here.  Each state carries
+    its leak; judging it against the scenario's leak_warn_fraction is
+    left to the caller.
     """
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise ValueError("times must be strictly increasing and >= 0")
-    if initial.p.shape != (2,) + matrix.grid_shape:
+    if (times.ndim != 1 or times.size == 0 or not np.isfinite(times).all()
+            or np.any(np.diff(times) <= 0) or times[0] < 0):
+        raise ValueError("times must be finite, 1-D, strictly increasing and >= 0")
+    grid_shape = matrix.scenario.grid_shape
+    if initial.p.shape != (2,) + grid_shape:
         raise ValueError(f"initial state has shape {initial.p.shape}, the "
-                         f"generator needs {(2,) + matrix.grid_shape}")
+                         f"generator needs {(2,) + grid_shape}")
     initial.validate()
     y = np.clip(_integrate(matrix, initial.to_vector(), times), 0.0, None)
-    states = [PopulationState.from_vector(y[:, k], matrix.grid_shape)
-              for k in range(times.size)]
-    if states[-1].leaked > matrix.leak_warn_fraction:
-        warnings.warn(
-            f"population outside the motional grid reaches {states[-1].leaked:.2%} "
-            f"(threshold {matrix.leak_warn_fraction:.2%})", LeakWarning, stacklevel=2)
-    return states
+    return [PopulationState.from_vector(y[:, k], grid_shape)
+            for k in range(times.size)]
 
 
 def scaled_time(tau_spec: float, scenario: SpectroscopyScenario) -> float:

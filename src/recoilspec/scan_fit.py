@@ -121,10 +121,8 @@ def _propagate(scenario: SpectroscopyScenario, detuning: float,
                times: np.ndarray) -> np.ndarray:
     """Motional marginal and leak after one propagation at one detuning,
     flat: n_motional + 1 values per pulse time of an increasing list."""
-    matrix = build_rate_matrix(scenario, detuning)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        states = evolve_series(matrix, PopulationState.ground(scenario), times)
+    states = evolve_series(build_rate_matrix(scenario, detuning),
+                           PopulationState.ground(scenario), times)
     return np.concatenate([np.append(s.motional_marginal().ravel(), s.leaked)
                            for s in states])
 
@@ -175,6 +173,8 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs,
     if pulses is None:
         pulses = (ro.pi_pulse(scenario.system, (0, -1)),)
     detunings = np.asarray(detunings, dtype=float)
+    if (bad := np.flatnonzero(~np.isfinite(detunings))).size:
+        raise ValueError(f"detunings[{bad[0]}] = {detunings.flat[bad[0]]} is not finite")
     times, time_index = np.unique(np.asarray(tau_specs, dtype=float),
                                   return_inverse=True)
     if times.size == 0:
@@ -223,11 +223,16 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
 
 
 def _records_to_xy(records_or_x, y):
-    if y is not None:
-        return np.asarray(records_or_x, dtype=float), np.asarray(y, dtype=float)
-    x = np.array([r.detuning for r in records_or_x])
-    y = np.array([r.fluorescence for r in records_or_x])
-    return x, y
+    """Detunings and signals of a dip, in a stable order of detuning."""
+    if y is None:
+        y = [r.fluorescence for r in records_or_x]
+        records_or_x = [r.detuning for r in records_or_x]
+    x, y = np.asarray(records_or_x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"detunings {x.shape} and signals {y.shape} must "
+                         f"be 1-D and of one length")
+    order = np.argsort(x, kind="stable")
+    return x[order], y[order]
 
 
 def _lorentzian_dip(x, params):

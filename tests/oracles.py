@@ -207,7 +207,7 @@ def gaussian_profile_signal(scenario, tau_scaled: float):
                 matrix = build_rate_matrix(scaled, 0.0)
                 p = expm_populations(matrix, ground.to_vector(), [tau_spec])[:, 0]
                 state = PopulationState.from_vector(np.clip(p, 0.0, None),
-                                                    matrix.grid_shape)
+                                                    scaled.grid_shape)
             cache[g] = fluorescence_probability(state, pulse)
         return cache[g]
 

@@ -172,10 +172,8 @@ def test_criterion_7a_ground_state_monotone(mg_scenario, mgh_scenario):
     for name, sc, t_max in (("Mg", mg_scenario, 5.3e-3),
                             ("MgH", mgh_scenario, 50e-3)):
         times = np.linspace(t_max / 12, t_max, 12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LeakWarning)
-            states = evolve_series(build_rate_matrix(sc, 0.0),
-                                   PopulationState.ground(sc), times)
+        states = evolve_series(build_rate_matrix(sc, 0.0),
+                               PopulationState.ground(sc), times)
         p00 = np.array([st.motional_marginal()[0, 0] for st in states])
         ok &= bool(np.all(np.diff(p00) < 0))
         details.append(f"{name} p00 {p00[0]:.3f}->{p00[-1]:.3f}")

@@ -1,6 +1,6 @@
 import contextlib
 import logging
-import warnings
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +246,26 @@ def test_record_input_paths():
     assert numeric_fwhm_depth(records)[1] == pytest.approx(0.4, abs=0.01)
 
 
+def test_dip_measurements_sort_their_points_by_detuning():
+    # the half-depth crossings and the fit's initial guess read the
+    # detuning axis in order, so a shuffled grid must give the sorted
+    # grid's answers, from arrays and from records alike
+    y = lorentzian_dip(GRID, 1.0, 0.4, 2 * np.pi * 5e6, W_TRUE)
+    order = np.random.default_rng(7).permutation(GRID.size)
+    records = [SpectrumRecord(detuning=d, fluorescence=v,
+                              marginal=np.zeros((1, 1)), leaked=0.0)
+               for d, v in zip(GRID[order], y[order])]
+    want = numeric_fwhm_depth(GRID, y)
+    assert numeric_fwhm_depth(GRID[order], y[order]) == want
+    assert numeric_fwhm_depth(records) == want
+    fit = fit_lorentzian(GRID, y)
+    for got in (fit_lorentzian(GRID[order], y[order]), fit_lorentzian(records)):
+        assert (got.center, got.fwhm, got.depth, got.baseline) == \
+            (fit.center, fit.fwhm, fit.depth, fit.baseline)
+    with pytest.raises(ValueError, match="one length"):
+        numeric_fwhm_depth(GRID, y[:-1])
+
+
 # --------------------------------------------------------------------------
 # scans on the physical engine
 # --------------------------------------------------------------------------
@@ -320,21 +340,19 @@ def assert_direct(scenario, detunings, tau_specs, per_tau, tol=1e-9):
     times = np.unique(tau_specs)
     pulses = (pi_pulse(scenario.system, (0, -1)),)
     assert len(per_tau) == len(tau_specs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        for i, detuning in enumerate(detunings):
-            states = evolve_series(build_rate_matrix(scenario, detuning),
-                                   PopulationState.ground(scenario), times)
-            for tau, records in zip(tau_specs, per_tau):
-                want = states[int(np.searchsorted(times, tau))]
-                got = records[i]
-                assert got.detuning == detuning
-                assert got.fluorescence == pytest.approx(
-                    fluorescence_probability(want, *pulses), abs=tol)
-                assert got.marginal == pytest.approx(want.motional_marginal(),
-                                                     abs=tol)
-                assert got.leaked == pytest.approx(want.leaked, abs=tol)
-                assert got.leak_flag == (got.leaked > scenario.leak_warn_fraction)
+    for i, detuning in enumerate(detunings):
+        states = evolve_series(build_rate_matrix(scenario, detuning),
+                               PopulationState.ground(scenario), times)
+        for tau, records in zip(tau_specs, per_tau):
+            want = states[int(np.searchsorted(times, tau))]
+            got = records[i]
+            assert got.detuning == detuning
+            assert got.fluorescence == pytest.approx(
+                fluorescence_probability(want, *pulses), abs=tol)
+            assert got.marginal == pytest.approx(want.motional_marginal(),
+                                                 abs=tol)
+            assert got.leaked == pytest.approx(want.leaked, abs=tol)
+            assert got.leak_flag == (got.leaked > scenario.leak_warn_fraction)
 
 
 def test_symmetric_grid_one_propagation_per_magnitude(small_scan_scenario,
@@ -431,6 +449,18 @@ def test_scan_edge_cases(small_scan_scenario, propagations, grid, made):
     assert_direct(small_scan_scenario, grid, SCAN_TAUS, per_tau)
     if len(grid) == 2:
         assert per_tau[0][0].fluorescence == per_tau[0][1].fluorescence
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scan_rejects_non_finite_detunings(small_scan_scenario, propagations,
+                                           bad):
+    # a non-finite rate would make the rate range non-finite, and every
+    # record would take one node's populations
+    grid = 2 * np.pi * np.array([0.0, 30e6, 100e6, bad, np.nan])
+    with pytest.raises(ValueError,
+                       match=re.escape(f"detunings[3] = {bad} is not finite")):
+        readout_spectrum(small_scan_scenario, grid, 1e-3)
+    assert not propagations
 
 
 _SMALL_GRIDS = {"mg": (replace(mg24_ca40(), n_ip_max=5, n_op_max=5), 20.0),
