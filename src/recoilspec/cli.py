@@ -58,7 +58,7 @@ class Key(NamedTuple):
     kind: type | None = float   # a set value's type; None: only check applies
     check: tuple | None = None  # (holds, "be > 0, got {!r}"): the value or each item
     build: tuple | None = None  # scenario.*: presets.build keyword and conversion
-    fallback: object = None     # scan.*: used when neither the key nor the preset is set
+    fallback: object = None     # used when neither the key nor the preset row is set
     nonempty: bool = False      # a list that must hold an item
 
 
@@ -108,7 +108,7 @@ SCHEMA = {
     "scan.fit": Key(kind=str, check=(lambda v: v in ("lorentzian", "numeric"),
                                      "be null, lorentzian or numeric"),
                     fallback="lorentzian"),
-    "dynamics.t_max_s": Key(5.3e-3, check=_POSITIVE),
+    "dynamics.t_max_s": Key(check=_POSITIVE, fallback=5.3e-3),
     "dynamics.points": Key(60, int, _AT_LEAST_1),
     "dynamics.detuning_hz": Key(0.0),
     "widthcurve.tau_scaled": Key([1.0, 2.23, 4.0, 6.2, 9.1], list, _POSITIVE,
@@ -232,12 +232,14 @@ def build_scenario(cfg: dict) -> SpectroscopyScenario:
     return presets.build(**kwargs)
 
 
-def _scan_setting(cfg: dict, key: str):
-    """scan.<key> if set, else the preset's value, else the row's fallback."""
-    value = cfg["scan"][key]
+def _preset_setting(cfg: dict, where: str):
+    """A command key (scan.*, dynamics.*) if set, else the preset's value,
+    else the row's fallback."""
+    section, key = where.split(".")
+    value = cfg[section][key]
     if value is None:
-        value = presets.SCAN_ROWS.get(cfg["preset"], {}).get(
-            key, SCHEMA["scan." + key].fallback)
+        value = presets.COMMAND_ROWS.get(cfg["preset"], {}).get(
+            where, SCHEMA[where].fallback)
     return value
 
 
@@ -251,7 +253,7 @@ def _resolve_tau_spec(cfg: dict, scenario: SpectroscopyScenario) -> float:
 
 
 def _detuning_grid(cfg: dict) -> np.ndarray:
-    span = _scan_setting(cfg, "span_hz")
+    span = _preset_setting(cfg, "scan.span_hz")
     half = 2 * np.pi * span / 2.0
     return np.linspace(-half, half, cfg["scan"]["points"])
 
@@ -360,7 +362,8 @@ def _cmd_modes(cfg, scenario, prefix, args):
 
 def _cmd_dynamics(cfg, scenario, prefix, args):
     dyn = cfg["dynamics"]
-    times = np.linspace(0.0, dyn["t_max_s"], dyn["points"] + 1)[1:]
+    times = np.linspace(0.0, _preset_setting(cfg, "dynamics.t_max_s"),
+                        dyn["points"] + 1)[1:]
     matrix = build_rate_matrix(scenario, 2 * np.pi * dyn["detuning_hz"])
     states = evolve_series(matrix, PopulationState.ground(scenario), times)
     rate = scaled_time(1.0, scenario)
@@ -393,7 +396,7 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
                 pulses=_readout_pulses(cfg, scenario))
     csv_path = prefix + ".csv"
     _write_csv(csv_path, _SPECTRUM_HEADER, _spectrum_rows(records, model))
-    fit_mode = _scan_setting(cfg, "fit")
+    fit_mode = _preset_setting(cfg, "scan.fit")
     fit_payload = {"fit": None, "fit_error": None, "tau_spec_s": tau_spec,
                    "tau_scaled": scaled_time(tau_spec, scenario), "model": model,
                    "config": cfg}
@@ -440,7 +443,7 @@ def _cmd_widthcurve(cfg, scenario, prefix, args):
             entries.append((f"GammaL={f / 1e6:g}MHz", build_scenario(sub)))
     else:
         entries.append(("scan", scenario))
-    fit_mode = _scan_setting(cfg, "fit")
+    fit_mode = _preset_setting(cfg, "scan.fit")
     rows = width_depth_curves(entries, wc["tau_scaled"], _detuning_grid(cfg),
                               fit=fit_mode,
                               pulses=_readout_pulses(cfg, scenario))

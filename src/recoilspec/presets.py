@@ -77,10 +77,13 @@ ROWS = {
 }
 """Each preset's values for build(); what a row leaves out takes build's default."""
 
-SCAN_ROWS = {
-    "mgh24_ca40": {"span_hz": 600e6, "fit": "numeric"},
+COMMAND_ROWS = {
+    "mgh24_ca40": {"scan.span_hz": 600e6, "scan.fit": "numeric",
+                   "dynamics.t_max_s": 0.05},
 }
-"""Each preset's scan.* values for the command line; the Mg+ scan uses its defaults."""
+"""Each preset's command-line values (scan.*, dynamics.*), by config key; the
+Mg+ commands use their fallbacks.  MgH+ runs its dynamics to 50 ms, scaled
+time about 16400, the longest pulse of its width curve."""
 
 
 def mg24_ca40(**kw) -> SpectroscopyScenario:

@@ -4,7 +4,8 @@ Covers the spectral overlap of a laser line with the target transition
 (effective spectral energy density), the absorption base rate and the
 saturation intensities derived from it, emission patterns for spontaneous
 decay as densities in cos(theta), and the direction-averaged recoil
-coefficients D that weight spontaneous emission on each motional sideband.
+coefficients D that weight spontaneous emission on each motional sideband,
+with the quadrature they are summed from.
 
 The overlap is a Voigt profile, evaluated in numpy for a delta laser (the
 Lorentzian) and for a laser far broader than the line (an expansion in
@@ -253,13 +254,47 @@ class EmissionPattern:
         return a + b * c * c
 
 
-def _d_table_once(pattern, eta_ip_z, eta_op_z, n_max, s_max, n_theta):
+def _node_tables(pattern, eta_z, n_max, s_max, n_theta):
+    """The n_theta-point Gauss-Legendre rule in c = cos(theta), folded onto
+    c >= 0: the weights w_q rho(c_q), doubled for each +-c pair, and each
+    mode's |xi|^2 table at every node, (node, n, s_max + s).  |xi|^2 is
+    even in c, so the two nodes of a pair share one table."""
     nodes, wts = np.polynomial.legendre.leggauss(n_theta)
+    c = nodes[n_theta // 2:]
+    weights = np.where(c > 0, 2.0, 1.0) * wts[n_theta // 2:] * pattern.density(c)
     # a photon at cos(theta) = c recoils with eta_z * c along the axis
-    t_ip = xi_mode_table(eta_ip_z * nodes, n_max[0], s_max[0]) ** 2
-    t_op = xi_mode_table(eta_op_z * nodes, n_max[1], s_max[1]) ** 2
-    return np.einsum("k,kau,kbv->abuv", wts * pattern.density(nodes),
-                     t_ip, t_op, optimize=True)
+    return (weights, *(xi_mode_table(eta * c, n, s) ** 2
+                       for eta, n, s in zip(eta_z, n_max, s_max)))
+
+
+def _d_table_once(weights, t_ip, t_op):
+    return np.einsum("k,kau,kbv->abuv", weights, t_ip, t_op, optimize=True)
+
+
+def emission_nodes(pattern: EmissionPattern, line: TransitionLine,
+                   system: TwoIonSystem,
+                   n_max: tuple[int, int] = (19, 19),
+                   s_max: tuple[int, int] = (5, 6),
+                   n_theta: int = 32, rtol: float = 1e-6) -> tuple:
+    """The quadrature of the emission coefficients D, checked.
+
+    Returns (weights, t_ip, t_op): the 2 n_theta-point Gauss-Legendre rule
+    in cos(theta), folded onto its n_theta distinct nodes, with each
+    mode's |xi|^2 table at every node, so that
+    D[n_ip, n_op, u_ip, u_op] = sum_q weights[q] t_ip[q, n_ip, u_ip]
+    t_op[q, n_op, u_op].  Raises QuadratureError when that D differs from
+    the one of the n_theta-point rule by more than rtol.
+    """
+    # Lamb-Dicke parameters of a photon emitted straight along z
+    eta_z = lamb_dicke(system, BeamGeometry(line.wavelength, 1.0), "target")
+    coarse = _d_table_once(*_node_tables(pattern, eta_z, n_max, s_max, n_theta))
+    fine = _node_tables(pattern, eta_z, n_max, s_max, 2 * n_theta)
+    err = np.max(np.abs(_d_table_once(*fine) - coarse))
+    if err > rtol:
+        raise QuadratureError(
+            f"emission-coefficient quadrature changed by {err:.2e} on refinement "
+            f"(tolerance {rtol:.0e}); raise n_theta")
+    return fine
 
 
 def emission_coefficients(pattern: EmissionPattern, line: TransitionLine,
@@ -278,18 +313,10 @@ def emission_coefficients(pattern: EmissionPattern, line: TransitionLine,
     row would add to 1.
 
     Quadrature is Gauss-Legendre in cos(theta); one refinement doubling
-    serves as the convergence check.
+    serves as the convergence check (emission_nodes).
     """
-    # Lamb-Dicke parameters of a photon emitted straight along z
-    eta_z = lamb_dicke(system, BeamGeometry(line.wavelength, 1.0), "target")
-    coarse = _d_table_once(pattern, *eta_z, n_max, s_max, n_theta)
-    fine = _d_table_once(pattern, *eta_z, n_max, s_max, 2 * n_theta)
-    err = np.max(np.abs(fine - coarse))
-    if err > rtol:
-        raise QuadratureError(
-            f"emission-coefficient quadrature changed by {err:.2e} on refinement "
-            f"(tolerance {rtol:.0e}); raise n_theta")
-    return fine
+    return _d_table_once(*emission_nodes(pattern, line, system, n_max, s_max,
+                                         n_theta, rtol))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ per mode.  The grid and the sideband range are truncated; any
 transition leaving them feeds an absorbing leak accumulator so
 probability stays exactly conserved.
 
-The generator is held as its laser-independent in-grid jump blocks; the
-dense square is built only on demand (RateMatrix.dense).  Propagations
-on one grid shape write their large arrays into one kept workspace.
+The generator is held as its laser-independent in-grid jump blocks, each
+kept as per-mode factors; the dense square is built only on demand
+(RateMatrix.dense).  Propagations on one grid shape write their large
+arrays into one kept workspace.
 """
 
 import logging
@@ -21,7 +22,7 @@ import numpy as np
 from .coupling import xi_mode_table
 from .ion_mechanics import BeamGeometry, TwoIonSystem, lamb_dicke
 from .radiation import (EmissionPattern, LaserField, TransitionLine,
-                        base_rate, emission_coefficients)
+                        base_rate, emission_coefficients, emission_nodes)
 
 
 _log = logging.getLogger(__name__)
@@ -54,6 +55,10 @@ PADE13_ERROR = 113250775606021113483283660800000000.0
 
 # _block_inverse recurses on halves down to blocks of this size
 BLOCK_INVERSE_LEAF = 64
+
+# the spontaneous block D keeps the Kronecker terms of its quadrature whose
+# singular values exceed this fraction of the largest (_kronecker_factors)
+D_RANK_RTOL = 1e-15
 
 
 class LeakWarning(UserWarning):
@@ -123,7 +128,9 @@ class SpectroscopyScenario:
         return self._cache["xi2"]
 
     def d_table(self) -> np.ndarray:
-        """Spontaneous-emission coefficients D on the scenario grid."""
+        """Spontaneous-emission coefficients D on the scenario grid, as the
+        table of radiation.emission_coefficients; the generator reads D
+        from jump_blocks instead, so this is built only when asked for."""
         if "d" not in self._cache:
             self._cache["d"] = emission_coefficients(
                 self.pattern, self.line, self.system,
@@ -135,15 +142,22 @@ class SpectroscopyScenario:
         """The generator's laser-independent in-grid jump families, built
         once, over the motional states in grid order: the laser's per-mode
         factors (P_ip, P_op), P[m, n] = |xi(n, m - n)|^2, whose Kronecker
-        product weighs the jump n -> m; the spontaneous block D[m, n]; and
-        the heating ladder's two rates (heat_ip, heat_op), one quantum up
-        in n_ip or in n_op.  By completeness each laser and D column
-        would sum to 1 untruncated; what a column lacks leaves the grid."""
+        product weighs the jump n -> m; the spontaneous block as k pairs
+        of per-mode factors (D_ip, D_op), stacked (k, n, n), with
+        D = sum_j D_ip[j] kron D_op[j] (_kronecker_factors); and the
+        heating ladder's two rates (heat_ip, heat_op), one quantum up in
+        n_ip or in n_op.  By completeness each laser and D column would
+        sum to 1 untruncated; what a column lacks leaves the grid.  No
+        n_mot x n_mot array is kept."""
         if "jumps" not in self._cache:
+            weights, *tables = emission_nodes(
+                self.pattern, self.line, self.system,
+                n_max=(self.n_ip_max, self.n_op_max),
+                s_max=(self.s_ip_max, self.s_op_max))
             self._cache["jumps"] = (
-                tuple(_in_grid_block(x[:, None, :, None])
-                      for x in self.laser_coupling()),
-                _in_grid_block(self.d_table()), (self.heat_ip, self.heat_op))
+                tuple(_in_grid_block(x) for x in self.laser_coupling()),
+                _kronecker_factors(weights, *map(_in_grid_block, tables)),
+                (self.heat_ip, self.heat_op))
         return self._cache["jumps"]
 
     def with_laser(self, **kw) -> "SpectroscopyScenario":
@@ -192,22 +206,37 @@ class PopulationState:
             raise ValueError(f"population not normalized: total = {self.total()!r}")
 
 
-def _in_grid_block(weights: np.ndarray) -> np.ndarray:
-    """block[m, n], the weight of the in-grid motional jump n -> m, from
-    weights[n_ip, n_op, s_ip_max+u_ip, s_op_max+u_op], the weight of the
-    jump n -> n+u; the grid and the sideband range are read from the
-    shape of weights."""
-    n_ip, n_op, w_ip, w_op = weights.shape
-    mip = (np.arange(n_ip)[:, None, None, None]
-           + np.arange(w_ip)[:, None] - w_ip // 2)
-    mop = np.arange(n_op)[:, None, None] + np.arange(w_op) - w_op // 2
-    src = np.broadcast_to(np.arange(n_ip * n_op).reshape(n_ip, n_op, 1, 1),
-                          weights.shape)
-    # weights are exactly zero below the grid; mask anyway to keep indices legal
-    in_grid = (mip >= 0) & (mop >= 0) & (mip < n_ip) & (mop < n_op)
-    block = np.zeros((n_ip * n_op, n_ip * n_op))
-    block[(mip * n_op + mop)[in_grid], src[in_grid]] = weights[in_grid]
-    return block
+def _in_grid_block(table: np.ndarray) -> np.ndarray:
+    """One mode's block[..., m, n], the weight of the in-grid jump n -> m,
+    from table[..., n, s_max + s], the weight of the jump n -> n + s, for
+    each leading index (a quadrature node); the grid and the sideband
+    range are read from the last two axes."""
+    n, w = table.shape[-2:]
+    lag = np.arange(n)[:, None] - np.arange(n) + w // 2
+    inside = (lag >= 0) & (lag < w)
+    return np.where(inside, table[..., np.arange(n), lag.clip(0, w - 1)], 0.0)
+
+
+def _kronecker_factors(weights: np.ndarray, a: np.ndarray,
+                       b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_q weights[q] a[q] kron b[q] as k pairs of per-mode factors,
+    stacked (k, n_ip, n_ip) and (k, n_op, n_op).
+
+    The sum is the rearranged matrix X diag(weights) Y^T, with X and Y the
+    stacks vec a[q] and vec b[q] as columns (Van Loan & Pitsianis,
+    "Approximation with Kronecker products", 1993).  A QR of each stack
+    and an SVD of the small core R_X diag(weights) R_Y^T give its singular
+    values s_j; the pairs are s_j unvec(Q_X u_j) and unvec(Q_Y v_j), kept
+    while s_j > D_RANK_RTOL s_0.  The Kronecker terms are orthogonal, so
+    the Frobenius error of the sum is the root-sum-square of the dropped
+    s_j: at most D_RANK_RTOL s_0 sqrt(q - k) over q nodes, plus roundoff.
+    """
+    q_a, r_a = np.linalg.qr(a.reshape(len(a), -1).T)
+    q_b, r_b = np.linalg.qr(b.reshape(len(b), -1).T)
+    u, sv, vt = np.linalg.svd((r_a * weights) @ r_b.T)
+    k = np.count_nonzero(sv > D_RANK_RTOL * sv[0])
+    return ((q_a @ (u[:, :k] * sv[:k])).T.reshape((k,) + a.shape[1:]),
+            (q_b @ vt[:k].T).T.reshape((k,) + b.shape[1:]))
 
 
 @dataclass
@@ -224,8 +253,8 @@ class RateMatrix:
     grid and the sideband range do not keep feeds the leak row, so
     column sums vanish.  The jump families and the grid are the
     scenario's (SpectroscopyScenario.jump_blocks): the laser block is
-    held as its per-mode factors and the heating ladder as its two
-    rates; dense forms them on demand.
+    held as its per-mode factors, D as k Kronecker pairs of them and the
+    heating ladder as its two rates; dense forms them on demand.
     """
     scenario: SpectroscopyScenario
     rates: tuple[float, float, float]
@@ -235,13 +264,16 @@ class RateMatrix:
         """G as a (2 n_mot + 1)^2 array, built anew on each call: the
         ground grid, the excited grid, then the leak row, whose entries
         are the rates not kept in the grid and whose column is zero."""
-        (p_ip, p_op), d_block, (heat_ip, heat_op) = self.scenario.jump_blocks()
+        (p_ip, p_op), (d_ip, d_op), (heat_ip, heat_op) = self.scenario.jump_blocks()
         r_abs, r_stim, gamma = self.rates
         n_ip, n_op = self.scenario.grid_shape
+        n_g = n_ip * n_op
         laser = np.kron(p_ip, p_op)
+        # the factors' roundoff leaves entries some ulps below 0 where D is 0
+        d_block = np.maximum(np.einsum("jab,jcd->acbd", d_ip, d_op)
+                             .reshape(n_g, n_g), 0.0)
         ladder = (heat_ip * np.kron(np.eye(n_ip, k=-1), np.eye(n_op))
                   + heat_op * np.kron(np.eye(n_ip), np.eye(n_op, k=-1)))
-        n_g = n_ip * n_op
         n = 2 * n_g
         out = np.zeros((n + 1, n + 1))
         out[:n, :n] = np.block([[ladder, r_stim * laser + gamma * d_block],
@@ -249,9 +281,10 @@ class RateMatrix:
         heat = heat_ip + heat_op
         np.fill_diagonal(out[:n, :n], np.repeat(
             [-(r_abs + heat), -(r_stim + gamma + heat)], n_g))
-        # each unit-weight block's remainder, and the ladder's top edges
-        laser_off, d_off = (np.clip(1.0 - b.sum(axis=0), 0.0, None)
-                            for b in (laser, d_block))
+        # each unit-weight block's remainder, D's from its factors' column
+        # sums, and the ladder's top edges
+        laser_off, d_off = (np.clip(1.0 - col, 0.0, None) for col in (
+            laser.sum(axis=0), (d_ip.sum(axis=1).T @ d_op.sum(axis=1)).ravel()))
         edge = ((np.arange(n_ip) == n_ip - 1)[:, None] * heat_ip
                 + (np.arange(n_op) == n_op - 1) * heat_op).ravel()
         out[n, :n] = np.concatenate([r_abs * laser_off + edge,
@@ -299,7 +332,6 @@ def expm(a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     stack = a.reshape((-1,) + a.shape[-2:])
-    b = PADE13
     with np.errstate(all="ignore"):
         norm = np.abs(stack).sum(axis=1).max(axis=1)
         finite = np.isfinite(norm)
@@ -312,23 +344,46 @@ def expm(a) -> np.ndarray:
         u6 = u4 @ u2
         d = [np.abs(p).sum(axis=1).max(axis=1) ** (1.0 / k)
              for k, p in ((6, u6), (8, u4 @ u4), (10, u4 @ u6))]
+        del unit, u2, u4, u6
         eta = norm * np.minimum(np.maximum(d[0], d[1]), np.maximum(d[1], d[2]))
         s = np.ceil(np.log2(np.maximum(eta / PADE13_THETA, 1.0))).astype(int)
         s += _pade13_extra_squarings(np.ldexp(stack, -s[:, None, None]))
-        x = np.ldexp(stack, -s[:, None, None])
-        eye = np.eye(a.shape[-1])
-        x2 = x @ x
-        x4 = x2 @ x2
-        x6 = x4 @ x2
-        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-        v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-             + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
-        r = np.linalg.solve(v - u, v + u)
+        # stack is np.where's copy, so it can take the scaled matrices
+        r = _pade13(np.ldexp(stack, -s[:, None, None], out=stack))
+        del stack
+        square = np.empty_like(r)
         for k in range(s.max(initial=0)):
-            r = np.where((k < s)[:, None, None], r @ r, r)
+            np.matmul(r, r, out=square)
+            np.copyto(r, square, where=(k < s)[:, None, None])
     r[~finite] = np.nan
     return r.reshape(a.shape)
+
+
+def _pade13(x: np.ndarray) -> np.ndarray:
+    """The degree-13 Pade approximant (v - u)^-1 (v + u) of exp at each
+    scaled matrix x, with u and v summed in place, in the order of their
+    plain expressions, so the result is the same to the bit."""
+    b = PADE13
+    eye = np.eye(x.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    scaled = np.empty_like(x)
+
+    def combine(acc, *terms):
+        # acc + c p + ... over (c, p) in terms, left to right, into acc
+        for c, p in terms:
+            acc += np.multiply(c, p, out=scaled)
+        return acc
+
+    inner = combine(b[13] * x6, (b[11], x4), (b[9], x2))
+    u = x @ combine(x6 @ inner, (b[7], x6), (b[5], x4), (b[3], x2), (b[1], eye))
+    np.multiply(b[12], x6, out=inner)
+    v = combine(x6 @ combine(inner, (b[10], x4), (b[8], x2)),
+                (b[6], x6), (b[4], x4), (b[2], x2), (b[0], eye))
+    del x2, x4, x6, inner, scaled
+    plus = v + u
+    return np.linalg.solve(np.subtract(v, u, out=v), plus)
 
 
 def _pade13_extra_squarings(x: np.ndarray) -> np.ndarray:
@@ -369,8 +424,10 @@ class _Workspace:
     becomes A_gg^-1 A_ge, then S and then its factor (schur); the
     factor's scratch; the row inverse's transpose and the doubled powers
     of the ground block's row step (ground, _ground_solve); and the
-    Krylov basis, one vector per row, and the Hessenberg matrix.  owner
-    is the token of the solver that took them last."""
+    Krylov basis, one vector per row, and the Hessenberg matrix.  S is
+    the only n_mot^2 operator: A_ge is formed into it from per-mode
+    factors, and D stays the scenario's k factor pairs.  owner is the
+    token of the solver that took them last."""
 
     def __init__(self, grid_shape: tuple[int, int]):
         n_ip, n_op = grid_shape
@@ -521,12 +578,14 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     A_gg^-1 A_ge, and each solve applies A_gg^-1 by recursive doubling
     of the same row recurrence (_ground_solve), never formed.  Only
     absorption leads from g to e, so A_eg = -shift r (P_ip kron P_op) is
-    applied per mode, never formed.  S = A_ee - A_eg A_gg^-1 A_ge
-    eliminates the excited block densely, built over A_ge in one n_mot^2
-    buffer.  I - shift G is a column-diagonally-dominant M-matrix
-    (off-diagonals <= 0, column sums >= 1), and so is S, which
-    _block_factor therefore factors without pivoting.  Each solve reads
-    two n_mot^2 operators, the factor of S and D:
+    applied per mode, never formed.  A_ge = -shift (rho r P_ip kron P_op
+    + Gamma sum_j D_ip[j] kron D_op[j]) is k + 1 Kronecker terms, formed
+    by one batched product and applied to a vector per mode.
+    S = A_ee - A_eg A_gg^-1 A_ge eliminates the excited block densely,
+    built over A_ge in one n_mot^2 buffer.  I - shift G is a
+    column-diagonally-dominant M-matrix (off-diagonals <= 0, column sums
+    >= 1), and so is S, which _block_factor therefore factors without
+    pivoting.  Each solve reads one n_mot^2 operator, the factor of S:
 
         y = A_gg^-1 b_g,  x_e = S^-1 (b_e - A_eg y),
         x_g = y - A_gg^-1 A_ge x_e.
@@ -539,21 +598,21 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     n_g = n_ip * n_op
     ws = _take_workspace(grid_shape)
     token = ws.owner
-    (p_ip, p_op), d_block, (heat_ip, heat_op) = matrix.scenario.jump_blocks()
+    (p_ip, p_op), (d_ip, d_op), (heat_ip, heat_op) = matrix.scenario.jump_blocks()
     r_abs, r_stim, gamma = matrix.rates
     heat = heat_ip + heat_op
     c_ip, c_op = heat_ip * shift, heat_op * shift
     inv_row = _row_inverse(n_op, (r_abs + heat) * shift + 1.0, c_op)
-    p_abs, p_stim = shift * r_abs * p_ip, shift * r_stim * p_ip
-    # A_ge = -shift (r_stim P_ip kron P_op + Gamma D); the Kronecker
-    # product as a stack of outer products, which numpy forms unbuffered
-    rows = ws.schur.reshape(n_ip, n_op, n_g)
-    np.matmul(-p_stim[:, None, :, None], p_op[None, :, None, :],
+    p_abs = shift * r_abs * p_ip
+    # -A_ge = sum_t left[t] kron right_t[t]^T, over the stimulated term and
+    # D's k pairs; A_ge[i, a, j, b] = -sum_t left[t, i, j] right_t[t, b, a]
+    # is one batched product with inner dimension k + 1
+    left = np.concatenate([(shift * r_stim * p_ip)[None],
+                           (shift * gamma) * d_ip])
+    right_t = np.concatenate([p_op.T[None], d_op.transpose(0, 2, 1)])
+    np.matmul(-left.transpose(1, 2, 0)[:, None], right_t.transpose(2, 0, 1)[None],
               out=ws.schur.reshape(n_ip, n_op, n_ip, n_op))
-    tmp = ws.scratch[:n_op * n_g].reshape(n_op, n_g)
-    for i in range(n_ip):
-        rows[i] += np.multiply(d_block[i * n_op:(i + 1) * n_op],
-                               -shift * gamma, out=tmp)
+    rows = ws.schur.reshape(n_ip, n_op, n_g)
     _ladder_solve(ws, inv_row, c_ip)
     _ground_powers(ws, inv_row, c_ip)
     # S = A_ee - A_eg A_gg^-1 A_ge: -A_eg = P_ip (P_op .) per mode, over
@@ -571,19 +630,21 @@ def _shift_invert_solver(matrix: RateMatrix, shift: float):
     op_up[np.arange(n_g - 1) % n_op < n_op - 1] -= c_op
     factors = _block_factor(ws.schur, ws.scratch)
 
-    def laser(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # (p kron P_op) x, one product per mode
-        return (p @ x.reshape(n_ip, n_op) @ p_op.T).reshape(-1)
+    # -A_ge x = sum_t left[t] X right_t[t], X = x on the grid: the left
+    # factors as one stack of rows, the right ones as one of columns
+    left_rows, right_cols = left.reshape(-1, n_ip), right_t.reshape(-1, n_op)
 
     def solve(b: np.ndarray) -> np.ndarray:
         if ws.owner is not token:
             raise RuntimeError("a later factorization has taken this "
                                "solver's buffers")
         y = _ground_solve(ws, b[:n_g])
-        x_e = _block_solve(factors, b[n_g:] + laser(p_abs, y))
-        # -A_ge x_e = shift (r_stim P + Gamma D) x_e
-        y += _ground_solve(ws, laser(p_stim, x_e)
-                           + shift * gamma * (d_block @ x_e))
+        # -A_eg y = (p_abs kron P_op) y, one product per mode
+        x_e = _block_solve(factors, b[n_g:] + (
+            p_abs @ y.reshape(n_ip, n_op) @ p_op.T).reshape(-1))
+        w = (left_rows @ x_e.reshape(n_ip, n_op)).reshape(-1, n_ip, n_op)
+        y += _ground_solve(ws, w.transpose(1, 0, 2).reshape(n_ip, -1)
+                           @ right_cols)
         return np.concatenate([y, x_e])
 
     return solve

@@ -26,19 +26,20 @@ def reduced_kernels(scenario: SpectroscopyScenario) -> tuple[np.ndarray, np.ndar
     holds absorption g00 -> e00 at the laser weight P_ip[0, 0] P_op[0, 0]
     and stimulated emission back at rho times it; its diagonal is -1 and
     -rho, since each laser channel's total weight is 1.  C holds
-    spontaneous emission e00 -> g00 at Gamma_t D[0, 0]; its diagonal is
+    spontaneous emission e00 -> g00 at Gamma_t D[0, 0], the sum over D's
+    factor pairs of D_ip[j][0, 0] D_op[j][0, 0]; its diagonal is
     -h and -(Gamma_t + h), with h the sum of the two heating rates.  The
     aux row takes each column's remainder, so every column sums to zero,
     and the aux column is zero, so aux is absorbing.  The three-level
     generator at a detuning is base_rate(delta) K3 + C3.
     """
-    (p_ip, p_op), d_block, (heat_ip, heat_op) = scenario.jump_blocks()
+    (p_ip, p_op), (d_ip, d_op), (heat_ip, heat_op) = scenario.jump_blocks()
     line = scenario.line
     rho = line.stimulated_scale / line.absorption_scale
     stay = p_ip[0, 0] * p_op[0, 0]
     heat = heat_ip + heat_op
     kernels = ([[-1.0, rho * stay], [stay, -rho]],
-               [[-heat, line.gamma_t * d_block[0, 0]],
+               [[-heat, line.gamma_t * (d_ip[:, 0, 0] @ d_op[:, 0, 0])],
                 [0.0, -(line.gamma_t + heat)]])
     out = np.zeros((2, 3, 3))
     out[:, :2, :2] = kernels

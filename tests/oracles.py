@@ -13,7 +13,8 @@ exponentials instead of a detuning scan, the heating ladder from an
 explicit loop over grid states, the whole rate generator from a loop
 over grid states and sidebands with every rate written out, the
 three-level reduced rates by hand from the carrier and completeness of
-the sideband sums, and Lorentzian dip fits from scipy's MINPACK
+the sideband sums, the in-grid jump block from a scatter of the full
+four-index weight table, and Lorentzian dip fits from scipy's MINPACK
 Levenberg-Marquardt on a Jacobian written in the Lorentzian itself.
 """
 
@@ -154,6 +155,23 @@ def sphere_d_table(kind: str, eta_ip_z: float, eta_op_z: float,
 
     return np.einsum("kj,kau,kbv->abuv", w, table(eta_ip_z, n_max[0], s_max[0]),
                      table(eta_op_z, n_max[1], s_max[1]))
+
+
+def in_grid_block(weights: np.ndarray) -> np.ndarray:
+    """block[m, n], the weight of the in-grid motional jump n -> m, from
+    weights[n_ip, n_op, s_ip_max + u_ip, s_op_max + u_op], the weight of
+    the jump n -> n + u, by scattering every entry that lands in the grid.
+    The engine builds its blocks one mode at a time instead."""
+    n_ip, n_op, w_ip, w_op = weights.shape
+    mip = (np.arange(n_ip)[:, None, None, None]
+           + np.arange(w_ip)[:, None] - w_ip // 2)
+    mop = np.arange(n_op)[:, None, None] + np.arange(w_op) - w_op // 2
+    src = np.broadcast_to(np.arange(n_ip * n_op).reshape(n_ip, n_op, 1, 1),
+                          weights.shape)
+    in_grid = (mip >= 0) & (mop >= 0) & (mip < n_ip) & (mop < n_op)
+    block = np.zeros((n_ip * n_op, n_ip * n_op))
+    block[(mip * n_op + mop)[in_grid], src[in_grid]] = weights[in_grid]
+    return block
 
 
 def expm_populations(matrix, p0: np.ndarray, times) -> np.ndarray:

@@ -45,7 +45,7 @@ DEFAULT = {
                 "two_pulse": False},
     "scan": {"span_hz": None, "points": 101, "tau_spec_s": 0.0013,
              "tau_scaled": None, "fit": None},
-    "dynamics": {"t_max_s": 0.0053, "points": 60, "detuning_hz": 0.0},
+    "dynamics": {"t_max_s": None, "points": 60, "detuning_hz": 0.0},
     "widthcurve": {"tau_scaled": [1.0, 2.23, 4.0, 6.2, 9.1],
                    "intensities_sat_units": None, "laser_fwhms_hz": None},
     "reduced": {"contrast": 0.5},
@@ -156,6 +156,20 @@ def test_dark_dynamics_stays_constant(tmp_path):
     for row in rows:
         assert float(row["P_00"]) == pytest.approx(1.0, abs=1e-12)
         assert float(row["leaked_probability"]) == 0.0
+
+
+@pytest.mark.parametrize("preset, t_max_s, tau_scaled, code", [
+    ("mg24_ca40", 5.3e-3, 9.1, EXIT_OK), ("mgh24_ca40", 0.05, 16400, EXIT_LEAK)])
+def test_dynamics_runs_to_the_preset_time(tmp_path, preset, t_max_s,
+                                          tau_scaled, code):
+    # MgH+ runs to its longest width-curve pulse, where 13 % of the
+    # population leaves the 20x20 grid; Mg+ to its 5.3 ms fallback
+    out = tmp_path / "dyn"
+    assert main(["dynamics", "-p", preset, "-o", str(out),
+                 "-s", "dynamics.points=2"]) == code
+    last = read_csv(out.with_suffix(".csv"))[-1]
+    assert float(last["t_s"]) == t_max_s
+    assert float(last["tau_scaled"]) == pytest.approx(tau_scaled, rel=0.02)
 
 
 def test_leak_breach_returns_status_but_writes_data(tmp_path):
@@ -306,7 +320,7 @@ def test_null_scan_key_takes_the_preset_value_else_the_fallback(sets, span_hz, f
     cfg = load_config(None, sets)
     grid = cli._detuning_grid(cfg)
     assert grid[-1] - grid[0] == pytest.approx(2 * np.pi * span_hz, rel=1e-15)
-    assert cli._scan_setting(cfg, "fit") == fit
+    assert cli._preset_setting(cfg, "scan.fit") == fit
 
 
 def test_widthcurve_laser_widths_under_mg_preset(tmp_path):

@@ -20,7 +20,8 @@ import recoilspec
 from recoilspec import cli, rate_engine
 from recoilspec.coupling import xi_mode_table
 from recoilspec.presets import mg24_ca40, mgh24_ca40
-from recoilspec.radiation import TransitionLine, base_rate
+from recoilspec.ion_mechanics import BeamGeometry, lamb_dicke
+from recoilspec.radiation import EmissionPattern, TransitionLine, base_rate
 from recoilspec.rate_engine import (LeakWarning, PopulationState,
                                     build_rate_matrix, evolve_series,
                                     scaled_time)
@@ -28,7 +29,8 @@ from recoilspec.reduced_model import reduced_kernels
 from recoilspec.scan_fit import readout_spectrum
 
 from oracles import (expm_populations, generator_loop, heating_kernel_loop,
-                     heating_only_state, xi_double_sum_mode)
+                     heating_only_state, in_grid_block, sphere_d_table,
+                     xi_double_sum_mode)
 
 
 def small_mg(n_max=7, **kw):
@@ -691,11 +693,84 @@ def test_laser_block_is_the_kronecker_product_of_its_mode_factors(name):
         m, n = np.indices(p.shape)
         assert np.array_equal(p, np.where(abs(m - n) <= s,
                                           x[n, np.clip(m - n + s, 0, 2 * s)], 0))
-    block = rate_engine._in_grid_block(np.einsum("au,bv->abuv", x_ip, x_op))
+    block = in_grid_block(np.einsum("au,bv->abuv", x_ip, x_op))
     assert np.array_equal(np.kron(p_ip, p_op), block)
     matrix = build_rate_matrix(sc, 0.0)
     n = sc.n_motional
     assert np.array_equal(matrix.dense()[n:2 * n, :n], matrix.rates[0] * block)
+
+
+def kronecker_sum(d_ip, d_op):
+    return sum(np.kron(a, b) for a, b in zip(d_ip, d_op))
+
+
+_D_CASES = {**_KRON_CASES,
+            "mg-36x36": lambda: replace(mg24_ca40(), n_ip_max=35, n_op_max=35),
+            "mgh-36x36": lambda: replace(mgh24_ca40(), n_ip_max=35, n_op_max=35)}
+
+
+@pytest.fixture(scope="module", params=sorted(_D_CASES))
+def d_case(request):
+    # a scenario, its D factors and the in-grid block of its D table
+    sc = _D_CASES[request.param]()
+    return sc, sc.jump_blocks()[1], in_grid_block(sc.d_table())
+
+
+def test_d_factors_match_the_in_grid_block_of_the_d_table(d_case):
+    # D is kept as its quadrature's Kronecker pairs; their sum is the
+    # in-grid block of the four-index table that dtable writes
+    sc, (d_ip, d_op), block = d_case
+    assert d_ip.shape[1:] == (sc.n_ip_max + 1,) * 2
+    assert d_op.shape[1:] == (sc.n_op_max + 1,) * 2
+    assert len(d_ip) <= 32  # at most the folded rule's 32 distinct nodes
+    assert np.abs(kronecker_sum(d_ip, d_op) - block).max() <= 1e-14
+
+
+def test_d_factor_truncation_error_is_the_dropped_singular_values(d_case):
+    # the Kronecker terms are orthogonal, so cutting the sum after k' pairs
+    # errs by the root-sum-square of the singular values s_j = |A_j| |B_j|
+    # of the pairs dropped, and by those _kronecker_factors itself dropped:
+    # fewer than 32 - k, each at most D_RANK_RTOL s_0
+    sc, (d_ip, d_op), block = d_case
+    k = len(d_ip)
+    sigma = (np.linalg.norm(d_ip, axis=(1, 2))
+             * np.linalg.norm(d_op, axis=(1, 2)))
+    assert np.all(np.diff(sigma) <= 0.0)
+    cut = rate_engine.D_RANK_RTOL * sigma[0] * np.sqrt(32 - k)
+    roundoff = 64 * np.finfo(float).eps * np.linalg.norm(block)
+    for kept in range(k + 1):
+        err = np.linalg.norm(block - kronecker_sum(d_ip[:kept], d_op[:kept]))
+        dropped = np.sqrt(np.sum(sigma[kept:] ** 2))
+        assert dropped - roundoff <= err <= np.hypot(dropped, cut) + roundoff
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "pi", "sigma", "mg_mixed"])
+def test_d_factors_match_the_sphere_quadrature(kind):
+    sc = replace(mg24_ca40(), pattern=EmissionPattern(kind), n_ip_max=6,
+                 n_op_max=5, s_ip_max=4, s_op_max=5)
+    eta_z = lamb_dicke(sc.system, BeamGeometry(sc.line.wavelength, 1.0),
+                       "target")
+    want = in_grid_block(sphere_d_table(kind, *eta_z, (6, 5), (4, 5)))
+    assert np.abs(kronecker_sum(*sc.jump_blocks()[1]) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [20, 36])
+def test_scenario_cache_holds_no_motional_square(n):
+    # after the jump blocks are built the scenario keeps per-mode factors
+    # and tables only, all of them together a quarter of one dense block
+    # at most (32 D pairs at 20x20 would take 0.64 of the quarter)
+    sc = replace(mg24_ca40(), n_ip_max=n - 1, n_op_max=n - 1)
+    sc.jump_blocks()
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+    held = list(arrays(list(sc._cache.values())))
+    assert held and max(a.size for a in held) < sc.n_motional ** 2
+    assert sum(a.size for a in held) <= sc.n_motional ** 2 / 4
 
 
 @pytest.mark.parametrize("n", [5, 37, 301, 1296])
