@@ -8,11 +8,8 @@ it in.  Addressing both modes with consecutive pi-pulses deepens the dip
 by roughly half.
 """
 
-import warnings
-
 # recoilspec before numpy: importing it sets OpenBLAS to one thread
-from recoilspec import (LeakWarning, fit_lorentzian, readout_spectrum,
-                        scaled_time)
+from recoilspec import fit_lorentzian, readout_spectrum, scaled_time
 from recoilspec.presets import mg24_ca40
 from recoilspec.readout import pi_pulse
 
@@ -33,9 +30,7 @@ rate = scaled_time(1.0, scenario)
 # ---- spectra at two pulse lengths -------------------------------------------
 spectra = {}
 for tau_scaled in (2.23, 9.10):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        records = readout_spectrum(scenario, grid, tau_scaled / rate)
+    records = readout_spectrum(scenario, grid, tau_scaled / rate)
     fit = fit_lorentzian(records)
     spectra[tau_scaled] = records
     print(f"tau_scaled = {tau_scaled}: FWHM {fit.fwhm / MHz:6.1f} MHz "
@@ -54,10 +49,8 @@ print(f"\n(0,1) population at resonance {p01[len(p01) // 2]:.3f} "
 strong = mg24_ca40(intensity_sat_units=1.3e-5)
 pulse_op = pi_pulse(strong.system, (0, -1))
 pulse_ip = pi_pulse(strong.system, (-1, 0))
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", LeakWarning)
-    single = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op,))
-    double = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op, pulse_ip))
+single = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op,))
+double = readout_spectrum(strong, grid, 1.6e-3, pulses=(pulse_op, pulse_ip))
 d1 = fit_lorentzian(single).depth
 d2 = fit_lorentzian(double).depth
 print(f"\ntwo-pulse readout: depth {d1:.3f} -> {d2:.3f} "

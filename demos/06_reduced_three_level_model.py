@@ -9,11 +9,10 @@ faster, which makes it handy for scouting scan parameters.
 """
 
 import time
-import warnings
 
 # recoilspec before numpy: importing it sets OpenBLAS to one thread
-from recoilspec import (LeakWarning, fit_lorentzian, readout_spectrum,
-                        reduced_kernels, reduced_spectrum, scaled_time)
+from recoilspec import (fit_lorentzian, readout_spectrum, reduced_kernels,
+                        reduced_spectrum, scaled_time)
 from recoilspec.presets import mg24_ca40
 
 import numpy as np
@@ -34,9 +33,7 @@ grid = np.linspace(-150 * MHz, 150 * MHz, 41)
 tau = 2.23 / rate
 
 t0 = time.perf_counter()
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", LeakWarning)
-    full = readout_spectrum(scenario, grid, tau)
+full = readout_spectrum(scenario, grid, tau)
 t_full = time.perf_counter() - t0
 
 t0 = time.perf_counter()

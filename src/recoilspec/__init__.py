@@ -23,9 +23,8 @@ from .radiation import (EmissionPattern, LaserField, QuadratureError,
                         effective_saturation_intensity,
                         effective_spectral_density, emission_coefficients,
                         saturation_intensity)
-from .rate_engine import (LeakWarning, PopulationState, RateMatrix,
-                          SpectroscopyScenario, build_rate_matrix,
-                          evolve_series, scaled_time)
+from .rate_engine import (PopulationState, RateMatrix, SpectroscopyScenario,
+                          build_rate_matrix, evolve_series, scaled_time)
 from .readout import ReadoutPulse, fluorescence_probability, pi_pulse, pi_time
 from .scan_fit import (FitError, FitResult, SpectrumRecord, WidthDepthPoint,
                        fit_lorentzian, numeric_fwhm_depth, readout_spectrum,

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +34,7 @@ from . import presets
 from .constants import ion_mass_kg
 from .ion_mechanics import BeamGeometry, lamb_dicke
 from .radiation import QuadratureError, effective_saturation_intensity
-from .rate_engine import (LeakWarning, PopulationState, SpectroscopyScenario,
+from .rate_engine import (PopulationState, SpectroscopyScenario,
                           build_rate_matrix, evolve_series, scaled_time)
 from .readout import pi_pulse
 from .reduced_model import reduced_spectrum
@@ -300,11 +299,18 @@ _MARGINAL_STATES = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
 _MARGINAL_HEADER = [f"P_{i}{j}" for i, j in _MARGINAL_STATES]
 
 
+def _marginal_cells(marginal):
+    """The marginal at each of _MARGINAL_STATES; a state off the grid reads
+    0, since the population beyond the grid is in the leak."""
+    rows, cols = marginal.shape
+    return [marginal[i, j] if i < rows and j < cols else 0.0
+            for i, j in _MARGINAL_STATES]
+
+
 def _spectrum_rows(records, model: str):
     for r in records:
         yield ([r.detuning / (2 * np.pi), r.fluorescence, r.leaked,
-                int(r.leak_flag), model]
-               + [r.marginal[i, j] for i, j in _MARGINAL_STATES])
+                int(r.leak_flag), model] + _marginal_cells(r.marginal))
 
 
 _SPECTRUM_HEADER = (["detuning_hz", "fluorescence_probability",
@@ -369,9 +375,8 @@ def _cmd_dynamics(cfg, scenario, prefix, args):
     rate = scaled_time(1.0, scenario)
     rows = []
     for t, st in zip(times, states):
-        marg = st.motional_marginal()
         rows.append([t, t * rate, st.leaked, st.p[0, 0, 0], st.p[1, 0, 0]]
-                    + [marg[i, j] for i, j in _MARGINAL_STATES])
+                    + _marginal_cells(st.motional_marginal()))
     header = (["t_s", "tau_scaled", "leaked_probability",
                "p_ground_00", "p_excited_00"] + _MARGINAL_HEADER)
     csv_path = prefix + ".csv"
@@ -389,11 +394,8 @@ def _cmd_spectrum(cfg, scenario, prefix, args, model="full"):
         records = reduced_spectrum(scenario, detunings, tau_spec,
                                    contrast=cfg["reduced"]["contrast"])
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LeakWarning)
-            records = readout_spectrum(
-                scenario, detunings, tau_spec,
-                pulses=_readout_pulses(cfg, scenario))
+        records = readout_spectrum(scenario, detunings, tau_spec,
+                                   pulses=_readout_pulses(cfg, scenario))
     csv_path = prefix + ".csv"
     _write_csv(csv_path, _SPECTRUM_HEADER, _spectrum_rows(records, model))
     fit_mode = _preset_setting(cfg, "scan.fit")

@@ -62,7 +62,8 @@ D_RANK_RTOL = 1e-15
 
 
 class LeakWarning(UserWarning):
-    """Population outside the truncated motional basis crossed the threshold."""
+    """Raised nowhere: every result carries its leak and flag.  Kept only for
+    benchmarks/oracle_widths.py; goes with ROADMAP item 6, like solve_ivp."""
 
 
 @dataclass
@@ -302,9 +303,11 @@ def build_rate_matrix(scenario: SpectroscopyScenario, detuning: float,
     emission at Gamma_t D and the heating ladder; include_spontaneous=False
     keeps only the ladder, which runs at the scenario's heating rates.
     Jumps past the grid edge or the sideband range feed the leak row.
-    rates is (r, rho r, Gamma_t or 0).  The scenario's jump blocks are
-    built here on first use.
+    rates is (r, rho r, Gamma_t or 0), r = 0 at an infinite detuning, and
+    a NaN detuning is an error.  The jump blocks are built on first use.
     """
+    if np.isnan(detuning):
+        raise ValueError(f"detuning {detuning} rad/s is not a number")
     line = scenario.line
     rate = base_rate(scenario.laser, line, detuning)
     rho = line.stimulated_scale / line.absorption_scale

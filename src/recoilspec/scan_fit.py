@@ -15,7 +15,6 @@ not Lorentzian, by direct numerical width/depth measurement.
 """
 
 import logging
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,9 +22,8 @@ import numpy as np
 
 from . import readout as ro
 from .radiation import base_rate
-from .rate_engine import (ATOL, RTOL, LeakWarning, PopulationState,
-                          SpectroscopyScenario, build_rate_matrix,
-                          evolve_series, scaled_time)
+from .rate_engine import (ATOL, RTOL, PopulationState, SpectroscopyScenario,
+                          build_rate_matrix, evolve_series, scaled_time)
 
 
 _log = logging.getLogger(__name__)
@@ -172,6 +170,8 @@ def _scan(scenario: SpectroscopyScenario, detunings, tau_specs,
     """
     if pulses is None:
         pulses = (ro.pi_pulse(scenario.system, (0, -1)),)
+    elif not pulses:
+        raise ValueError("the readout needs at least one pulse")
     detunings = np.asarray(detunings, dtype=float)
     if (bad := np.flatnonzero(~np.isfinite(detunings))).size:
         raise ValueError(f"detunings[{bad[0]}] = {detunings.flat[bad[0]]} is not finite")
@@ -214,12 +214,7 @@ def readout_spectrum(scenario: SpectroscopyScenario, detunings, tau_spec: float,
     the rate predicts them to the propagator's tolerance, and the others
     are interpolated.
     """
-    records = _scan(scenario, detunings, [tau_spec], pulses)[0]
-    if any(r.leak_flag for r in records):
-        worst = max(r.leaked for r in records)
-        warnings.warn(f"leaked population reaches {worst:.2%} on the scan",
-                      LeakWarning, stacklevel=2)
-    return records
+    return _scan(scenario, detunings, [tau_spec], pulses)[0]
 
 
 def _records_to_xy(records_or_x, y):

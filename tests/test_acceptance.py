@@ -6,7 +6,6 @@ Heavy detuning scans are shared through module-scoped fixtures.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +15,8 @@ from recoilspec.ion_mechanics import BeamGeometry, lamb_dicke
 from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import (composite_target_lineshape,
                                   effective_saturation_intensity)
-from recoilspec.rate_engine import (LeakWarning, PopulationState,
-                                    build_rate_matrix, evolve_series,
-                                    scaled_time)
+from recoilspec.rate_engine import (PopulationState, build_rate_matrix,
+                                    evolve_series, scaled_time)
 from recoilspec.readout import pi_pulse
 from recoilspec.scan_fit import (fit_lorentzian, numeric_fwhm_depth,
                                  readout_spectrum, width_depth_curves)
@@ -32,12 +30,6 @@ MHZ = 2 * np.pi * 1e6
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"acceptance {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def spectrum(scenario, detunings, tau_spec, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        return readout_spectrum(scenario, detunings, tau_spec, **kw)
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +120,8 @@ def mg_small_tau_widths(mg_scenario):
     t0 = time.perf_counter()
     widths = []
     for ts in taus:
-        records = spectrum(mg_scenario, grid, ts / scaled_time(1.0, mg_scenario))
+        records = readout_spectrum(mg_scenario, grid,
+                                   ts / scaled_time(1.0, mg_scenario))
         widths.append(fit_lorentzian(records).fwhm)
     return taus, np.array(widths), time.perf_counter() - t0
 
@@ -151,7 +144,8 @@ def test_criterion_6_mgh_width_limit(gamma_l_hz):
     t0 = time.perf_counter()
     widths = []
     for ts in taus:
-        records = spectrum(scenario, grid, ts / scaled_time(1.0, scenario))
+        records = readout_spectrum(scenario, grid,
+                                   ts / scaled_time(1.0, scenario))
         widths.append(numeric_fwhm_depth(records)[0])
     elapsed = time.perf_counter() - t0
     w0 = _extrapolate_to_zero(taus, np.array(widths))
@@ -190,7 +184,7 @@ def test_criterion_7a_ground_state_monotone(mg_scenario, mgh_scenario):
 def mg_saturated_spectrum(mg_scenario):
     grid = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 51)
     tau = 9.10 / scaled_time(1.0, mg_scenario)
-    return grid, spectrum(mg_scenario, grid, tau)
+    return grid, readout_spectrum(mg_scenario, grid, tau)
 
 
 def test_criterion_7b_dip_fills_in(mg_saturated_spectrum):
@@ -287,8 +281,8 @@ def test_criterion_7d_two_pulse_contrast(mg_scenario):
     grid = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 41)
     pulse_op = pi_pulse(scenario.system, (0, -1))
     pulse_ip = pi_pulse(scenario.system, (-1, 0))
-    single = spectrum(scenario, grid, 1.6e-3, pulses=(pulse_op,))
-    double = spectrum(scenario, grid, 1.6e-3, pulses=(pulse_op, pulse_ip))
+    single = readout_spectrum(scenario, grid, 1.6e-3, pulses=(pulse_op,))
+    double = readout_spectrum(scenario, grid, 1.6e-3, pulses=(pulse_op, pulse_ip))
     d1 = fit_lorentzian(single).depth
     d2 = fit_lorentzian(double).depth
     gain = d2 / d1 - 1.0

@@ -12,6 +12,9 @@ from recoilspec import cli, presets
 from recoilspec.cli import (EXIT_CONFIG, EXIT_LEAK, EXIT_OK, ConfigError,
                             build_scenario, load_config, main)
 from recoilspec.constants import CA40_U, H1_U, MG24_U
+from recoilspec.rate_engine import (PopulationState, build_rate_matrix,
+                                    evolve_series, scaled_time)
+from recoilspec.scan_fit import numeric_fwhm_depth, readout_spectrum
 
 FAST = ["-s", "scenario.n_ip_max=7", "-s", "scenario.n_op_max=7",
         "-s", "scan.points=9", "-s", "scan.span_hz=250e6",
@@ -247,6 +250,97 @@ def test_gnuplot_script_emitted(tmp_path):
     assert main(["spectrum", "-o", str(out), "--plot-script", *FAST]) == EXIT_OK
     script = out.with_suffix(".gp").read_text()
     assert "plot" in script and "plot.csv" in script
+
+
+@pytest.mark.parametrize("argv, xcol, ycol", [
+    (["dynamics", "-s", "scenario.n_ip_max=7", "-s", "scenario.n_op_max=7",
+      "-s", "dynamics.points=3", "-s", "dynamics.t_max_s=1e-3"],
+     "t_s", "P_00"),
+    (["widthcurve", *FAST, "-s", "widthcurve.tau_scaled=[1.0]"],
+     "tau_scaled", "fwhm_hz"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_gnuplot_script_of_dynamics_and_widthcurve(argv, xcol, ycol, tmp_path):
+    out = tmp_path / "plot"
+    assert main([*argv, "-o", str(out), "--plot-script"]) == EXIT_OK
+    header = out.with_suffix(".csv").read_text().splitlines()[0].split(",")
+    script = out.with_suffix(".gp").read_text()
+    assert (f"plot 'plot.csv' using {header.index(xcol) + 1}:"
+            f"{header.index(ycol) + 1} with linespoints") in script
+
+
+def test_spectrum_at_a_scaled_time(tmp_path):
+    # scan.tau_scaled wins over scan.tau_spec_s and is converted through
+    # the resonant absorption rate; the run equals one at that pulse time
+    assert main(["spectrum", "-o", str(tmp_path / "s"), *FAST,
+                 "-s", "scan.tau_scaled=2.23"]) == EXIT_OK
+    fit = json.loads((tmp_path / "s_fit.json").read_text())
+    tau_spec = 2.23 / scaled_time(1.0, build_scenario(load_config()))
+    assert fit["tau_spec_s"] == tau_spec
+    assert fit["tau_scaled"] == pytest.approx(2.23, rel=1e-15)
+    assert main(["spectrum", "-o", str(tmp_path / "t"), *FAST,
+                 "-s", f"scan.tau_spec_s={tau_spec!r}"]) == EXIT_OK
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+
+
+def test_spectrum_numeric_fit(tmp_path):
+    out = tmp_path / "num"
+    assert main(["spectrum", "-o", str(out), *FAST,
+                 "-s", "scan.fit=numeric"]) == EXIT_OK
+    fit = json.loads((tmp_path / "num_fit.json").read_text())["fit"]
+    rows = read_csv(out.with_suffix(".csv"))
+    fwhm, depth = numeric_fwhm_depth(
+        [float(row["detuning_hz"]) for row in rows],
+        [float(row["fluorescence_probability"]) for row in rows])
+    assert fit.keys() == {"mode", "fwhm_hz", "depth"}
+    assert fit["mode"] == "numeric"
+    assert fit["fwhm_hz"] == pytest.approx(fwhm, rel=1e-12)
+    assert fit["depth"] == pytest.approx(depth, rel=1e-12)
+
+
+@pytest.mark.parametrize("fit, error", [
+    ("lorentzian", "flat data cannot constrain a Lorentzian dip"),
+    ("numeric", "no dip below the baseline")], ids=["lorentzian", "numeric"])
+def test_failed_fit_is_reported_and_the_spectrum_kept(fit, error, tmp_path,
+                                                      capsys):
+    # without light every detuning gives one signal: there is no dip to fit
+    out = tmp_path / "dark"
+    assert main(["spectrum", "-o", str(out), *FAST,
+                 "-s", "scenario.intensity_sat_units=0",
+                 "-s", f"scan.fit={fit}"]) == EXIT_OK
+    payload = json.loads((tmp_path / "dark_fit.json").read_text())
+    assert payload["fit"] is None
+    assert payload["fit_error"] == error
+    assert f"; fit failed: {error}" in capsys.readouterr().out
+    assert len(read_csv(out.with_suffix(".csv"))) == 9
+
+
+@pytest.mark.parametrize("n_ip_max, n_op_max", [(1, 1), (1, 5)],
+                         ids=["2x2", "2x6"])
+@pytest.mark.parametrize("command", ["spectrum", "dynamics"])
+def test_marginal_columns_on_a_grid_narrower_than_three(command, n_ip_max,
+                                                        n_op_max, tmp_path):
+    # a P_ij column whose state lies off the grid reads 0: the grid holds
+    # none of that population, which is in the leak
+    sets = [f"scenario.n_ip_max={n_ip_max}", f"scenario.n_op_max={n_op_max}",
+            "scan.points=9", "dynamics.points=3"]
+    out = tmp_path / command
+    assert main([command, "-o", str(out),
+                 *(arg for s in sets for arg in ("-s", s))]) == EXIT_LEAK
+    rows = read_csv(out.with_suffix(".csv"))
+    cfg = load_config(None, sets)
+    scenario = build_scenario(cfg)
+    if command == "spectrum":
+        marginals = [r.marginal for r in readout_spectrum(
+            scenario, cli._detuning_grid(cfg), cfg["scan"]["tau_spec_s"])]
+    else:
+        marginals = [s.motional_marginal() for s in evolve_series(
+            build_rate_matrix(scenario, 0.0), PopulationState.ground(scenario),
+            [float(row["t_s"]) for row in rows])]
+    assert len(rows) == len(marginals) == (9 if command == "spectrum" else 3)
+    for row, marginal in zip(rows, marginals):
+        for i, j in cli._MARGINAL_STATES:
+            on_grid = i <= n_ip_max and j <= n_op_max
+            assert float(row[f"P_{i}{j}"]) == (marginal[i, j] if on_grid else 0.0)
 
 
 def test_mgh_preset_via_flags(tmp_path):

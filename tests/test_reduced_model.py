@@ -1,6 +1,5 @@
 import time
 import timeit
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +13,8 @@ from recoilspec.coupling import xi_mode_table
 from recoilspec.ion_mechanics import lamb_dicke
 from recoilspec.presets import mg24_ca40
 from recoilspec.radiation import base_rate
-from recoilspec.rate_engine import (LeakWarning, PopulationState,
-                                    build_rate_matrix, evolve_series,
-                                    scaled_time)
+from recoilspec.rate_engine import (PopulationState, build_rate_matrix,
+                                    evolve_series, scaled_time)
 from recoilspec.reduced_model import (evolve_three_level, reduced_kernels,
                                       reduced_populations, reduced_signal,
                                       reduced_spectrum)
@@ -164,9 +162,7 @@ def test_signal_mapping():
 def mg_full_spectrum(mg_scenario):
     grid = np.linspace(-2 * np.pi * 150e6, 2 * np.pi * 150e6, 41)
     tau = 2.23 / scaled_time(1.0, mg_scenario)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LeakWarning)
-        records = readout_spectrum(mg_scenario, grid, tau)
+    records = readout_spectrum(mg_scenario, grid, tau)
     return grid, tau, records
 
 

@@ -12,9 +12,8 @@ from oracles import lorentzian_least_squares
 from recoilspec import rate_engine, scan_fit
 from recoilspec.presets import mg24_ca40, mgh24_ca40
 from recoilspec.radiation import base_rate
-from recoilspec.rate_engine import (LeakWarning, PopulationState,
-                                    build_rate_matrix, evolve_series,
-                                    scaled_time)
+from recoilspec.rate_engine import (PopulationState, build_rate_matrix,
+                                    evolve_series, scaled_time)
 from recoilspec.readout import fluorescence_probability, pi_pulse
 from recoilspec.scan_fit import (FitError, SpectrumRecord, _initial_guess,
                                  _lorentzian_dip, _lorentzian_dip_jac,
@@ -237,6 +236,14 @@ def test_numeric_requires_resolved_dip():
         numeric_fwhm_depth(x, y)
 
 
+def test_numeric_needs_eight_points_and_a_dip():
+    y = lorentzian_dip(GRID, 1.0, 0.4, 0.0, W_TRUE)
+    with pytest.raises(ValueError, match="need at least 8 points"):
+        numeric_fwhm_depth(GRID[36:43], y[36:43])
+    with pytest.raises(ValueError, match="no dip below the baseline"):
+        numeric_fwhm_depth(GRID, np.full(GRID.size, 0.7))
+
+
 def test_record_input_paths():
     y = lorentzian_dip(GRID, 1.0, 0.4, 0.0, W_TRUE)
     records = [SpectrumRecord(detuning=d, fluorescence=v,
@@ -372,6 +379,16 @@ def test_symmetric_grid_one_propagation_per_magnitude(small_scan_scenario,
             assert np.array_equal(left.marginal, right.marginal)
             assert left.leaked == right.leaked
     assert_direct(small_scan_scenario, SCAN_GRID, SCAN_TAUS, per_tau)
+
+
+def test_empty_pulse_sequence_is_rejected_before_propagating(
+        small_scan_scenario, propagations):
+    with pytest.raises(ValueError, match="the readout needs at least one pulse"):
+        readout_spectrum(small_scan_scenario, SCAN_GRID, 1.3e-3, pulses=())
+    with pytest.raises(ValueError, match="the readout needs at least one pulse"):
+        width_depth_curves([("mg", small_scan_scenario)], [1.0], SCAN_GRID,
+                           pulses=())
+    assert len(propagations) == 0
 
 
 def test_asymmetric_grid_solves_every_magnitude(small_scan_scenario,
@@ -518,8 +535,7 @@ def test_physical_fit_bounds(small_scan_scenario):
 def test_leak_flags_propagate():
     tiny = replace(mg24_ca40(), n_ip_max=3, n_op_max=3)
     grid = np.array([0.0, 2 * np.pi * 30e6, 2 * np.pi * 300e6])
-    with pytest.warns(LeakWarning):
-        records = readout_spectrum(tiny, grid, tau_spec=5.3e-3)
+    records = readout_spectrum(tiny, grid, tau_spec=5.3e-3)
     assert records[0].leak_flag
     assert not records[2].leak_flag
 
